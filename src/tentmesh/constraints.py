@@ -23,6 +23,27 @@ endpoints plus a few interior samples; for the built-in fields the
 constraints vary monotonically between samples, so the endpoints carry the
 guarantee.
 
+One numpy kernel, :func:`progressive_verdicts`, makes this check for F
+triangles at once; star verification, :func:`is_progressive_front` and
+:func:`is_progressive_triangle` (F = 1) all call it.  Per triangle it
+
+* orders the unlifted vertices by (time, id) into lo, mid, hi;
+* builds 2n rows of times for the n lift samples dt: rows k < n lift lo by
+  dt_k, and row n + k is that lift's companion, with mid also raised by the
+  full floor.  One :func:`~tentmesh.fields.sampled_min_simplices` call
+  samples the slope over all F * 2n rows;
+* checks causality of row k at apex lo (q and r in local-index order)
+  against ``min(slope of row k, sigma_cap)``, and progress of row k, with
+  its vertices re-ordered by (time, id), against the slope of row n + k.
+
+The per-(triangle, apex) geometry comes from
+:class:`~tentmesh.geometry.ApexGeometry`, the same scalars
+:func:`causal_triangle` and :func:`progress_ok` compute, and the kernel
+repeats their float operations in their order, so it agrees with those
+single-triangle checks bit for bit.  Worst-verdict rule: a triangle's
+verdict is the first minimum slack in the order causal 0, progress 0,
+causal 1, progress 1, ..., judged against its own scale.
+
 Every check returns a :class:`ConstraintVerdict` with a signed slack in time
 units; ``satisfied`` applies the relative tolerance ``rel_tol`` (slack down
 to ``-rel_tol * scale`` still passes, so exact-equality designs are stable
@@ -35,17 +56,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidArgument, ValidationError
-from .fields import (
-    SlopeField,
-    min_slope_over,
-    sampled_min_simplices,
-    sampled_min_values,
+from .fields import SlopeField, sampled_min_simplices
+from .geometry import (
+    APEX_OTHERS,
+    ApexGeometry,
+    TriangleFrame,
+    apex_geometry,
+    frame,
+    phi,
 )
-from .geometry import TriangleFrame, frame, phi
 from .mesh import SpaceMesh
 
 BINDING_CAUSALITY = "causality"
@@ -81,8 +105,8 @@ class ConstraintConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 0.5:
             raise ValidationError(f"epsilon must be in (0, 1/2], got {self.epsilon}")
-        if self.eta <= 0.0:
-            raise ValidationError(f"eta must be positive, got {self.eta}")
+        if not (math.isfinite(self.eta) and self.eta > 0.0):
+            raise ValidationError(f"eta must be positive and finite, got {self.eta}")
         if self.dt_interior_samples < 0:
             raise ValidationError("dt_interior_samples must be nonnegative")
 
@@ -218,51 +242,124 @@ def _dt_samples(tmin: float, interior: int) -> np.ndarray:
     return np.linspace(0.0, tmin, interior + 2)
 
 
+_OTHERS = np.array(APEX_OTHERS)
+_LOCAL = np.arange(3)
+
+
+class FacetVerdicts(NamedTuple):
+    """Worst verdict of each of F triangles, as (F,) arrays."""
+
+    slack: np.ndarray
+    scale: np.ndarray
+    binding: np.ndarray    # BINDING_CAUSALITY or BINDING_PROGRESS
+    satisfied: np.ndarray
+
+    def verdict(self, i: int) -> ConstraintVerdict:
+        return ConstraintVerdict(bool(self.satisfied[i]), float(self.slack[i]),
+                                 str(self.binding[i]), float(self.scale[i]))
+
+
+def progressive_verdicts(points: np.ndarray, times: np.ndarray,
+                         ids: np.ndarray, geometry: ApexGeometry,
+                         field: SlopeField, config: ConstraintConfig,
+                         elements=None,
+                         sigma_cap: float = math.inf) -> FacetVerdicts:
+    """Batched progressive-triangle check; see the module docstring.
+
+    ``points`` is (F, 3, 2), ``times`` and ``ids`` are (F, 3), ``geometry``
+    is the triangles' :class:`ApexGeometry` and ``elements`` their (F,) mesh
+    ids (required by table-backed fields).  ``sigma_cap`` further limits
+    the slope used for the causality half; progress always uses the field's
+    own sampled slope.
+    """
+    F = times.shape[0]
+    tmin = config.tmin_2d
+    dts = _dt_samples(tmin, config.dt_interior_samples)
+    n = len(dts)
+    f = np.arange(F)
+    order = np.lexsort((ids, times))
+    lo, mid = order[:, 0], order[:, 1]
+    t_lo, t_mid, t_hi = times[f[:, None], order].T[:, :, None]
+    id_lo, id_mid, id_hi = ids[f[:, None], order].T[:, :, None]
+    t_lift = t_lo + dts  # (F, n): lo lifted by each sample
+
+    # Rows 0..n-1 lift lo by each sample; rows n..2n-1 are the companions,
+    # which also raise mid by the full floor.
+    lifted = np.where((_LOCAL == lo[:, None])[:, None, :], t_lift[:, :, None],
+                      times[:, None, :])
+    companion = np.where((_LOCAL == mid[:, None])[:, None, :],
+                         (t_mid + tmin)[:, :, None], lifted)
+    if elements is not None:
+        elements = np.repeat(elements, 2 * n)
+    sig = sampled_min_simplices(
+        field, np.repeat(points, 2 * n, axis=0),
+        np.concatenate((lifted, companion), axis=1).reshape(F * 2 * n, 3),
+        config.slope_samples, elements=elements,
+    ).reshape(F, 2 * n)
+
+    # Causality of each lifted triangle, in the altitude form at apex lo.
+    t_qr = times[f[:, None], _OTHERS[lo]]
+    t_q, t_r = t_qr[:, :1], t_qr[:, 1:]
+    alt, u_along, qr_len, phi_lo, len_lo = (a[f, lo][:, None] for a in geometry)
+    sigma_c = np.minimum(sig[:, :n], sigma_cap)
+    abs_dt_qr = np.abs(t_r - t_q)
+    g = abs_dt_qr / qr_len
+    w = u_along / qr_len
+    t_u = t_q * (1.0 - w) + t_r * w
+    rhs = alt * np.sqrt(np.maximum(0.0, sigma_c * sigma_c - g * g))
+    lhs = np.abs(t_lift - t_u)
+    # When the base edge alone exceeds the slope no apex time can fix it.
+    budget = sigma_c * qr_len
+    steep = g > sigma_c
+    slack = np.empty((F, n, 2))
+    scale = np.empty((F, n, 2))
+    slack[..., 0] = np.where(steep, budget - abs_dt_qr, rhs - lhs)
+    scale[..., 0] = np.where(steep, np.maximum(budget, abs_dt_qr),
+                             np.maximum(rhs, lhs))
+
+    # Progress of each lifted triangle, re-ordered by (time, id).  Only lo
+    # moved, so the order is lo, mid, hi until the lift passes mid, then
+    # mid, lo, hi until it passes hi, then mid, hi, lo.
+    past_mid = (t_lift > t_mid) | ((t_lift == t_mid) & (id_lo > id_mid))
+    past_hi = (t_lift > t_hi) | ((t_lift == t_hi) & (id_lo > id_hi))
+    phi = np.where(past_mid, geometry.phi[f, mid][:, None], phi_lo)
+    length = np.where(past_mid, geometry.edge_len[f, mid][:, None], len_lo)
+    bound = (1.0 - config.epsilon) * sig[:, n:] * phi * length
+    diff = np.where(past_hi, t_lift - t_hi,
+                    np.where(past_mid, t_hi - t_lift, t_hi - t_mid))
+    slack[..., 1] = bound - diff
+    scale[..., 1] = np.maximum(bound, diff)
+
+    # First minimum in the order causal 0, progress 0, causal 1, ...
+    slack = slack.reshape(F, 2 * n)
+    k = np.argmin(slack, axis=1)
+    worst = slack[f, k]
+    worst_scale = np.maximum(1.0, scale.reshape(F, 2 * n)[f, k])
+    return FacetVerdicts(
+        slack=worst,
+        scale=worst_scale,
+        binding=np.where(k % 2 == 1, BINDING_PROGRESS, BINDING_CAUSALITY),
+        satisfied=worst >= -config.rel_tol * worst_scale,
+    )
+
+
 def is_progressive_triangle(points, times, field: SlopeField,
                             config: ConstraintConfig, ids=(0, 1, 2),
                             element: int | None = None,
                             sigma_cap: float = math.inf) -> ConstraintVerdict:
-    """Whether the triangle stays causal and within progress under floor lifts.
+    """Whether one triangle stays causal and within progress under floor lifts.
 
-    Checks, for each sampled lift dt of the lowest vertex: causality of the
-    lifted triangle against the slope sampled over it, and the progress
-    constraint against the slope sampled over the companion triangle (lowest
-    vertex lifted by dt, middle vertex lifted by the full floor).  Returns
-    the minimum-slack verdict across all sampled conditions.
-
-    ``sigma_cap`` further limits the slope used for the causality half (the
-    driver passes the smallest remote cone slope the tentpole enters);
-    progress always uses the field's own sampled slope.
+    ``points`` is (3, 2), ``times`` the matching vertex times and ``ids``
+    the vertex ids that break time ties; ``element`` is the mesh id a table
+    field needs.  Returns the worst verdict of :func:`progressive_verdicts`.
     """
-    points = np.asarray(points, dtype=np.float64)
-    times = np.asarray(times, dtype=np.float64)
-    tmin = config.tmin_2d
-    lo, mid, hi = _order_by_time(times, ids)
-    dts = _dt_samples(tmin, config.dt_interior_samples)
-    n = len(dts)
-    # One batched slope evaluation: rows 0..n-1 are the lifted triangles,
-    # rows n..2n-1 the companions (middle vertex lifted by the full floor).
-    batch = np.tile(times, (2 * n, 1))
-    batch[:n, lo] += dts
-    batch[n:, lo] += dts
-    batch[n:, mid] = times[mid] + tmin
-    sig = sampled_min_values(field, points, batch, config.slope_samples,
-                             element)
-    others = [i for i in range(3) if i != lo]
-    fr_lo = frame(points[lo], points[others[0]], points[others[1]])
-    worst: ConstraintVerdict | None = None
-    for k in range(n):
-        sigma_c = min(float(sig[k]), sigma_cap)
-        v = causal_triangle(points, batch[k], sigma_c, apex=lo,
-                            rel_tol=config.rel_tol, fr=fr_lo)
-        if worst is None or v.slack < worst.slack:
-            worst = v
-        sigma_p = float(sig[n + k])
-        v = progress_ok(points, batch[k], sigma_p, config.epsilon, ids,
-                        config.rel_tol)
-        if v.slack < worst.slack:
-            worst = v
-    return worst
+    points = np.asarray(points, dtype=np.float64)[None]
+    return progressive_verdicts(
+        points, np.asarray(times, dtype=np.float64)[None],
+        np.asarray(ids)[None], apex_geometry(points), field, config,
+        elements=None if element is None else np.array([element]),
+        sigma_cap=sigma_cap,
+    ).verdict(0)
 
 
 def is_progressive_front(front, field: SlopeField,
@@ -288,16 +385,13 @@ def is_progressive_front(front, field: SlopeField,
             if len(violations) >= limit:
                 break
         return len(violations) == 0, violations
-    for sid in range(mesh.n_simplices):
-        row = mesh.simplices[sid]
-        v = is_progressive_triangle(
-            mesh.vertices[row], times[row], field, config,
-            ids=tuple(int(i) for i in row), element=sid,
-        )
-        if not v.satisfied:
-            violations.append((sid, v))
-            if len(violations) >= limit:
-                return False, violations
+    rows = mesh.simplices
+    verdicts = progressive_verdicts(
+        mesh.vertices[rows], times[rows], rows, mesh.apex_geometry, field,
+        config, elements=np.arange(mesh.n_simplices),
+    )
+    for sid in np.flatnonzero(~verdicts.satisfied)[:limit]:
+        violations.append((int(sid), verdicts.verdict(sid)))
     return len(violations) == 0, violations
 
 

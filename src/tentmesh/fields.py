@@ -359,7 +359,10 @@ def sampled_min_simplices(field: SlopeField, positions: np.ndarray,
         return np.full(m, field.sigma_min)
     weights = _barycentric_weights(k, samples)  # (S, k)
     S = weights.shape[0]
-    pts = np.einsum("sk,mkd->msd", weights, positions).reshape(m * S, -1)
+    # The stacked matmul repeats sampled_min_values' per-simplex product
+    # exactly; einsum sums the products in another order, and a sample
+    # point one ulp off can land on the other side of a cone boundary.
+    pts = np.matmul(weights, positions).reshape(m * S, -1)
     ts = (times @ weights.T).reshape(m * S)
     elems = None
     if elements is not None:

@@ -13,7 +13,6 @@ validated for causality against the field before being accepted).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,13 +20,6 @@ from .constraints import ConstraintConfig, front_causality_report
 from .errors import InvalidArgument, NotFound, ValidationError
 from .fields import SlopeField
 from .mesh import SpaceMesh
-
-
-class FacetLift(NamedTuple):
-    """A mesh simplex with candidate vertex times (the unit of checking)."""
-
-    sid: int
-    times: np.ndarray
 
 
 @dataclass(frozen=True)

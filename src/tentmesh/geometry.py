@@ -28,8 +28,8 @@ from .errors import DegenerateSimplex
 # A simplex thinner than this ratio (min altitude / diameter) is rejected.
 DEGENERACY_RATIO = 1e-12
 
-# Space points are plain numpy arrays; the alias documents intent in signatures.
-SpacePoint = np.ndarray
+# Local indices of the two non-apex vertices, in local-index order, per apex.
+APEX_OTHERS = ((1, 2), (0, 2), (0, 1))
 
 
 class EventPoint(NamedTuple):
@@ -189,6 +189,44 @@ def frame(p, q, r) -> TriangleFrame:
         pq_len=math.hypot(q[0] - p[0], q[1] - p[1]),
         cos_nn=float(n_qr @ n_rp),
     )
+
+
+class ApexGeometry(NamedTuple):
+    """Per-(triangle, apex) shape data, each field an (F, 3) array.
+
+    Column ``a`` describes the triangle with local vertex ``a`` as the apex p
+    and the other two, in local-index order, as q and r.  The first three
+    fields come from :func:`frame`, ``phi`` from :func:`phi` and
+    ``edge_len`` is ``np.linalg.norm(r - q)``: exactly the scalars the
+    single-triangle checks compute, so batched checks that read them agree
+    with those checks bit for bit.
+    """
+
+    altitude: np.ndarray  # |pu|
+    u_along: np.ndarray   # signed position of the foot u on the qr axis
+    qr_len: np.ndarray    # |qr| by hypot, as the frame measures it
+    phi: np.ndarray       # shape factor of the apex
+    edge_len: np.ndarray  # |qr| by np.linalg.norm, as the progress check measures it
+
+    def take(self, rows) -> "ApexGeometry":
+        """The rows ``rows`` of every field."""
+        return ApexGeometry(*(a[rows] for a in self))
+
+
+def apex_geometry(corners) -> ApexGeometry:
+    """:class:`ApexGeometry` of F triangles given as an (F, 3, 2) array.
+
+    Raises :class:`DegenerateSimplex` for a degenerate triangle.
+    """
+    corners = np.asarray(corners, dtype=np.float64)
+    out = np.empty((5, corners.shape[0], 3))
+    for f, pts in enumerate(corners):
+        for a, (qi, ri) in enumerate(APEX_OTHERS):
+            p, q, r = pts[a], pts[qi], pts[ri]
+            fr = frame(p, q, r)
+            out[:, f, a] = (fr.altitude, fr.u_along, fr.qr_len, phi(p, q, r),
+                            float(np.linalg.norm(r - q)))
+    return ApexGeometry(*out)
 
 
 def triangle_width(p, q, r=None) -> float:

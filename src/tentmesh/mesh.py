@@ -26,6 +26,7 @@ Boundary vertices are ordinary vertices; nothing here treats them specially.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -34,7 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotFound, ValidationError
-from .geometry import DEGENERACY_RATIO, TriangleFrame, frame
+from .geometry import DEGENERACY_RATIO, ApexGeometry, TriangleFrame, frame
+from .geometry import apex_geometry as _apex_geometry
 
 
 class MeshStats(NamedTuple):
@@ -98,8 +100,14 @@ class SpaceMesh:
     def max_degree(self) -> int:
         return max(len(s) for s in self.stars)
 
-    def simplex_points(self, sid: int) -> np.ndarray:
-        return self.vertices[self.simplices[sid]]
+    @functools.cached_property
+    def apex_geometry(self) -> ApexGeometry:
+        """2D only: :class:`ApexGeometry` of every triangle, row = simplex id.
+
+        Built on first use, by the first progressive-triangle check of a
+        run, so building a mesh and 1D runs never pay for it.
+        """
+        return _apex_geometry(self.vertices[self.simplices])
 
     def simplex_frame(self, sid: int, p: int, q: int, r: int) -> TriangleFrame:
         """Memoized triangle frame for simplex ``sid`` with roles (p, q, r).

@@ -24,6 +24,7 @@ are deterministic, so a run is a pure function of its inputs.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -34,10 +35,10 @@ from .constraints import (
     causal_segment,
     front_causality_report,
     is_progressive_front,
-    is_progressive_triangle,
     progress_bound_rhs,
+    progressive_verdicts,
 )
-from .errors import ContractViolation, InvalidArgument
+from .errors import ContractViolation, InvalidArgument, ValidationError
 from .fields import SlopeField, min_slope_over
 from .front import Front, advance, initial_front, local_minima
 from .hierarchy import build as build_cones
@@ -227,18 +228,15 @@ def star_feasible(mesh: SpaceMesh, times: np.ndarray, p: int, c: float,
                 return False
         return True
     sigma_rem = math.inf if cones is None else cones.min_slope_intersecting(p, c)
-    for sid in mesh.stars[p]:
-        row = mesh.simplices[sid]
-        t3 = times[row].copy()
-        t3[row == p] = c
-        v = is_progressive_triangle(
-            mesh.vertices[row], t3, field, config,
-            ids=tuple(int(i) for i in row), element=int(sid),
-            sigma_cap=sigma_rem,
-        )
-        if not v.satisfied:
-            return False
-    return True
+    sids = mesh.stars[p]
+    rows = mesh.simplices[sids]
+    t3 = times[rows]
+    t3[rows == p] = c
+    verdicts = progressive_verdicts(
+        mesh.vertices[rows], t3, rows, mesh.apex_geometry.take(sids), field,
+        config, elements=sids, sigma_cap=sigma_rem,
+    )
+    return bool(verdicts.satisfied.all())
 
 
 def pitch_bracket(mesh: SpaceMesh, front: Front, field: SlopeField,
@@ -420,8 +418,7 @@ class TentRun:
     stats: dict
 
 
-def _patch_guard(mesh: SpaceMesh, field: SlopeField, config: ConstraintConfig,
-                 span: float) -> int:
+def _patch_guard(mesh: SpaceMesh, config: ConstraintConfig, span: float) -> int:
     """Runaway guard derived from the height floor.
 
     Every pitched vertex sat below the target and rose by at least the
@@ -472,11 +469,20 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
     Stops early (without error) after ``max_patches`` patches when that is
     given; otherwise a generous multiple of the worst-case element count acts
     as a runaway guard and overrunning it raises :class:`ContractViolation`.
+    ``field`` and ``script`` are copied, never mutated: the returned
+    :class:`TentRun` carries the run's own field, with any scripted table
+    rewrites applied.
     """
     if heuristic not in HEURISTICS:
         raise InvalidArgument(
             f"unknown heuristic {heuristic!r}; choose from {', '.join(HEURISTICS)}"
         )
+    if math.isnan(target_time):
+        raise ValidationError("target time must be a number, got nan")
+    # The run owns its slope state: script rows rewrite table entries and
+    # advance the cursor, and the domain binds the field to this mesh.  Work
+    # on copies so the caller's field and script can drive another run.
+    field, script = copy.deepcopy((field, script))
     if script is not None:
         script.attach(field)  # widens slope bounds; must precede the config
     if config is None:
@@ -505,7 +511,7 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
     if max_patches is not None:
         guard = max_patches
     elif span > 0.0:
-        guard = _patch_guard(mesh, field, config, span)
+        guard = _patch_guard(mesh, config, span)
 
     last_rr = -1
     while front.min_time() < target_time:

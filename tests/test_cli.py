@@ -175,6 +175,19 @@ def test_cli_bad_field_exit_2(case_1d, capsys):
     assert code == 2
 
 
+def test_cli_nan_eta_exit_2(case_1d, capsys):
+    assert main(_argv(case_1d, "--eta", "nan")) == 2
+    assert "eta" in capsys.readouterr().err
+
+
+def test_cli_nan_target_exit_2(case_1d, capsys):
+    code = main(["--mesh", str(case_1d / "mesh.txt"),
+                 "--field", str(case_1d / "field.txt"),
+                 "--target-time", "nan", "--max-patches", "5"])
+    assert code == 2
+    assert "target time" in capsys.readouterr().err
+
+
 def test_cli_table_field_with_script(tmp_path):
     mesh = interval_mesh([0.0, 1.0, 2.0])
     save_mesh(mesh, tmp_path / "mesh.txt")

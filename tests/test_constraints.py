@@ -35,11 +35,19 @@ from tentmesh.constraints import (
     is_progressive_triangle,
     progress_bound_rhs,
     progress_ok,
+    progressive_verdicts,
 )
 from tentmesh.errors import ValidationError
-from tentmesh.fields import ConstantField, TimeStepField
-from tentmesh.front import advance, initial_front, local_minima
-from tentmesh.geometry import frame
+from tentmesh.fields import (
+    CompositeMinField,
+    ConstantField,
+    SpatialConeField,
+    TableField,
+    TimeStepField,
+    sampled_min_values,
+)
+from tentmesh.front import Front, advance, initial_front, local_minima
+from tentmesh.geometry import DEGENERACY_RATIO, apex_geometry, frame
 from tentmesh.mesh import grid_mesh, interval_mesh, strip_mesh
 
 RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -72,6 +80,11 @@ class TestConfig:
     def test_eta_positive(self):
         with pytest.raises(ValidationError):
             make_config(eta=0.0)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_eta_finite(self, eta):
+        with pytest.raises(ValidationError, match="finite"):
+            make_config(eta=eta)
 
 
 class TestCausalSegment:
@@ -279,6 +292,152 @@ class TestFrontChecks:
         ok, bad = is_progressive_front(bad_front, field, cfg)
         assert not ok and len(bad) >= 1
         assert all(not v.satisfied for _, v in bad)
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against the per-sample scalar check it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_verdict(points, times, field, config, ids, element=None,
+                       sigma_cap=math.inf):
+    """One triangle, one lift sample at a time, through the scalar checks."""
+    points = np.asarray(points, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
+    tmin = config.tmin_2d
+    lo, mid, _ = sorted(range(3), key=lambda i: (times[i], ids[i]))
+    dts = np.linspace(0.0, tmin, config.dt_interior_samples + 2)
+    n = len(dts)
+    batch = np.tile(times, (2 * n, 1))
+    batch[:n, lo] += dts
+    batch[n:, lo] += dts
+    batch[n:, mid] = times[mid] + tmin
+    sig = sampled_min_values(field, points, batch, config.slope_samples,
+                             element)
+    worst = None
+    for k in range(n):
+        v = causal_triangle(points, batch[k], min(float(sig[k]), sigma_cap),
+                            apex=lo, rel_tol=config.rel_tol)
+        if worst is None or v.slack < worst.slack:
+            worst = v
+        v = progress_ok(points, batch[k], float(sig[n + k]), config.epsilon,
+                        ids, config.rel_tol)
+        if v.slack < worst.slack:
+            worst = v
+    return worst
+
+
+def _bits(v):
+    return (v.satisfied, float(v.slack).hex(), v.binding, float(v.scale).hex())
+
+
+def _nondegenerate(pts) -> bool:
+    d = [np.hypot(*(pts[i] - pts[j])) for i, j in ((0, 1), (1, 2), (2, 0))]
+    area2 = abs((pts[1, 0] - pts[0, 0]) * (pts[2, 1] - pts[0, 1])
+                - (pts[1, 1] - pts[0, 1]) * (pts[2, 0] - pts[0, 0]))
+    return area2 > 1e3 * DEGENERACY_RATIO * max(d) ** 2
+
+
+# Grid values make exact time ties and sample points on cone boundaries.
+_coord = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5]) | st.floats(-2.0, 2.0)
+_random_triangle = st.lists(st.tuples(_coord, _coord), min_size=3, max_size=3)
+# Strip-like triangles: the angle at the apex (b, h) is obtuse.
+_obtuse_triangle = st.builds(
+    lambda a, b, h: [(0.0, 0.0), (a, 0.0), (b * a, h * a)],
+    st.floats(0.5, 2.0), st.floats(0.2, 0.8), st.floats(0.05, 0.45),
+)
+_triangle = (_random_triangle | _obtuse_triangle).map(
+    lambda t: np.array(t, dtype=np.float64)).filter(_nondegenerate)
+
+
+def _field(data, n_elements):
+    kind = data.draw(st.sampled_from(["constant", "cone", "table", "composite"]))
+    slope = st.floats(0.5, 3.0)
+    if kind == "constant":
+        return ConstantField(data.draw(slope))
+    table = TableField(data.draw(st.lists(slope, min_size=n_elements,
+                                          max_size=n_elements)))
+    if kind == "table":
+        return table
+    cone = SpatialConeField(
+        (data.draw(_coord), data.draw(_coord)),
+        data.draw(st.sampled_from([-0.5, 0.0, 0.25]) | st.floats(-1.0, 1.0)),
+        data.draw(slope), data.draw(slope),
+        data.draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 3.0)),
+        kappa=data.draw(st.sampled_from([1.0, 0.9])),
+    )
+    return cone if kind == "cone" else CompositeMinField([cone, table])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_scalar_reference_bit_for_bit(data):
+    F = data.draw(st.integers(1, 5))
+    points = np.stack([data.draw(_triangle) for _ in range(F)])
+    tmin = data.draw(st.sampled_from([0.125, 0.5]) | st.floats(0.01, 1.0))
+    cfg = make_config(
+        epsilon=data.draw(st.sampled_from([0.5, 0.25]) | st.floats(0.05, 0.5)),
+        tmin_2d=tmin, dt_interior_samples=data.draw(st.integers(0, 4)),
+    )
+    # Offsets within a few floors make ties and (time, id) flips under lifts.
+    offset = st.sampled_from([0.0, 0.25 * tmin, 0.5 * tmin, tmin]) \
+        | st.floats(0.0, 3.0 * tmin)
+    times = np.array([[data.draw(offset) for _ in range(3)] for _ in range(F)])
+    ids = np.array([data.draw(st.lists(st.integers(0, 50), min_size=3,
+                                       max_size=3, unique=True))
+                    for _ in range(F)])
+    field = _field(data, F)
+    cap = data.draw(st.just(math.inf) | st.floats(0.2, 3.0))
+    got = progressive_verdicts(points, times, ids, apex_geometry(points),
+                               field, cfg, elements=np.arange(F), sigma_cap=cap)
+    for i in range(F):
+        want = _reference_verdict(points[i], times[i], field, cfg,
+                                  tuple(ids[i]), element=i, sigma_cap=cap)
+        assert _bits(got.verdict(i)) == _bits(want)
+    single = is_progressive_triangle(points[0], times[0], field, cfg,
+                                     ids=tuple(ids[0]), element=0,
+                                     sigma_cap=cap)
+    assert _bits(single) == _bits(got.verdict(0))
+
+
+@pytest.mark.parametrize("ids, binding", [((5, 2, 9), BINDING_PROGRESS),
+                                         ((1, 2, 9), BINDING_CAUSALITY)])
+def test_kernel_breaks_exact_lift_ties_by_id(ids, binding):
+    # The floor lift takes vertex 0 exactly to vertex 1's time; only the ids
+    # decide whether it has passed, which picks the shape factor progress uses.
+    cfg = make_config(tmin_2d=0.25)
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.6]])
+    times = np.array([0.0, 0.25, 0.5])
+    field = ConstantField(1.0)
+    want = _reference_verdict(pts, times, field, cfg, ids)
+    got = is_progressive_triangle(pts, times, field, cfg, ids=ids)
+    assert _bits(got) == _bits(want)
+    assert got.binding == binding
+
+
+@pytest.mark.parametrize("kind", ["cone", "table"])
+def test_progressive_front_violations_match_scalar_loop(kind):
+    mesh = strip_mesh(6) if kind == "table" else grid_mesh(3, 3)
+    if kind == "table":
+        field = TableField(np.linspace(1.0, 2.0, mesh.n_simplices))
+    else:
+        field = SpatialConeField((0.5, 0.5), 0.0, 2.0, 1.0, 0.5)
+    cfg = ConstraintConfig.for_problem(mesh, field)
+    fr = random_front(mesh, cfg, np.random.default_rng(11), pitches=30)
+    times = fr.times.copy()
+    times[[1, 5]] += 3.0 * cfg.tmin_2d  # plant non-progressive facets
+    planted = Front(mesh=mesh, times=times)
+    want = []
+    for sid, row in enumerate(mesh.simplices):
+        v = _reference_verdict(mesh.vertices[row], times[row], field, cfg,
+                               tuple(int(i) for i in row), element=sid)
+        if not v.satisfied:
+            want.append((sid, _bits(v)))
+    assert len(want) >= 3
+    for limit in (1, 3, mesh.n_simplices):
+        ok, got = is_progressive_front(planted, field, cfg, limit=limit)
+        assert not ok
+        assert [(sid, _bits(v)) for sid, v in got] == want[:limit]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from tentmesh.fields import (
     load_field,
     min_slope_over,
     parse_field,
+    sampled_min_simplices,
     sampled_min_values,
     slope_at,
 )
@@ -155,6 +156,34 @@ class TestMinSlopeOver:
         batch = sampled_min_values(f, tri, batch_times)
         singles = [min_slope_over(f, tri, t).value for t in batch_times]
         assert batch.tolist() == singles
+
+    def test_many_simplices_sample_the_batch_points(self):
+        # The many-simplex sampler must evaluate the field at the same points,
+        # bit for bit, as the one-simplex batch sampler: an ulp apart, a
+        # point can sit on either side of a cone boundary.
+        class Recorder(SlopeField):
+            kind = "recorder"
+
+            def __init__(self):
+                super().__init__(1.0, 1.0)
+                self.calls = []
+
+            def _values(self, xs, ts, elems):
+                self.calls.append((xs.copy(), ts.copy()))
+                return np.ones(ts.shape)
+
+        rng = np.random.default_rng(7)
+        tris = rng.uniform(-2.0, 2.0, size=(9, 3, 2))
+        times = rng.uniform(0.0, 3.0, size=(9, 10, 3))  # 10 lifts per triangle
+        f = Recorder()
+        sampled_min_simplices(f, np.repeat(tris, 10, axis=0),
+                              times.reshape(90, 3))
+        (xs, ts), = f.calls
+        f.calls.clear()
+        for tri, batch in zip(tris, times):
+            sampled_min_values(f, tri, batch)
+        assert xs.tobytes() == np.concatenate([c[0] for c in f.calls]).tobytes()
+        assert ts.tobytes() == np.concatenate([c[1] for c in f.calls]).tobytes()
 
     def test_more_samples_resolve_narrow_feature(self):
         # A narrow low-slope pocket between mesh points: midpoints miss it at

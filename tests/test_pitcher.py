@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tentmesh.constraints import ConstraintConfig
-from tentmesh.errors import ContractViolation, InvalidArgument
+from tentmesh.cli import export_spacetime_mesh
+from tentmesh.errors import ContractViolation, InvalidArgument, ValidationError
 from tentmesh.fields import ConstantField, TableField, TimeStepField
 from tentmesh.front import Front, initial_front
 from tentmesh.hierarchy import build as build_cones
@@ -400,10 +401,36 @@ def test_run_script_fires_and_changes_slopes():
     script = parse_script("0 0.5 0.5\n")
     run = advance_until(mesh, field, 2.0, script=script)
     assert run.stats["script_rows_fired"] == 1
-    assert field.table.tolist() == [0.5, 1.0]
+    # The run rewrote its own copy of the table, not the caller's.
+    assert run.field.table.tolist() == [0.5, 1.0]
+    assert field.table.tolist() == [1.0, 1.0]
     # The script widened sigma_min before the config was derived.
     assert run.config.tmin_1d == 0.5
     assert run.stats["target_reached"]
+
+
+def test_run_leaves_caller_field_and_script_reusable(tmp_path):
+    # Every row fires at 0.1, well before the target, in both runs; the
+    # second run must not see the first run's table rewrites or cursor.
+    mesh = strip_mesh(10)
+    field = TableField(np.ones(mesh.n_simplices))
+    script = parse_script("".join(f"{e} 0.1 1.5\n" for e in range(10)))
+    outputs = []
+    for k in range(2):
+        run = advance_until(mesh, field, 0.5, script=script)
+        assert run.stats["script_rows_fired"] == 10
+        export_spacetime_mesh(run.stmesh, tmp_path / f"run{k}.txt")
+        outputs.append((tmp_path / f"run{k}.txt").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert field.table.tolist() == [1.0] * mesh.n_simplices
+    assert field.sigma_max == 1.0 and field.domain is None
+    assert script.pending == 10
+
+
+def test_run_rejects_nan_target():
+    with pytest.raises(ValidationError, match="target"):
+        advance_until(interval_mesh([0.0, 1.0]), ConstantField(1.0), math.nan,
+                      max_patches=5)
 
 
 def test_run_snapshot_callback():

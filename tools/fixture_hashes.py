@@ -1,0 +1,143 @@
+"""Print the sha256 of every artifact of a fixed set of small CLI runs.
+
+Run from the repository root, against the tree whose bytes you want::
+
+    PYTHONPATH=src python3 tools/fixture_hashes.py
+
+Each fixture writes its mesh, field, table and script files into a temporary
+directory, calls ``tentmesh.cli.main`` once with ``--out``, ``--vtk`` and
+``--stats``, and prints one ``<fixture> <artifact> <sha256>`` line per file.
+A refactor that must keep behaviour keeps every line: record the output
+before the change and diff it after.  The inputs are written here as text,
+not through the library, so a change to the mesh writer cannot move them.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from tentmesh.cli import main
+
+
+def _interval(n: int) -> str:
+    # Graded breakpoints on [0, 1]: spacing grows 1:3 from left to right.
+    xs = [(i / n) * (0.5 + 0.5 * i / n) for i in range(n + 1)]
+    lines = ["dim 1"] + [f"v {x!r}" for x in xs]
+    lines += [f"s {i} {i + 1}" for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+def _grid(nx: int, ny: int, jitter: float) -> str:
+    # grid_mesh's layout with a fixed, deterministic interior jitter.
+    lines = ["dim 2"]
+    for j in range(ny + 1):
+        for i in range(nx + 1):
+            x, y = i / nx, j / ny
+            if 0 < i < nx and 0 < j < ny:
+                x += jitter / nx * (((7 * i + 3 * j) % 5) - 2) / 2.0
+                y += jitter / ny * (((3 * i + 5 * j) % 7) - 3) / 3.0
+            lines.append(f"v {x!r} {y!r}")
+    for j in range(ny):
+        for i in range(nx):
+            a = j * (nx + 1) + i
+            b, c = a + 1, a + nx + 1
+            lines.append(f"s {a} {b} {c + 1}")
+            lines.append(f"s {a} {c + 1} {c}")
+    return "\n".join(lines) + "\n"
+
+
+def _strip(cells: int, height: float = 0.3) -> str:
+    # strip_mesh's all-obtuse layout.
+    lines = ["dim 2"]
+    lines += [f"v {float(i)!r} 0.0" for i in range(cells + 1)]
+    lines += [f"v {i + 0.5!r} {height!r}" for i in range(cells)]
+    top = cells + 1
+    for i in range(cells):
+        lines.append(f"s {i} {i + 1} {top + i}")
+        if i + 1 < cells:
+            lines.append(f"s {top + i} {i + 1} {top + i + 1}")
+    return "\n".join(lines) + "\n"
+
+
+def _strip_table(cells: int) -> str:
+    n = 2 * cells - 1
+    return "".join(f"{e} {1.0 + 0.125 * (e % 5)!r}\n" for e in range(n))
+
+
+def _strip_script(cells: int) -> str:
+    n = 2 * cells - 1
+    rows = [(e, 0.1 + 0.05 * e, 1.5 + 0.125 * (e % 3)) for e in range(0, n, 3)]
+    return "".join(f"{e} {t!r} {s!r}\n" for e, t, s in rows)
+
+
+CELLS = 12
+
+# name -> (files, extra argv); every fixture also gets --out/--vtk/--stats.
+FIXTURES = {
+    "cone-1d": (
+        {"mesh.txt": _interval(60),
+         "field.txt": "cone 0.3 0.0 0.5 1.0 0.5\n"},
+        ["--target-time", "0.4"],
+    ),
+    "cone-2d-tree": (
+        {"mesh.txt": _grid(8, 8, 0.1),
+         "field.txt": "cone 0.1 0.1 0.0 2.0 1.0 0.05\n"},
+        ["--target-time", "0.1"],
+    ),
+    "cone-2d-scan": (
+        {"mesh.txt": _grid(8, 8, 0.1),
+         "field.txt": "cone 0.1 0.1 0.0 2.0 1.0 0.05\n"},
+        ["--target-time", "0.1", "--no-hierarchy"],
+    ),
+    "strip-table-script-checked": (
+        {"mesh.txt": _strip(CELLS),
+         "field.txt": "table table.txt\n",
+         "table.txt": _strip_table(CELLS),
+         "script.txt": _strip_script(CELLS)},
+        ["--target-time", "1.0", "--script", "{dir}/script.txt",
+         "--assert-invariants"],
+    ),
+    "timestep-min-slope": (
+        {"mesh.txt": _grid(6, 6, 0.1),
+         "field.txt": "timestep 0.15 2.0 1.0\n"},
+        ["--target-time", "0.3", "--heuristic", "min-slope"],
+    ),
+}
+
+ARTIFACTS = ("out", "vtk", "stats")
+
+
+def run_fixture(name: str, workdir: Path) -> list[tuple[str, str]]:
+    """Run one fixture in ``workdir``; returns (artifact, sha256) pairs."""
+    files, extra = FIXTURES[name]
+    for fname, text in files.items():
+        (workdir / fname).write_text(text, encoding="utf-8")
+    argv = ["--mesh", str(workdir / "mesh.txt"),
+            "--field", str(workdir / "field.txt")]
+    argv += [a.format(dir=workdir) for a in extra]
+    for art in ARTIFACTS:
+        argv += [f"--{art}", str(workdir / f"result.{art}")]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    if code != 0:
+        raise SystemExit(f"fixture {name} exited {code}: {err.getvalue()}")
+    return [(art, hashlib.sha256((workdir / f"result.{art}").read_bytes()).hexdigest())
+            for art in ARTIFACTS]
+
+
+def main_hashes() -> int:
+    for name in FIXTURES:
+        with tempfile.TemporaryDirectory() as tmp:
+            for art, digest in run_fixture(name, Path(tmp)):
+                print(f"{name} {art} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_hashes())
