@@ -20,6 +20,16 @@ combinators are order independent, so their answers agree bit for bit; the
 tree only changes how much work is done (see the visit counters in
 :class:`ConeStats`).
 
+Tree layout.  Nodes are numbered in preorder over ranges of ``order``, the
+sorted facet ids: the node of [lo, hi) splits at ``mid = (lo + hi) // 2``,
+its left child is ``node + 1`` and its right child ``node + 2 * (mid - lo)``
+(the left subtree holds ``2 * (mid - lo) - 1`` nodes); a one-facet range is
+the leaf of ``order[lo]``.  Traversals carry ``(node, lo, hi)``, so no child,
+parent or leaf arrays exist.  The bounds are built one level of ranges at a
+time with numpy and kept as lists of Python floats, because queries read
+them one node at a time and float arithmetic on a list element costs far
+less than a numpy call on a one-element slice.
+
 Entry-time kernel.  The time at which facet f's cone reaches a point x is
 ``min_y (t_f(y) + sigma_f |x - y|)`` over the facet.  On segments the
 minimum sits at an endpoint (the time function is linear with slope within
@@ -33,7 +43,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +52,9 @@ from .errors import InvalidArgument, NotFound
 from .fields import SlopeField, sampled_min_simplices
 from .mesh import SpaceMesh
 
-_EDGE_PAIRS = ((0, 1), (0, 2), (1, 2))
+# Triangle edges (0, 1), (0, 2), (1, 2) as start and end corner indices.
+_EDGE_A = np.array([0, 0, 1])
+_EDGE_B = np.array([1, 2, 2])
 
 
 @dataclass
@@ -72,36 +84,35 @@ def entry_times(mesh: SpaceMesh, times: np.ndarray, slopes: np.ndarray,
     """
     fids = np.atleast_1d(np.asarray(fids, dtype=np.int64))
     rows = mesh.simplices[fids]          # (F, k)
-    pts = mesh.vertices[rows]            # (F, k, d)
+    # Coordinates first, so every sum over coordinates is one elementwise
+    # add across the outer axis rather than a reduction per point.
+    pts = mesh.vertices.T[:, rows]       # (d, F, k)
     T = times[rows]                      # (F, k)
-    sig = slopes[fids]                   # (F,)
+    sig = slopes[fids][:, None]          # (F, 1)
+    xc = x[:, None, None]
 
-    diff = pts - x[None, None, :]
-    vert_dist = np.sqrt((diff * diff).sum(axis=2))      # (F, k)
-    best = (T + sig[:, None] * vert_dist).min(axis=1)   # vertex candidates
+    diff = pts - xc
+    vert_dist = np.sqrt((diff * diff).sum(axis=0))      # (F, k)
+    best = (T + sig * vert_dist).min(axis=1)            # vertex candidates
 
     if mesh.dim == 2:
-        for i, j in _EDGE_PAIRS:
-            A, B = pts[:, i, :], pts[:, j, :]
-            tA, tB = T[:, i], T[:, j]
-            e = B - A
-            L2 = (e * e).sum(axis=1)
-            w = x[None, :] - A
-            u = (w * e).sum(axis=1) / L2
-            dperp2 = np.maximum(0.0, (w * w).sum(axis=1) - u * u * L2)
-            dt = tB - tA
-            disc = sig * sig * L2 - dt * dt
-            safe = np.where(disc > 0.0, disc, 1.0)
-            v = np.where(
-                disc > 0.0,
-                dt * np.sqrt(dperp2) / np.sqrt(L2 * safe),
-                np.where(dt > 0.0, np.inf, -np.inf),
-            )
-            s = np.clip(u - v, 0.0, 1.0)
-            y = A + s[:, None] * e
-            dy = x[None, :] - y
-            val = tA + s * dt + sig * np.sqrt((dy * dy).sum(axis=1))
-            best = np.minimum(best, val)
+        # The three edges as one (F, 3) pass.
+        A, B = np.take(pts, _EDGE_A, axis=2), np.take(pts, _EDGE_B, axis=2)
+        tA, tB = np.take(T, _EDGE_A, axis=1), np.take(T, _EDGE_B, axis=1)
+        e = B - A
+        L2 = (e * e).sum(axis=0)
+        w = xc - A
+        u = (w * e).sum(axis=0) / L2
+        dperp2 = np.maximum(0.0, (w * w).sum(axis=0) - u * u * L2)
+        dt = tB - tA
+        disc = sig * sig * L2 - dt * dt
+        safe = np.where(disc > 0.0, disc, 1.0)
+        v = np.where(disc > 0.0, dt * np.sqrt(dperp2) / np.sqrt(L2 * safe),
+                     np.where(dt > 0.0, np.inf, -np.inf))
+        s = np.minimum(np.maximum(u - v, 0.0), 1.0)
+        dy = xc - (A + s * e)
+        val = tA + s * dt + sig * np.sqrt((dy * dy).sum(axis=0))
+        best = np.minimum(best, val.min(axis=1))
     return best
 
 
@@ -115,36 +126,42 @@ class _ConesBase:
         self.stats = ConeStats()
 
     def set_front(self, front) -> None:
-        """Point the index at the current front (call after every pitch)."""
+        """Rebind the front; then :meth:`update_leaf` every facet that moved."""
         self.front = front
 
     def _check_fid(self, fid: int) -> None:
         if not 0 <= fid < self.mesh.n_simplices:
             raise NotFound(f"facet {fid} does not exist")
 
+    def _check_vertex(self, p: int) -> None:
+        if not 0 <= p < self.mesh.n_vertices:
+            raise NotFound(f"vertex {p} does not exist")
+
     def update_leaf(self, fid: int, slope: float) -> None:
-        raise NotImplementedError
+        """Store facet ``fid``'s cone slope, which must be positive and finite."""
+        self._check_fid(fid)
+        if not 0.0 < slope < math.inf:
+            raise InvalidArgument(f"slope must be positive and finite, got {slope}")
+        self.slopes[fid] = slope
 
-    def ray_shoot(self, p: int) -> tuple[float, int | None]:
-        raise NotImplementedError
-
-    def min_slope_intersecting(self, p: int, t_top: float) -> float:
-        raise NotImplementedError
+    def _check_slope_query(self, p: int, t_top: float) -> None:
+        self._check_vertex(p)
+        if math.isnan(t_top):
+            raise InvalidArgument("tentpole top time is NaN")
 
 
 class ExhaustiveCones(_ConesBase):
     """Reference implementation: scan all facets for every query."""
 
-    def update_leaf(self, fid: int, slope: float) -> None:
-        self._check_fid(fid)
-        if slope <= 0.0:
-            raise InvalidArgument(f"slope must be positive, got {slope}")
-        self.slopes[fid] = slope
-
-    def _remote_mask(self, p: int) -> np.ndarray:
+    def _remote_entry_times(self, p: int) -> tuple[np.ndarray, np.ndarray]:
         mask = np.ones(self.mesh.n_simplices, dtype=bool)
         mask[self.mesh.stars[p]] = False
-        return mask
+        remote = np.flatnonzero(mask)
+        self.stats.nodes_visited += len(remote)
+        self.stats.leaves_evaluated += len(remote)
+        vals = entry_times(self.mesh, self.front.times, self.slopes,
+                           self.mesh.vertices[p], remote)
+        return remote, vals
 
     def ray_shoot(self, p: int) -> tuple[float, int | None]:
         """Earliest remote cone above vertex p: (entry time, facet id).
@@ -152,14 +169,11 @@ class ExhaustiveCones(_ConesBase):
         Ties resolve to the smallest facet id; (inf, None) when p's star
         covers the whole mesh.
         """
+        self._check_vertex(p)
         self.stats.entry_queries += 1
-        remote = np.flatnonzero(self._remote_mask(p))
-        self.stats.nodes_visited += len(remote)
-        self.stats.leaves_evaluated += len(remote)
+        remote, vals = self._remote_entry_times(p)
         if remote.size == 0:
             return math.inf, None
-        vals = entry_times(self.mesh, self.front.times, self.slopes,
-                           self.mesh.vertices[p], remote)
         k = int(np.argmin(vals))  # first minimum = smallest facet id
         return float(vals[k]), int(remote[k])
 
@@ -169,14 +183,9 @@ class ExhaustiveCones(_ConesBase):
         A cone counts as intersecting when its entry time at p is <= t_top.
         Returns +inf when the tentpole stays clear of all remote cones.
         """
+        self._check_slope_query(p, t_top)
         self.stats.slope_queries += 1
-        remote = np.flatnonzero(self._remote_mask(p))
-        self.stats.nodes_visited += len(remote)
-        self.stats.leaves_evaluated += len(remote)
-        if remote.size == 0:
-            return math.inf
-        vals = entry_times(self.mesh, self.front.times, self.slopes,
-                           self.mesh.vertices[p], remote)
+        remote, vals = self._remote_entry_times(p)
         hit = vals <= t_top
         if not hit.any():
             return math.inf
@@ -210,148 +219,137 @@ class ConeHierarchy(_ConesBase):
             order = np.argsort(mesh.centroids[:, 0], kind="stable")
         else:
             order = _morton_order(mesh.centroids)
-
         m = mesh.n_simplices
-        n_nodes = 2 * m - 1
-        self.left = np.full(n_nodes, -1, dtype=np.int64)
-        self.right = np.full(n_nodes, -1, dtype=np.int64)
-        self.parent = np.full(n_nodes, -1, dtype=np.int64)
-        self.leaf_fid = np.full(n_nodes, -1, dtype=np.int64)
-        self.bbox_lo = np.empty((n_nodes, mesh.dim))
-        self.bbox_hi = np.empty((n_nodes, mesh.dim))
-        self.node_tmin = np.empty(n_nodes)
-        self.node_smin = np.empty(n_nodes)
-        self.leaf_of_fid = np.full(m, -1, dtype=np.int64)
+        self.order: list[int] = order.tolist()
+        self.rank = np.argsort(order)  # facet id -> position in order
 
-        facet_pts = mesh.vertices[mesh.simplices]  # (m, k, d)
-        self._facet_lo = facet_pts.min(axis=1)
-        self._facet_hi = facet_pts.max(axis=1)
+        # Per-facet columns in tree order, padded by one row so every range
+        # end, m included, is a valid reduceat index.
+        rows = mesh.simplices[order]
+        pts = mesh.vertices[rows]                       # (m, k, d)
+        mins = np.column_stack([front.times[rows].min(axis=1), slopes[order],
+                                pts.min(axis=1)])       # (m, 2 + d)
+        maxs = pts.max(axis=1)                          # (m, d)
+        mins = np.vstack([mins, mins[-1:]])
+        maxs = np.vstack([maxs, maxs[-1:]])
 
-        self._next = 0
+        node_min = np.empty((2 * m - 1, mins.shape[1]))
+        node_max = np.empty((2 * m - 1, maxs.shape[1]))
+        node = lo = np.zeros(1, dtype=np.int64)
+        hi = np.full(1, m, dtype=np.int64)
+        while node.size:
+            # The ranges of a level are disjoint and sorted, so with cuts
+            # (lo, hi) interleaved the even slots reduce over [lo, hi) and
+            # the odd slots over the gaps between ranges.
+            cuts = np.column_stack([lo, hi]).ravel()
+            node_min[node] = np.minimum.reduceat(mins, cuts, axis=0)[::2]
+            node_max[node] = np.maximum.reduceat(maxs, cuts, axis=0)[::2]
+            inner = hi - lo > 1
+            node, lo, hi = node[inner], lo[inner], hi[inner]
+            mid = (lo + hi) // 2
+            node = np.column_stack([node + 1, node + 2 * (mid - lo)]).ravel()
+            lo, hi = (np.column_stack([lo, mid]).ravel(),
+                      np.column_stack([mid, hi]).ravel())
 
-        def build_range(lo: int, hi: int) -> int:
-            node = self._next
-            self._next += 1
-            if hi - lo == 1:
-                fid = int(order[lo])
-                self.leaf_fid[node] = fid
-                self.leaf_of_fid[fid] = node
-                self.bbox_lo[node] = self._facet_lo[fid]
-                self.bbox_hi[node] = self._facet_hi[fid]
-            else:
-                mid = (lo + hi) // 2
-                a = build_range(lo, mid)
-                b = build_range(mid, hi)
-                self.left[node], self.right[node] = a, b
-                self.parent[a] = self.parent[b] = node
-                self.bbox_lo[node] = np.minimum(self.bbox_lo[a], self.bbox_lo[b])
-                self.bbox_hi[node] = np.maximum(self.bbox_hi[a], self.bbox_hi[b])
-            return node
-
-        build_range(0, m)
-        self.root = 0
-        self._refresh_all_bounds()
-
-    # -- bound maintenance --------------------------------------------------
-
-    def _leaf_bounds(self, node: int) -> tuple[float, float]:
-        fid = int(self.leaf_fid[node])
-        tmin = float(self.front.times[self.mesh.simplices[fid]].min())
-        return tmin, float(self.slopes[fid])
-
-    def _refresh_all_bounds(self) -> None:
-        # Nodes are allocated parent-before-child, so a reverse sweep sees
-        # children first.
-        for node in range(self._next - 1, -1, -1):
-            if self.leaf_fid[node] >= 0:
-                self.node_tmin[node], self.node_smin[node] = self._leaf_bounds(node)
-            else:
-                a, b = self.left[node], self.right[node]
-                self.node_tmin[node] = min(self.node_tmin[a], self.node_tmin[b])
-                self.node_smin[node] = min(self.node_smin[a], self.node_smin[b])
+        self.node_tmin: list[float] = node_min[:, 0].tolist()
+        self.node_smin: list[float] = node_min[:, 1].tolist()
+        # Per coordinate, one list over the nodes.
+        self.node_lo = [col.tolist() for col in node_min[:, 2:].T]
+        self.node_hi = [col.tolist() for col in node_max.T]
 
     def update_leaf(self, fid: int, slope: float) -> None:
         """Refresh one facet's slope and time bound, repairing the root path."""
-        self._check_fid(fid)
-        if slope <= 0.0:
-            raise InvalidArgument(f"slope must be positive, got {slope}")
-        self.slopes[fid] = slope
-        node = int(self.leaf_of_fid[fid])
-        self.node_tmin[node], self.node_smin[node] = self._leaf_bounds(node)
-        node = int(self.parent[node])
-        while node >= 0:
-            a, b = self.left[node], self.right[node]
-            self.node_tmin[node] = min(self.node_tmin[a], self.node_tmin[b])
-            self.node_smin[node] = min(self.node_smin[a], self.node_smin[b])
-            node = int(self.parent[node])
+        super().update_leaf(fid, slope)
+        r = int(self.rank[fid])
+        path: list[tuple[int, int, int]] = []   # (node, left, right)
+        node, lo, hi = 0, 0, self.mesh.n_simplices
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            left, right = node + 1, node + 2 * (mid - lo)
+            path.append((node, left, right))
+            if r < mid:
+                node, hi = left, mid
+            else:
+                node, lo = right, mid
+        tmin, smin = self.node_tmin, self.node_smin
+        tmin[node] = float(self.front.times[self.mesh.simplices[fid]].min())
+        smin[node] = float(self.slopes[fid])
+        for node, a, b in reversed(path):
+            tmin[node] = min(tmin[a], tmin[b])
+            smin[node] = min(smin[a], smin[b])
 
-    def set_front(self, front) -> None:
-        """Rebind the front; callers must update_leaf the facets that moved."""
-        self.front = front
+    def _node_lb(self, node: int, x: list[float]) -> float:
+        sq = 0.0
+        for xi, lo, hi in zip(x, self.node_lo, self.node_hi):
+            gap = max(0.0, lo[node] - xi, xi - hi[node])
+            sq += gap * gap
+        return self.node_tmin[node] + self.node_smin[node] * math.sqrt(sq)
 
-    # -- queries ------------------------------------------------------------
-
-    def _node_lb(self, node: int, x: np.ndarray) -> float:
-        gap = np.maximum(0.0, np.maximum(self.bbox_lo[node] - x,
-                                         x - self.bbox_hi[node]))
-        dist = math.sqrt(float((gap * gap).sum()))
-        return float(self.node_tmin[node]) + float(self.node_smin[node]) * dist
+    def _entry_time(self, x: np.ndarray, fid: int) -> float:
+        return float(entry_times(self.mesh, self.front.times, self.slopes,
+                                 x, [fid])[0])
 
     def ray_shoot(self, p: int) -> tuple[float, int | None]:
         """Same contract as :meth:`ExhaustiveCones.ray_shoot`."""
+        self._check_vertex(p)
         self.stats.entry_queries += 1
         x = self.mesh.vertices[p]
-        star = set(int(s) for s in self.mesh.stars[p])
+        xl = x.tolist()
+        star = self.mesh.stars[p].tolist()
+        order, lb_of = self.order, self._node_lb
         best_T = math.inf
         best_fid: int | None = None
-        heap: list[tuple[float, int]] = [(self._node_lb(self.root, x), self.root)]
+        heap = [(lb_of(0, xl), 0, 0, self.mesh.n_simplices)]
         while heap and heap[0][0] <= best_T:
-            lb, node = heapq.heappop(heap)
+            _, node, lo, hi = heapq.heappop(heap)
             self.stats.nodes_visited += 1
-            fid = int(self.leaf_fid[node])
-            if fid >= 0:
+            if hi - lo == 1:
+                fid = order[lo]
                 if fid in star:
                     continue
                 self.stats.leaves_evaluated += 1
-                T = float(entry_times(self.mesh, self.front.times, self.slopes,
-                                      x, np.array([fid]))[0])
+                T = self._entry_time(x, fid)
                 if T < best_T or (T == best_T and
                                   (best_fid is None or fid < best_fid)):
                     best_T, best_fid = T, fid
             else:
-                for child in (int(self.left[node]), int(self.right[node])):
-                    clb = self._node_lb(child, x)
+                mid = (lo + hi) // 2
+                for child, clo, chi in ((node + 1, lo, mid),
+                                        (node + 2 * (mid - lo), mid, hi)):
+                    clb = lb_of(child, xl)
                     if clb <= best_T:
-                        heapq.heappush(heap, (clb, child))
+                        heapq.heappush(heap, (clb, child, clo, chi))
         return best_T, best_fid
 
     def min_slope_intersecting(self, p: int, t_top: float) -> float:
         """Same contract as :meth:`ExhaustiveCones.min_slope_intersecting`."""
+        self._check_slope_query(p, t_top)
         self.stats.slope_queries += 1
         x = self.mesh.vertices[p]
-        star = set(int(s) for s in self.mesh.stars[p])
+        xl = x.tolist()
+        star = self.mesh.stars[p].tolist()
+        order, smin, lb_of = self.order, self.node_smin, self._node_lb
         best = math.inf
-        stack = [self.root]
+        stack = [(0, 0, self.mesh.n_simplices)]
         while stack:
-            node = stack.pop()
+            node, lo, hi = stack.pop()
             self.stats.nodes_visited += 1
-            if self.node_smin[node] >= best:
+            if smin[node] >= best:
                 continue  # nothing below can lower the running minimum
-            if self._node_lb(node, x) > t_top:
+            if lb_of(node, xl) > t_top:
                 continue  # no cone in this subtree reaches the tentpole
-            fid = int(self.leaf_fid[node])
-            if fid >= 0:
+            if hi - lo == 1:
+                fid = order[lo]
                 if fid in star:
                     continue
                 self.stats.leaves_evaluated += 1
-                T = float(entry_times(self.mesh, self.front.times, self.slopes,
-                                      x, np.array([fid]))[0])
-                if T <= t_top:
+                if self._entry_time(x, fid) <= t_top:
                     best = min(best, float(self.slopes[fid]))
             else:
+                mid = (lo + hi) // 2
                 # Left subtree on top of the stack so it is explored first.
-                stack.append(int(self.right[node]))
-                stack.append(int(self.left[node]))
+                stack.append((node + 2 * (mid - lo), mid, hi))
+                stack.append((node + 1, lo, mid))
         return best
 
 
@@ -378,6 +376,7 @@ def build(mesh: SpaceMesh, front, field: SlopeField,
     return cls(mesh, front, slopes)
 
 
+# Function forms of the index methods; the acceptance tests import these.
 def update_leaf(index: _ConesBase, fid: int, slope: float) -> None:
     index.update_leaf(fid, slope)
 

@@ -149,6 +149,76 @@ def test_entry_triangle_matches_dense_scan(data):
     assert dense - val <= 2 * (sigma + np.hypot(*g)) * diam / k + 1e-9
 
 
+def _entry_times_per_edge(mesh, times, slopes, x, fids):
+    # Reference: the kernel with one pass per triangle edge and np.clip.
+    rows = mesh.simplices[fids]
+    pts = mesh.vertices[rows]
+    T = times[rows]
+    sig = slopes[fids]
+    diff = pts - x[None, None, :]
+    best = (T + sig[:, None] * np.sqrt((diff * diff).sum(axis=2))).min(axis=1)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        A, B = pts[:, i, :], pts[:, j, :]
+        tA, tB = T[:, i], T[:, j]
+        e = B - A
+        L2 = (e * e).sum(axis=1)
+        w = x[None, :] - A
+        u = (w * e).sum(axis=1) / L2
+        dperp2 = np.maximum(0.0, (w * w).sum(axis=1) - u * u * L2)
+        dt = tB - tA
+        disc = sig * sig * L2 - dt * dt
+        safe = np.where(disc > 0.0, disc, 1.0)
+        v = np.where(disc > 0.0, dt * np.sqrt(dperp2) / np.sqrt(L2 * safe),
+                     np.where(dt > 0.0, np.inf, -np.inf))
+        s = np.clip(u - v, 0.0, 1.0)
+        y = A + s[:, None] * e
+        dy = x[None, :] - y
+        val = tA + s * dt + sig * np.sqrt((dy * dy).sum(axis=1))
+        best = np.minimum(best, val)
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_entry_triangle_stacked_edges_match_per_edge_reference(data):
+    # The (F, 3) edge pass must reproduce the per-edge loop bit for bit on
+    # obtuse triangles, at a vertex, on an edge and on steep edges whose
+    # time difference reaches sigma * length (disc <= 0).
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    F = data.draw(st.integers(1, 6))
+    pts = rng.uniform(-2.0, 2.0, size=(F, 3, 2))
+    if data.draw(st.booleans()):   # flatten the apex: obtuse triangles
+        pts[:, 2] = 0.5 * (pts[:, 0] + pts[:, 1]) + rng.uniform(0.01, 0.1) * \
+            (pts[:, 1] - pts[:, 0])[:, ::-1] * np.array([1.0, -1.0])
+    if data.draw(st.booleans()):   # a unit edge with |dt| = sigma * |e|
+        pts[0] = [[0.0, 0.0], [1.0, 0.0], [0.25, 2.0]]
+    e1, e2 = pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]
+    if np.any(np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]) < 1e-6):
+        return
+    sigma = rng.uniform(0.2, 2.0, size=F)
+    times = rng.uniform(0.0, data.draw(st.sampled_from([0.1, 1.0, 10.0])),
+                        size=(F, 3))
+    if np.array_equal(pts[0, :2], [[0.0, 0.0], [1.0, 0.0]]):
+        sigma[0], times[0, :2] = 1.0, [0.5, 1.5]
+    mesh = build_mesh(pts.reshape(-1, 2), np.arange(3 * F).reshape(F, 3))
+    f, c = data.draw(st.integers(0, F - 1)), data.draw(st.integers(0, 2))
+    where = data.draw(st.sampled_from(["free", "vertex", "edge"]))
+    if where == "vertex":
+        x = pts[f, c].copy()
+    elif where == "edge":
+        a = float(rng.uniform(0.0, 1.0))
+        x = pts[f, c] + a * (pts[f, (c + 1) % 3] - pts[f, c])
+    else:
+        x = rng.uniform(-4.0, 4.0, size=2)
+    t = times.ravel()
+    fids = np.arange(F)
+    want = _entry_times_per_edge(mesh, t, sigma, x, fids)
+    assert entry_times(mesh, t, sigma, x, fids).tobytes() == want.tobytes()
+    for fid in range(F):   # one facet at a time, as the tree's leaves ask
+        got = entry_times(mesh, t, sigma, x, np.array([fid]))
+        assert got.tobytes() == want[fid:fid + 1].tobytes()
+
+
 # -- ray shooting and slope queries, frozen fixture --------------------------
 
 
@@ -210,6 +280,35 @@ def test_update_leaf_validates():
         update_leaf(cones, 99, 1.0)
     with pytest.raises(InvalidArgument):
         update_leaf(cones, 0, 0.0)
+
+
+@pytest.mark.parametrize("use_hierarchy", [False, True])
+@pytest.mark.parametrize("slope", [math.nan, math.inf, -math.inf, -1.0])
+def test_update_leaf_rejects_nonfinite_or_nonpositive(use_hierarchy, slope):
+    # A NaN slope used to enter the store, after which tree and scan
+    # answered differently; the store is left untouched on rejection.
+    rng = np.random.default_rng(0)
+    mesh = interval_mesh(np.arange(9.0))
+    cones = _cones(mesh, rng.uniform(0.0, 1.0, 9), np.ones(8), use_hierarchy)
+    with pytest.raises(InvalidArgument):
+        update_leaf(cones, 5, slope)
+    assert cones.slopes.tolist() == [1.0] * 8
+
+
+@pytest.mark.parametrize("use_hierarchy", [False, True])
+def test_queries_reject_bad_vertices_and_nan_top(use_hierarchy):
+    mesh, times, slopes = _fixture_1d()
+    cones = _cones(mesh, times, slopes, use_hierarchy)
+    for p in (-1, mesh.n_vertices, 99):
+        with pytest.raises(NotFound):
+            ray_shoot(cones, p)
+        with pytest.raises(NotFound):
+            min_slope_intersecting(cones, p, 1.0)
+    with pytest.raises(InvalidArgument):
+        min_slope_intersecting(cones, 0, math.nan)
+    assert cones.stats.entry_queries == cones.stats.slope_queries == 0
+    # Infinite tops are fine: every remote cone is entered eventually.
+    assert min_slope_intersecting(cones, 0, math.inf) == 0.2
 
 
 @pytest.mark.parametrize("use_hierarchy", [False, True])
@@ -307,19 +406,84 @@ def test_hierarchy_matches_scan_after_updates(dim):
                 min_slope_intersecting(scan, p, t_top)
 
 
+def _node_ranges(m):
+    """(node, lo, hi) of every node of the implicit preorder layout."""
+    out = []
+
+    def walk(node, lo, hi):
+        out.append((node, lo, hi))
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            walk(node + 1, lo, mid)
+            walk(node + 2 * (mid - lo), mid, hi)
+
+    walk(0, 0, m)
+    return out
+
+
 def test_update_leaf_matches_rebuild():
-    # Incremental bound repair must leave the same node bounds as a rebuild.
+    # Incremental bound repair (slope updates and front lifts) must leave the
+    # same node bounds as a rebuild, and every node's bounds must be the
+    # min / max over its facet range.
     rng = np.random.default_rng(7)
-    mesh, times, slopes = _random_instance(rng, 2)
-    tree = _cones(mesh, times, slopes, True)
-    new = slopes.copy()
-    for _ in range(12):
-        fid = int(rng.integers(0, mesh.n_simplices))
-        new[fid] = float(rng.uniform(0.05, 3.0))
-        update_leaf(tree, fid, new[fid])
-    fresh = _cones(mesh, times, new, True)
-    assert tree.node_tmin.tolist() == fresh.node_tmin.tolist()
-    assert tree.node_smin.tolist() == fresh.node_smin.tolist()
+    for dim in (1, 2):
+        mesh, times, slopes = _random_instance(rng, dim)
+        tree = _cones(mesh, times, slopes, True)
+        new_t, new_s = times.copy(), slopes.copy()
+        for step in range(12):
+            if step % 3 == 2:
+                p = int(rng.integers(0, mesh.n_vertices))
+                new_t[p] += float(rng.uniform(0.0, 0.5))
+                tree.set_front(Front(mesh, new_t.copy()))
+                for fid in mesh.stars[p]:
+                    update_leaf(tree, int(fid), float(new_s[fid]))
+            else:
+                fid = int(rng.integers(0, mesh.n_simplices))
+                new_s[fid] = float(rng.uniform(0.05, 3.0))
+                update_leaf(tree, fid, new_s[fid])
+        fresh = _cones(mesh, new_t, new_s, True)
+        assert tree.node_tmin == fresh.node_tmin
+        assert tree.node_smin == fresh.node_smin
+        assert tree.node_lo == fresh.node_lo
+        assert tree.node_hi == fresh.node_hi
+
+        ranges = _node_ranges(mesh.n_simplices)
+        assert sorted(n for n, _, _ in ranges) == list(range(len(tree.node_tmin)))
+        for node, lo, hi in ranges:
+            fids = np.array(tree.order[lo:hi])
+            rows = mesh.simplices[fids]
+            pts = mesh.vertices[rows].reshape(-1, mesh.dim)
+            assert tree.node_tmin[node] == float(new_t[rows].min())
+            assert tree.node_smin[node] == float(new_s[fids].min())
+            assert [c[node] for c in tree.node_lo] == pts.min(axis=0).tolist()
+            assert [c[node] for c in tree.node_hi] == pts.max(axis=0).tolist()
+            if hi - lo == 1:
+                assert int(tree.rank[fids[0]]) == lo
+
+
+def test_tree_counters_pinned():
+    # The tree walk (split, visit order, pruning tests) is fixed: a fixed
+    # query sequence visits exactly these numbers of nodes and leaves.
+    def run(mesh, seed):
+        rng = np.random.default_rng(seed)
+        times = rng.uniform(0.0, 1.0, mesh.n_vertices)
+        slopes = rng.uniform(0.2, 2.0, mesh.n_simplices)
+        tree = _cones(mesh, times, slopes, True)
+        for p in range(0, mesh.n_vertices, 3):
+            T, _ = ray_shoot(tree, p)
+            min_slope_intersecting(tree, p, T + 0.25)
+            if p % 2:
+                update_leaf(tree, int(rng.integers(0, mesh.n_simplices)),
+                            float(rng.uniform(0.2, 2.0)))
+        return tree.stats.as_dict()
+
+    xs = np.cumsum(np.random.default_rng(5).uniform(0.5, 1.5, 301))
+    assert run(interval_mesh(xs), 11) == {
+        "cone_entry_queries": 101, "cone_slope_queries": 101,
+        "cone_nodes_visited": 4072, "cone_leaves_evaluated": 251}
+    assert run(grid_mesh(9, 7, skew=0.1), 12) == {
+        "cone_entry_queries": 27, "cone_slope_queries": 27,
+        "cone_nodes_visited": 2755, "cone_leaves_evaluated": 240}
 
 
 def test_tree_prunes_versus_scan():

@@ -24,9 +24,14 @@ from pathlib import Path
 from tentmesh.cli import main
 
 
-def _interval(n: int) -> str:
+def _interval(n: int, jitter: float = 0.0) -> str:
     # Graded breakpoints on [0, 1]: spacing grows 1:3 from left to right.
+    # A jitter moves each interior breakpoint by up to that fraction of its
+    # local spacing, in a fixed pseudo-random pattern.
     xs = [(i / n) * (0.5 + 0.5 * i / n) for i in range(n + 1)]
+    if jitter:
+        for i in range(1, n):
+            xs[i] += jitter * (xs[i + 1] - xs[i]) * (((37 * i) % 11) - 5) / 5.0
     lines = ["dim 1"] + [f"v {x!r}" for x in xs]
     lines += [f"s {i} {i + 1}" for i in range(n)]
     return "\n".join(lines) + "\n"
@@ -106,6 +111,17 @@ FIXTURES = {
         {"mesh.txt": _grid(6, 6, 0.1),
          "field.txt": "timestep 0.15 2.0 1.0\n"},
         ["--target-time", "0.3", "--heuristic", "min-slope"],
+    ),
+    # Deep trees of uneven shape: facet counts that are not powers of two.
+    "cone-1d-deep": (
+        {"mesh.txt": _interval(5000, jitter=0.3),
+         "field.txt": "cone 0.02 0.0 0.5 1.0 0.5\n"},
+        ["--target-time", "1.0", "--max-patches", "500"],
+    ),
+    "cone-2d-tree-min-slope": (
+        {"mesh.txt": _grid(10, 9, 0.15),
+         "field.txt": "cone 0.2 0.3 0.0 2.0 1.0 0.05\n"},
+        ["--target-time", "0.08", "--heuristic", "min-slope"],
     ),
 }
 
