@@ -59,40 +59,45 @@ def export_spacetime_mesh(stmesh: SpacetimeMesh, path) -> None:
 
 
 def load_spacetime_mesh(path):
-    """Read the text format back; returns a dict of arrays."""
+    """Read the text format back; returns a dict of arrays.
+
+    Raises :class:`ValidationError` on malformed input and on a file cut
+    short: the counts must match the records, and the last record must end
+    with the newline the writer puts there.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = [ln.strip() for ln in fh]
-    lines = [ln for ln in raw if ln]
-    if not lines or not lines[0].startswith("stdim "):
-        raise ValidationError("expected 'stdim <d>' header", location=str(path))
-    stdim = int(lines[0].split()[1])
-    n_events = int(lines[1].split()[1])
-    verts = []
-    for ln in lines[2:2 + n_events]:
-        parts = ln.split()
-        if parts[0] != "v":
-            raise ValidationError("expected event line", location=str(path))
-        verts.append([float(x) for x in parts[1:]])
-    at = 2 + n_events
-    n_elements = int(lines[at].split()[1])
-    elems, sids, pids = [], [], []
-    for ln in lines[at + 1:at + 1 + n_elements]:
-        parts = ln.split()
-        if parts[0] != "e":
-            raise ValidationError("expected element line", location=str(path))
-        nums = [int(x) for x in parts[1:]]
-        elems.append(nums[:-2])
-        sids.append(nums[-2])
-        pids.append(nums[-1])
-    verts_arr = np.asarray(verts, dtype=np.float64).reshape(n_events, stdim)
+        text = fh.read()
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+    at = 0
+
+    def take(tag: str, n: int, width: int, kind) -> np.ndarray:
+        nonlocal at
+        rows, at = lines[at:at + n], at + n
+        try:
+            if len(rows) == n and all(r[0] == tag and len(r) == width + 1
+                                      for r in rows):
+                return np.array([[kind(x) for x in r[1:]] for r in rows],
+                                dtype=kind).reshape(n, width)
+        except (ValueError, OverflowError):
+            pass
+        raise ValidationError(f"expected {n} '{tag}' record(s) of {width} "
+                              "number(s)", location=str(path))
+
+    if not text.endswith("\n"):
+        raise ValidationError("cut short: no final newline", location=str(path))
+    stdim = int(take("stdim", 1, 1, int)[0, 0])
+    if stdim not in (2, 3):
+        raise ValidationError(f"stdim must be 2 or 3, got {stdim}",
+                              location=str(path))
+    events = take("v", int(take("events", 1, 1, int)[0, 0]), stdim, float)
+    elems = take("e", int(take("elements", 1, 1, int)[0, 0]), stdim + 3, int)
     return {
         "stdim": stdim,
-        "points": verts_arr[:, :-1],
-        "times": verts_arr[:, -1],
-        "elements": np.asarray(elems, dtype=np.int64).reshape(n_elements,
-                                                              stdim + 1),
-        "space_simplex": np.asarray(sids, dtype=np.int64),
-        "patch": np.asarray(pids, dtype=np.int64),
+        "points": events[:, :-1],
+        "times": events[:, -1],
+        "elements": elems[:, :-2],
+        "space_simplex": elems[:, -2],
+        "patch": elems[:, -1],
     }
 
 

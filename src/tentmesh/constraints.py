@@ -23,9 +23,14 @@ endpoints plus a few interior samples; for the built-in fields the
 constraints vary monotonically between samples, so the endpoints carry the
 guarantee.
 
-One numpy kernel, :func:`progressive_verdicts`, makes this check for F
-triangles at once; star verification, :func:`is_progressive_front` and
-:func:`is_progressive_triangle` (F = 1) all call it.  Per triangle it
+Causality has one array kernel, :func:`causality_slack`: the altitude form
+at an apex for triangles, the budget form for segments.  Every causality
+check calls it: :func:`facet_causality` (1D stars, 1D fronts and
+:func:`front_causality_report`) and the progressive check below.
+
+One numpy kernel, :func:`progressive_verdicts`, makes the progressive check
+for F triangles at once; 2D star verification, :func:`is_progressive_front`
+and :func:`is_progressive_triangle` (F = 1) all call it.  Per triangle it
 
 * orders the unlifted vertices by (time, id) into lo, mid, hi;
 * builds 2n rows of times for the n lift samples dt: rows k < n lift lo by
@@ -148,6 +153,31 @@ def _verdict(slack: float, binding: str, scale: float,
 # ---------------------------------------------------------------------------
 
 
+def causality_slack(sigma, t_q, t_r, length, t_p=None, altitude=None,
+                    u_along=None):
+    """(slack, raw scale) of causality for facets; arguments broadcast.
+
+    Budget form (``t_p`` None): segment qr, ``|t_r - t_q| <= sigma *
+    length``.  Altitude form: triangle with apex p over edge qr of the given
+    length, ``altitude`` = |pu| and ``u_along`` as in
+    :class:`~tentmesh.geometry.TriangleFrame`; the slack is a time margin at
+    p, or the budget form of qr when that edge alone exceeds the slope.  Bit
+    for bit equal to :func:`causal_segment` and :func:`causal_triangle`.
+    """
+    abs_dt = np.abs(t_r - t_q)
+    budget = sigma * length
+    if t_p is None:
+        return budget - abs_dt, np.maximum(budget, abs_dt)
+    g = abs_dt / length
+    w = u_along / length
+    t_u = t_q * (1.0 - w) + t_r * w
+    rhs = altitude * np.sqrt(np.maximum(0.0, sigma * sigma - g * g))
+    lhs = np.abs(t_p - t_u)
+    steep = g > sigma
+    return (np.where(steep, budget - abs_dt, rhs - lhs),
+            np.where(steep, np.maximum(budget, abs_dt), np.maximum(rhs, lhs)))
+
+
 def causal_segment(t_a: float, t_b: float, length: float, sigma: float,
                    rel_tol: float = 1e-12) -> ConstraintVerdict:
     """Causality of a 1D facet: |t_b - t_a| <= sigma * length."""
@@ -254,6 +284,14 @@ class FacetVerdicts(NamedTuple):
     binding: np.ndarray    # BINDING_CAUSALITY or BINDING_PROGRESS
     satisfied: np.ndarray
 
+    @classmethod
+    def judge(cls, slack: np.ndarray, scale: np.ndarray, binding,
+              rel_tol: float) -> "FacetVerdicts":
+        """Verdicts from slack and raw scale, as :func:`_verdict` makes them."""
+        scale = np.maximum(1.0, scale)
+        return cls(slack, scale, np.broadcast_to(binding, slack.shape),
+                   slack >= -rel_tol * scale)
+
     def verdict(self, i: int) -> ConstraintVerdict:
         return ConstraintVerdict(bool(self.satisfied[i]), float(self.slack[i]),
                                  str(self.binding[i]), float(self.scale[i]))
@@ -299,23 +337,13 @@ def progressive_verdicts(points: np.ndarray, times: np.ndarray,
 
     # Causality of each lifted triangle, in the altitude form at apex lo.
     t_qr = times[f[:, None], _OTHERS[lo]]
-    t_q, t_r = t_qr[:, :1], t_qr[:, 1:]
     alt, u_along, qr_len, phi_lo, len_lo = (a[f, lo][:, None] for a in geometry)
-    sigma_c = np.minimum(sig[:, :n], sigma_cap)
-    abs_dt_qr = np.abs(t_r - t_q)
-    g = abs_dt_qr / qr_len
-    w = u_along / qr_len
-    t_u = t_q * (1.0 - w) + t_r * w
-    rhs = alt * np.sqrt(np.maximum(0.0, sigma_c * sigma_c - g * g))
-    lhs = np.abs(t_lift - t_u)
-    # When the base edge alone exceeds the slope no apex time can fix it.
-    budget = sigma_c * qr_len
-    steep = g > sigma_c
     slack = np.empty((F, n, 2))
     scale = np.empty((F, n, 2))
-    slack[..., 0] = np.where(steep, budget - abs_dt_qr, rhs - lhs)
-    scale[..., 0] = np.where(steep, np.maximum(budget, abs_dt_qr),
-                             np.maximum(rhs, lhs))
+    slack[..., 0], scale[..., 0] = causality_slack(
+        np.minimum(sig[:, :n], sigma_cap), t_qr[:, :1], t_qr[:, 1:], qr_len,
+        t_lift, alt, u_along,
+    )
 
     # Progress of each lifted triangle, re-ordered by (time, id).  Only lo
     # moved, so the order is lo, mid, hi until the lift passes mid, then
@@ -333,13 +361,10 @@ def progressive_verdicts(points: np.ndarray, times: np.ndarray,
     # First minimum in the order causal 0, progress 0, causal 1, ...
     slack = slack.reshape(F, 2 * n)
     k = np.argmin(slack, axis=1)
-    worst = slack[f, k]
-    worst_scale = np.maximum(1.0, scale.reshape(F, 2 * n)[f, k])
-    return FacetVerdicts(
-        slack=worst,
-        scale=worst_scale,
-        binding=np.where(k % 2 == 1, BINDING_PROGRESS, BINDING_CAUSALITY),
-        satisfied=worst >= -config.rel_tol * worst_scale,
+    return FacetVerdicts.judge(
+        slack[f, k], scale.reshape(F, 2 * n)[f, k],
+        np.where(k % 2 == 1, BINDING_PROGRESS, BINDING_CAUSALITY),
+        config.rel_tol,
     )
 
 
@@ -371,80 +396,71 @@ def is_progressive_front(front, field: SlopeField,
     causality only.
     """
     mesh: SpaceMesh = front.mesh
-    times = front.times
-    violations: list[tuple[int, ConstraintVerdict]] = []
-    if mesh.dim == 1:
-        report = front_causality_report(mesh, times, field, config)
-        for sid in np.flatnonzero(~report["satisfied"]):
-            violations.append(
-                (int(sid),
-                 ConstraintVerdict(False, float(report["slack"][sid]),
-                                   BINDING_CAUSALITY,
-                                   float(report["scale"][sid])))
-            )
-            if len(violations) >= limit:
-                break
-        return len(violations) == 0, violations
     rows = mesh.simplices
-    verdicts = progressive_verdicts(
-        mesh.vertices[rows], times[rows], rows, mesh.apex_geometry, field,
-        config, elements=np.arange(mesh.n_simplices),
-    )
-    for sid in np.flatnonzero(~verdicts.satisfied)[:limit]:
-        violations.append((int(sid), verdicts.verdict(sid)))
+    sids = np.arange(mesh.n_simplices)
+    if mesh.dim == 1:
+        verdicts, _ = facet_causality(mesh, sids, front.times[rows], field,
+                                      config)
+    else:
+        verdicts = progressive_verdicts(
+            mesh.vertices[rows], front.times[rows], rows, mesh.apex_geometry,
+            field, config, elements=sids,
+        )
+    violations = [(int(sid), verdicts.verdict(sid))
+                  for sid in np.flatnonzero(~verdicts.satisfied)[:limit]]
     return len(violations) == 0, violations
 
 
 # ---------------------------------------------------------------------------
-# vectorized whole-front causality
+# causality of whole fronts and stars
 # ---------------------------------------------------------------------------
+
+
+def facet_causality(mesh: SpaceMesh, sids: np.ndarray, T: np.ndarray,
+                    field: SlopeField, config: ConstraintConfig,
+                    ) -> tuple[FacetVerdicts, np.ndarray]:
+    """Causality verdicts and sampled slopes of facets ``sids`` at times ``T``.
+
+    Row i of ``T`` holds the times of simplex ``sids[i]``'s vertices in id
+    order.  The rows share one :func:`sampled_min_simplices` call, as in
+    :func:`~tentmesh.solver.solve_patch`, so a star sees the slopes the cone
+    store takes for it.  Triangles are checked at their latest vertex (ties
+    to the larger id).
+    """
+    rows = mesh.simplices[sids]
+    sigma = sampled_min_simplices(field, mesh.vertices[rows], T,
+                                  config.slope_samples, elements=sids)
+    if mesh.dim == 1:
+        slack, scale = causality_slack(sigma, T[:, 0], T[:, 1],
+                                       mesh.measures[sids])
+    else:
+        # Reversed argmax breaks time ties toward the larger local index,
+        # i.e. the larger vertex id (rows are id-sorted).
+        apex = 2 - np.argmax(T[:, ::-1], axis=1)
+        f = np.arange(T.shape[0])
+        t_qr = T[f[:, None], _OTHERS[apex]]
+        geo = mesh.apex_geometry
+        slack, scale = causality_slack(
+            sigma, t_qr[:, 0], t_qr[:, 1], geo.qr_len[sids, apex], T[f, apex],
+            geo.altitude[sids, apex], geo.u_along[sids, apex],
+        )
+    return FacetVerdicts.judge(slack, scale, BINDING_CAUSALITY,
+                               config.rel_tol), sigma
 
 
 def front_causality_report(mesh: SpaceMesh, times: np.ndarray,
                            field: SlopeField,
                            config: ConstraintConfig) -> dict:
-    """Causality slack of every facet at the given vertex times, vectorized.
+    """Causality slack of every facet at the given vertex times.
 
-    Returns arrays keyed ``slack``, ``scale``, ``sigma``, ``satisfied``.  For
-    triangles the slack is measured at the latest vertex (ties to the larger
-    id), in the same altitude form as :func:`causal_triangle`.
+    Returns arrays keyed ``slack``, ``scale``, ``sigma``, ``satisfied``; see
+    :func:`facet_causality`.
     """
-    T = times[mesh.simplices]  # (m, k)
-    sigma = sampled_min_simplices(
-        field, mesh.vertices[mesh.simplices], T, config.slope_samples,
-        elements=np.arange(mesh.n_simplices),
-    )
-    if mesh.dim == 1:
-        budget = sigma * mesh.measures
-        diff = np.abs(T[:, 1] - T[:, 0])
-        slack = budget - diff
-        scale = np.maximum(1.0, np.maximum(budget, diff))
-    else:
-        # Latest vertex as apex; reversed argmax breaks time ties toward the
-        # larger local index, i.e. the larger vertex id (rows are id-sorted).
-        apex = 2 - np.argmax(T[:, ::-1], axis=1)
-        rows = np.arange(T.shape[0])
-        qi = np.choose(apex, [1, 0, 0])
-        ri = np.choose(apex, [2, 2, 1])
-        t_q, t_r, t_p = T[rows, qi], T[rows, ri], T[rows, apex]
-        base = mesh.tri_base[rows, apex]
-        alt = mesh.tri_alt[rows, apex]
-        w = mesh.tri_uw[rows, apex]
-        dt_qr = t_r - t_q
-        g = np.abs(dt_qr) / base
-        t_u = t_q * (1.0 - w) + t_r * w
-        body = alt * np.sqrt(np.maximum(0.0, sigma * sigma - g * g))
-        lhs = np.abs(t_p - t_u)
-        edge_ok = g <= sigma
-        slack = np.where(edge_ok, body - lhs, sigma * base - np.abs(dt_qr))
-        scale = np.maximum(
-            1.0,
-            np.where(edge_ok, np.maximum(body, lhs),
-                     np.maximum(sigma * base, np.abs(dt_qr))),
-        )
+    verdicts, sigma = facet_causality(mesh, np.arange(mesh.n_simplices),
+                                      times[mesh.simplices], field, config)
     return {
-        "slack": slack,
-        "scale": scale,
+        "slack": verdicts.slack,
+        "scale": verdicts.scale,
         "sigma": sigma,
-        "satisfied": slack >= -config.rel_tol * scale,
+        "satisfied": verdicts.satisfied,
     }

@@ -349,8 +349,10 @@ def sampled_min_simplices(field: SlopeField, positions: np.ndarray,
     """Conservative slope for many simplices at once.
 
     ``positions`` is (m, k, dim), ``times`` is (m, k), ``elements`` an
-    optional (m,) id array.  Returns (m,) values identical to calling
-    :func:`min_slope_over` on each row (same sample points, same scaling).
+    optional (m,) id array.  Returns (m,) values with the sample points and
+    scaling of :func:`min_slope_over`, but a row's sample times can differ
+    in the last bit with the number of rows (numpy's product takes another
+    path), so checks that must agree on a slope sample the same rows.
     """
     positions = np.asarray(positions, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)

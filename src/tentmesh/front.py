@@ -95,32 +95,6 @@ def advance(front: Front, p: int, dt: float) -> Front:
     return Front(mesh=front.mesh, times=t)
 
 
-def edge_gradient(front: Front, q: int, r: int) -> float:
-    """|t(r) - t(q)| / |qr| along a mesh edge; NotFound for non-edges."""
-    mesh = front.mesh
-    key = (min(q, r), max(q, r))
-    if mesh.dim == 1:
-        is_edge = any(
-            tuple(row) == key for row in mesh.simplices[mesh.stars[q]]
-        ) if 0 <= q < mesh.n_vertices else False
-    else:
-        is_edge = key in mesh.edge_faces
-    if not is_edge:
-        raise NotFound(f"({q}, {r}) is not an edge of the mesh")
-    length = float(np.linalg.norm(mesh.vertices[r] - mesh.vertices[q]))
-    return abs(float(front.times[r] - front.times[q])) / length
-
-
-def facet_gradient(front: Front, sid: int) -> np.ndarray:
-    """Gradient vector of the linear interpolant of t over simplex ``sid``."""
-    mesh = front.mesh
-    if not 0 <= sid < mesh.n_simplices:
-        raise NotFound(f"simplex {sid} does not exist")
-    row = mesh.simplices[sid]
-    dt = front.times[row[1:]] - front.times[row[0]]
-    return mesh.grad_ops[sid] @ dt
-
-
 def export_snapshot(front: Front, path) -> None:
     """Write the front as ``t <vertex> <time>`` lines (times via repr)."""
     with open(path, "w", encoding="utf-8") as fh:

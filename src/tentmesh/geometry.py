@@ -112,28 +112,18 @@ def phi(p, q, r) -> float:
 
 @dataclass(frozen=True)
 class TriangleFrame:
-    """Orthonormal frames on the edges qr and rp of a triangle pqr.
+    """Scalars of a triangle pqr that the local cap and the checks read.
 
-    ``n_qr`` is the unit normal of line qr pointing toward ``p``; ``v_qr`` is
-    the unit vector along qr pointing from ``q`` to ``r``.  ``n_rp`` is the
-    unit normal of line rp pointing toward ``q``; ``v_rp`` points from ``r``
-    to ``p``.  ``u`` is the foot of the perpendicular from ``p`` onto line qr,
-    ``altitude = |pu|``, ``uq = |uq|``, ``ur = |ur|`` and ``beta = uq / altitude``.
-    ``u_along`` is the signed coordinate of ``u`` on the qr axis measured from
-    ``q`` (so ``u_along < 0`` or ``> qr_len`` when ``u`` falls outside the
-    segment).  ``cos_nn = n_qr . n_rp`` is negative or zero exactly when the
-    angle at ``r`` is non-obtuse.
+    ``altitude = |pu|`` with ``u`` the foot of the perpendicular from ``p``
+    onto line qr; ``u_along`` is the signed coordinate of ``u`` on the qr
+    axis measured from ``q`` (so ``u_along < 0`` or ``> qr_len`` when ``u``
+    falls outside the segment).  ``cos_nn`` is the dot product of the unit
+    normal of line qr pointing toward ``p`` and the unit normal of line rp
+    pointing toward ``q``; it is negative or zero exactly when the angle at
+    ``r`` is non-obtuse.
     """
 
-    n_qr: np.ndarray
-    v_qr: np.ndarray
-    n_rp: np.ndarray
-    v_rp: np.ndarray
-    u: np.ndarray
     altitude: float
-    uq: float
-    ur: float
-    beta: float
     u_along: float
     qr_len: float
     rp_len: float
@@ -164,26 +154,9 @@ def frame(p, q, r) -> TriangleFrame:
     if n_rp @ (q - p) < 0.0:
         n_rp = -n_rp
 
-    u_along = float((p - q) @ v_qr)
-    u = q + u_along * v_qr
-    altitude = area2 / qr_len
-    uq = abs(u_along)
-    ur = abs(qr_len - u_along)
-
-    for arr in (n_qr, v_qr, n_rp, v_rp, u):
-        arr.setflags(write=False)
-
     return TriangleFrame(
-        n_qr=n_qr,
-        v_qr=v_qr,
-        n_rp=n_rp,
-        v_rp=v_rp,
-        u=u,
-        altitude=altitude,
-        uq=uq,
-        ur=ur,
-        beta=uq / altitude,
-        u_along=u_along,
+        altitude=area2 / qr_len,
+        u_along=float((p - q) @ v_qr),
         qr_len=qr_len,
         rp_len=rp_len,
         pq_len=math.hypot(q[0] - p[0], q[1] - p[1]),

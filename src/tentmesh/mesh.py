@@ -67,16 +67,6 @@ class SpaceMesh:
     widths: np.ndarray | None = None                           # (m,)
     measures: np.ndarray | None = None                         # (m,) length or area
     centroids: np.ndarray | None = None                        # (m, dim)
-    grad_ops: np.ndarray | None = None     # 2D: (m,2,2) with grad = op @ dt; 1D: (m,1,1)
-    edge_faces: dict[tuple[int, int], list[int]] = field(default_factory=dict)
-
-    # 2D only: per-triangle geometry for each choice of apex (local index a):
-    # the altitude from vertex a to the opposite edge, the interpolation
-    # weight of the foot on that edge (t(u) = (1-w) t_q + w t_r with q, r the
-    # non-apex vertices in id order), and the opposite edge length.
-    tri_alt: np.ndarray | None = None      # (m, 3)
-    tri_uw: np.ndarray | None = None       # (m, 3)
-    tri_base: np.ndarray | None = None     # (m, 3)
 
     _frame_cache: dict = field(default_factory=dict, repr=False)
 
@@ -104,8 +94,8 @@ class SpaceMesh:
     def apex_geometry(self) -> ApexGeometry:
         """2D only: :class:`ApexGeometry` of every triangle, row = simplex id.
 
-        Built on first use, by the first progressive-triangle check of a
-        run, so building a mesh and 1D runs never pay for it.
+        Built on first use, by the first 2D causality or progressive check
+        of a run, so building a mesh and 1D runs never pay for it.
         """
         return _apex_geometry(self.vertices[self.simplices])
 
@@ -165,6 +155,10 @@ def build_mesh(vertices, simplices) -> SpaceMesh:
         raise ValidationError(f"vertex array must be (n, 1) or (n, 2), got {verts.shape}")
     dim = int(verts.shape[1])
     n = verts.shape[0]
+    bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
+    if bad.size:
+        raise ValidationError(f"non-finite coordinates {verts[bad[0]].tolist()}",
+                              f"vertex {bad[0]}")
 
     raw = [tuple(int(v) for v in s) for s in simplices]
     if not raw:
@@ -220,7 +214,6 @@ def build_mesh(vertices, simplices) -> SpaceMesh:
         if not stars[v]:
             raise ValidationError(f"vertex {v} is not part of any simplex", f"vertex {v}")
 
-    edge_faces: dict[tuple[int, int], list[int]] = {}
     if dim == 1:
         for v in range(n):
             if len(stars[v]) > 2:
@@ -239,10 +232,11 @@ def build_mesh(vertices, simplices) -> SpaceMesh:
                     f"segments {k1} and {k2} overlap geometrically", f"simplex {k2}"
                 )
     else:
+        faces_of_edge: dict[tuple[int, int], list[int]] = {}
         for k, row in enumerate(sorted_rows):
             for a, b in itertools.combinations(row, 2):
-                edge_faces.setdefault((int(a), int(b)), []).append(k)
-        for (a, b), faces in edge_faces.items():
+                faces_of_edge.setdefault((int(a), int(b)), []).append(k)
+        for (a, b), faces in faces_of_edge.items():
             if len(faces) > 2:
                 raise ValidationError(
                     f"non-manifold: edge ({a}, {b}) belongs to {len(faces)} triangles",
@@ -262,48 +256,6 @@ def build_mesh(vertices, simplices) -> SpaceMesh:
 
     centroids = verts[sorted_rows].mean(axis=1)
 
-    tri_alt = tri_uw = tri_base = None
-    if dim == 2:
-        tri_alt = np.empty((m, 3))
-        tri_uw = np.empty((m, 3))
-        tri_base = np.empty((m, 3))
-        corners = verts[sorted_rows]  # (m, 3, 2)
-        area2 = np.abs(
-            (corners[:, 1, 0] - corners[:, 0, 0])
-            * (corners[:, 2, 1] - corners[:, 0, 1])
-            - (corners[:, 1, 1] - corners[:, 0, 1])
-            * (corners[:, 2, 0] - corners[:, 0, 0])
-        )
-        for a, (qi, ri) in enumerate(((1, 2), (0, 2), (0, 1))):
-            p, q, r = corners[:, a], corners[:, qi], corners[:, ri]
-            d = r - q
-            dd = (d * d).sum(axis=1)
-            tri_uw[:, a] = ((p - q) * d).sum(axis=1) / dd
-            tri_base[:, a] = np.sqrt(dd)
-            tri_alt[:, a] = area2 / tri_base[:, a]
-
-    grad_ops = np.empty((m, dim, dim))
-    if dim == 1:
-        span = verts[sorted_rows[:, 1], 0] - verts[sorted_rows[:, 0], 0]
-        grad_ops[:, 0, 0] = 1.0 / span
-    else:
-        e = np.stack(
-            [
-                verts[sorted_rows[:, 1]] - verts[sorted_rows[:, 0]],
-                verts[sorted_rows[:, 2]] - verts[sorted_rows[:, 0]],
-            ],
-            axis=1,
-        )  # (m, 2, 2): rows are the two edge vectors from the first vertex
-        det = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
-        # grad = E^{-1}^T? No: E @ grad = dt, rows of E are edges, so
-        # grad = inv(E) @ dt with inv of the 2x2 written out explicitly.
-        inv = np.empty_like(e)
-        inv[:, 0, 0] = e[:, 1, 1]
-        inv[:, 0, 1] = -e[:, 0, 1]
-        inv[:, 1, 0] = -e[:, 1, 0]
-        inv[:, 1, 1] = e[:, 0, 0]
-        grad_ops = inv / det[:, None, None]
-
     mesh = SpaceMesh(
         dim=dim,
         vertices=verts,
@@ -315,11 +267,6 @@ def build_mesh(vertices, simplices) -> SpaceMesh:
         widths=widths,
         measures=measures,
         centroids=centroids,
-        grad_ops=grad_ops,
-        edge_faces=edge_faces,
-        tri_alt=tri_alt,
-        tri_uw=tri_uw,
-        tri_base=tri_base,
     )
     verts.setflags(write=False)
     sorted_rows.setflags(write=False)

@@ -32,14 +32,14 @@ import numpy as np
 
 from .constraints import (
     ConstraintConfig,
-    causal_segment,
+    facet_causality,
     front_causality_report,
     is_progressive_front,
     progress_bound_rhs,
     progressive_verdicts,
 )
 from .errors import ContractViolation, InvalidArgument, ValidationError
-from .fields import SlopeField, min_slope_over
+from .fields import SlopeField
 from .front import Front, advance, initial_front, local_minima
 from .hierarchy import build as build_cones
 from .mesh import SpaceMesh
@@ -211,31 +211,23 @@ def star_feasible(mesh: SpaceMesh, times: np.ndarray, p: int, c: float,
                   cones=None) -> bool:
     """Whether topping p at time c leaves its star acceptable.
 
-    1D: each lifted segment causal against the field sampled over it.  2D:
-    each lifted triangle progressive, with the smallest intersecting remote
-    cone slope capping the causality half.
+    1D: each lifted segment causal against the field sampled over it, the
+    slopes :func:`~tentmesh.solver.solve_patch` stores for the same star.
+    2D: each lifted triangle progressive, with the smallest intersecting
+    remote cone slope capping the causality half.
     """
-    if mesh.dim == 1:
-        for sid in mesh.stars[p]:
-            row = mesh.simplices[sid]
-            t2 = times[row].copy()
-            t2[row == p] = c
-            sig = min_slope_over(field, mesh.vertices[row], t2,
-                                 config.slope_samples, int(sid)).value
-            v = causal_segment(float(t2[0]), float(t2[1]),
-                               float(mesh.measures[sid]), sig, config.rel_tol)
-            if not v.satisfied:
-                return False
-        return True
-    sigma_rem = math.inf if cones is None else cones.min_slope_intersecting(p, c)
     sids = mesh.stars[p]
     rows = mesh.simplices[sids]
-    t3 = times[rows]
-    t3[rows == p] = c
-    verdicts = progressive_verdicts(
-        mesh.vertices[rows], t3, rows, mesh.apex_geometry.take(sids), field,
-        config, elements=sids, sigma_cap=sigma_rem,
-    )
+    lifted = times[rows]
+    lifted[rows == p] = c
+    if mesh.dim == 1:
+        verdicts, _ = facet_causality(mesh, sids, lifted, field, config)
+    else:
+        sigma_rem = math.inf if cones is None else cones.min_slope_intersecting(p, c)
+        verdicts = progressive_verdicts(
+            mesh.vertices[rows], lifted, rows, mesh.apex_geometry.take(sids),
+            field, config, elements=sids, sigma_cap=sigma_rem,
+        )
     return bool(verdicts.satisfied.all())
 
 

@@ -68,6 +68,45 @@ def test_load_spacetime_rejects_bad_header(tmp_path):
         load_spacetime_mesh(bad)
 
 
+# --out of advance_until(interval_mesh([0.0, 1.0, 2.0]), ConstantField(1.0), 1.0)
+SMALL_OUT = """\
+stdim 2
+events 6
+v 0.0 0.0
+v 0.0 1.0
+v 1.0 0.0
+v 1.0 1.0
+v 2.0 0.0
+v 2.0 1.999999999
+elements 4
+e 0 1 2 0 0
+e 2 3 1 0 1
+e 2 3 4 1 1
+e 4 5 3 1 2
+"""
+# Every line end and every 7th character, short of the whole file.
+SMALL_OUT_CUTS = sorted(
+    ({i + 1 for i, c in enumerate(SMALL_OUT) if c == "\n"}
+     | set(range(0, len(SMALL_OUT), 7))) - {len(SMALL_OUT)}
+)
+
+
+def test_load_spacetime_whole_small_file(tmp_path):
+    path = tmp_path / "st.txt"
+    path.write_text(SMALL_OUT)
+    back = load_spacetime_mesh(path)
+    assert back["elements"].tolist()[-1] == [4, 5, 3]
+    assert back["patch"].tolist() == [0, 1, 1, 2]
+
+
+@pytest.mark.parametrize("cut", SMALL_OUT_CUTS)
+def test_load_spacetime_rejects_truncated_file(tmp_path, cut):
+    path = tmp_path / "st.txt"
+    path.write_text(SMALL_OUT[:cut])
+    with pytest.raises(ValidationError):
+        load_spacetime_mesh(path)
+
+
 # -- the command ------------------------------------------------------------
 
 
@@ -178,6 +217,13 @@ def test_cli_bad_field_exit_2(case_1d, capsys):
 def test_cli_nan_eta_exit_2(case_1d, capsys):
     assert main(_argv(case_1d, "--eta", "nan")) == 2
     assert "eta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eta", [[], ["--eta", "1e-9"]])
+def test_cli_nan_vertex_exit_2(case_1d, capsys, eta):
+    (case_1d / "mesh.txt").write_text("dim 1\nv 0.0\nv nan\nv 2.0\ns 0 1\ns 1 2\n")
+    assert main(_argv(case_1d, *eta)) == 2
+    assert "vertex 1" in capsys.readouterr().err
 
 
 def test_cli_nan_target_exit_2(case_1d, capsys):

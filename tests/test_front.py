@@ -11,10 +11,8 @@ from tentmesh.errors import InvalidArgument, NotFound, ValidationError
 from tentmesh.fields import ConstantField
 from tentmesh.front import (
     advance,
-    edge_gradient,
     export_snapshot,
     export_terrain,
-    facet_gradient,
     initial_front,
     local_minima,
 )
@@ -108,40 +106,6 @@ class TestAdvance:
         fr = initial_front(mesh, times=[0.4, 0.1, 0.1, 0.4],
                            field=ConstantField(1.0))
         assert fr.argmin_vertex() == 1
-
-
-class TestGradients:
-    def test_edge_gradient_values(self):
-        mesh = interval_mesh(np.array([0.0, 2.0]))
-        fr = initial_front(mesh, times=[0.0, 1.0], field=ConstantField(1.0))
-        assert edge_gradient(fr, 0, 1) == pytest.approx(0.5)
-        assert edge_gradient(fr, 1, 0) == pytest.approx(0.5)  # unsigned
-
-    def test_edge_gradient_missing_edge(self):
-        fr = initial_front(SQUARE)
-        assert edge_gradient(fr, 0, 2) == 0.0  # the diagonal exists
-        with pytest.raises(NotFound):
-            edge_gradient(fr, 1, 3)  # the other diagonal does not
-
-    def test_facet_gradient_unit_right_triangle(self):
-        mesh = build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
-        fr = initial_front(mesh, times=[0.0, 1.0, 0.0], field=ConstantField(2.0))
-        assert facet_gradient(fr, 0) == pytest.approx([1.0, 0.0], abs=1e-15)
-
-    def test_facet_gradient_square(self):
-        fr = initial_front(SQUARE, times=[0.0, 0.5, 0.0, 0.0],
-                           field=ConstantField(1.0))
-        # Triangle (0,1,2): t = x/2 - y/2 over vertices (0,0),(1,0),(1,1).
-        assert facet_gradient(fr, 0) == pytest.approx([0.5, -0.5], abs=1e-12)
-
-    def test_facet_gradient_1d_signed(self):
-        mesh = interval_mesh(np.array([0.0, 2.0]))
-        fr = initial_front(mesh, times=[1.0, 0.0], field=ConstantField(1.0))
-        assert facet_gradient(fr, 0) == pytest.approx([-0.5])
-
-    def test_facet_gradient_unknown_simplex(self):
-        with pytest.raises(NotFound):
-            facet_gradient(initial_front(SQUARE), 9)
 
 
 class TestExports:

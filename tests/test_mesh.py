@@ -112,6 +112,13 @@ class TestValidation:
         with pytest.raises(ValidationError, match="no simplices"):
             build_mesh(np.zeros((3, 2)), [])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_coordinate_names_the_vertex(self, bad):
+        with pytest.raises(ValidationError, match="vertex 2"):
+            build_mesh([(0.0, 0.0), (1.0, 0.0), (0.0, bad)], [(0, 1, 2)])
+        with pytest.raises(ValidationError, match="vertex 1"):
+            build_mesh([(0.0,), (bad,), (2.0,)], [(0, 1), (1, 2)])
+
 
 class TestTextFormat:
     def test_round_trip_bit_exact(self, tmp_path):

@@ -14,7 +14,12 @@ from hypothesis import given, settings, strategies as st
 from tentmesh.constraints import ConstraintConfig
 from tentmesh.cli import export_spacetime_mesh
 from tentmesh.errors import ContractViolation, InvalidArgument, ValidationError
-from tentmesh.fields import ConstantField, TableField, TimeStepField
+from tentmesh.fields import (
+    ConstantField,
+    SpatialConeField,
+    TableField,
+    TimeStepField,
+)
 from tentmesh.front import Front, initial_front
 from tentmesh.hierarchy import build as build_cones
 from tentmesh.mesh import build_mesh, grid_mesh, interval_mesh, strip_mesh
@@ -28,7 +33,7 @@ from tentmesh.pitcher import (
     pitch_bracket,
     star_feasible,
 )
-from tentmesh.solver import parse_script
+from tentmesh.solver import parse_script, solve_patch
 
 from support import random_front
 
@@ -191,6 +196,47 @@ def test_greedy_uses_updated_cone_slopes():
 
 
 # -- greedy heights, 2D ------------------------------------------------------
+
+
+class _RecordingCone(SpatialConeField):
+    """A cone field that keeps the bytes of the points and times it samples."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.xs, self.ts = [], []
+
+    def _values(self, xs, ts, elems):
+        self.xs.append(xs.tobytes())
+        self.ts.append(ts.tobytes())
+        return super()._values(xs, ts, elems)
+
+    def take(self) -> tuple[bytes, bytes]:
+        got = b"".join(self.xs), b"".join(self.ts)
+        self.xs, self.ts = [], []
+        return got
+
+
+def test_star_check_1d_samples_what_solve_patch_stores():
+    # The verified slope of a lifted 1D star and the slope the cone store
+    # takes for it must come from the same field samples, or at a cone
+    # boundary a facet could be verified against one slope and stored with
+    # another.
+    mesh = interval_mesh(np.linspace(0.0, 1.0, 41))
+    field = _RecordingCone([0.4], 0.0, 0.5, 1.0, 0.5)
+    cfg = ConstraintConfig.for_problem(mesh, field)
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        p = int(rng.integers(mesh.n_vertices))
+        times = rng.uniform(0.0, 0.5, mesh.n_vertices)
+        top = float(times[p] + rng.uniform(0.0, 0.1))
+        star_feasible(mesh, times, p, top, field, cfg)
+        checked = field.take()
+        sids = mesh.stars[p]
+        lifted = times.copy()
+        lifted[p] = top
+        rows = mesh.simplices[sids]
+        solve_patch(field, cfg, mesh.vertices[rows], lifted[rows], sids, top)
+        assert checked == field.take()
 
 
 def test_greedy_2d_single_triangle_cap():

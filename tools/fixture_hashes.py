@@ -69,14 +69,13 @@ def _strip(cells: int, height: float = 0.3) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _strip_table(cells: int) -> str:
-    n = 2 * cells - 1
+def _table(n: int) -> str:
     return "".join(f"{e} {1.0 + 0.125 * (e % 5)!r}\n" for e in range(n))
 
 
-def _strip_script(cells: int) -> str:
-    n = 2 * cells - 1
-    rows = [(e, 0.1 + 0.05 * e, 1.5 + 0.125 * (e % 3)) for e in range(0, n, 3)]
+def _script(n: int, dt: float = 0.05) -> str:
+    # Every third element slows down (its slope rises) at a staggered time.
+    rows = [(e, 0.1 + dt * e, 1.5 + 0.125 * (e % 3)) for e in range(0, n, 3)]
     return "".join(f"{e} {t!r} {s!r}\n" for e, t, s in rows)
 
 
@@ -102,8 +101,16 @@ FIXTURES = {
     "strip-table-script-checked": (
         {"mesh.txt": _strip(CELLS),
          "field.txt": "table table.txt\n",
-         "table.txt": _strip_table(CELLS),
-         "script.txt": _strip_script(CELLS)},
+         "table.txt": _table(2 * CELLS - 1),
+         "script.txt": _script(2 * CELLS - 1)},
+        ["--target-time", "1.0", "--script", "{dir}/script.txt",
+         "--assert-invariants"],
+    ),
+    "table-1d-script-checked": (
+        {"mesh.txt": _interval(40, jitter=0.2),
+         "field.txt": "table table.txt\n",
+         "table.txt": _table(40),
+         "script.txt": _script(40, dt=0.02)},
         ["--target-time", "1.0", "--script", "{dir}/script.txt",
          "--assert-invariants"],
     ),
