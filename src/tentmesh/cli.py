@@ -217,6 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(args) -> int:
     t_start = time.perf_counter()
+    if args.max_patches is not None and args.max_patches < 0:
+        raise ValidationError(f"--max-patches must be >= 0, got {args.max_patches}")
+    if args.snapshot_every < 0:
+        raise ValidationError(
+            f"--snapshot-every must be >= 0, got {args.snapshot_every}")
     mesh = load_mesh(args.mesh)
     field = load_field(args.field, n_elements=mesh.n_simplices)
     script = load_script(args.script) if args.script else None

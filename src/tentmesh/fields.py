@@ -44,7 +44,7 @@ steep and a progress budget that is suddenly too small; the driver first
 looks for a verified catch-up pitch and raises
 :class:`~tentmesh.errors.ContractViolation` only when none exists.
 Evaluating any field is always well defined, so the constructors reject
-nothing.
+only parameters that are not finite numbers (see :func:`require_finite`).
 """
 
 from __future__ import annotations
@@ -59,6 +59,19 @@ from .errors import InvalidArgument, OutOfDomain, ValidationError
 from .geometry import EventPoint
 
 _TIME_TOL = 0.0  # fields are defined for t >= 0 exactly
+
+
+def require_finite(name: str, value) -> None:
+    """Raise :class:`ValidationError` naming ``name`` unless ``value`` is finite.
+
+    ``value`` may be a number or an array; for an array the message names
+    the index of the first entry that is NaN or infinite.
+    """
+    arr = np.asarray(value, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        label = name if arr.ndim == 0 else f"{name}[{bad[0]}]"
+        raise ValidationError(f"{label} must be finite, got {arr.flat[bad[0]]}")
 
 
 @dataclass(frozen=True)
@@ -128,6 +141,7 @@ class ConstantField(SlopeField):
     kind = "constant"
 
     def __init__(self, sigma: float, kappa: float = 1.0):
+        require_finite("sigma", sigma)
         super().__init__(sigma, sigma, kappa)
         self.sigma = float(sigma)
 
@@ -147,6 +161,8 @@ class TimeStepField(SlopeField):
     def __init__(self, boundaries, sigmas, kappa: float = 1.0):
         boundaries = np.asarray(boundaries, dtype=np.float64)
         sigmas = np.asarray(sigmas, dtype=np.float64)
+        require_finite("boundaries", boundaries)
+        require_finite("sigmas", sigmas)
         if len(sigmas) != len(boundaries) + 1:
             raise ValidationError(
                 f"timestep field needs one more slope than boundaries, "
@@ -186,6 +202,11 @@ class SpatialConeField(SlopeField):
 
     def __init__(self, center, t_apex: float, sigma_inside: float,
                  sigma_outside: float, cone_slope: float, kappa: float = 1.0):
+        for name, value in (("center", center), ("t_apex", t_apex),
+                            ("sigma_inside", sigma_inside),
+                            ("sigma_outside", sigma_outside),
+                            ("cone_slope", cone_slope)):
+            require_finite(name, value)
         if sigma_inside <= 0.0 or sigma_outside <= 0.0:
             raise ValidationError("slopes must be positive")
         if cone_slope < 0.0:
@@ -219,6 +240,7 @@ class TableField(SlopeField):
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1 or len(values) == 0:
             raise ValidationError("table field needs one slope per element")
+        require_finite("values", values)
         if np.any(values <= 0.0):
             raise ValidationError("slopes must be positive")
         super().__init__(float(values.min()), float(values.max()), kappa)
@@ -226,7 +248,9 @@ class TableField(SlopeField):
 
     def note_future_sigma(self, sigmas) -> None:
         """Widen the global bounds to cover scripted future values."""
-        for s in np.asarray(sigmas, dtype=np.float64).reshape(-1):
+        sigmas = np.asarray(sigmas, dtype=np.float64).reshape(-1)
+        require_finite("sigmas", sigmas)
+        for s in sigmas:
             if s <= 0.0:
                 raise ValidationError("slopes must be positive")
             self.sigma_min = min(self.sigma_min, float(s))
@@ -235,6 +259,7 @@ class TableField(SlopeField):
     def set_value(self, element: int, sigma: float) -> None:
         if not 0 <= element < len(self.table):
             raise InvalidArgument(f"element {element} outside table of {len(self.table)}")
+        require_finite("sigma", sigma)
         if sigma < self.sigma_min or sigma > self.sigma_max:
             raise InvalidArgument(
                 f"table update {sigma} outside announced bounds "

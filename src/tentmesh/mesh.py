@@ -16,18 +16,36 @@ The text format is line based::
 
 ``v`` lines assign vertex ids in file order starting at 0.  ``save_mesh``
 writes the canonical form of this format (floats via ``repr``, so coordinates
-round-trip bit-exactly).
+round-trip bit-exactly).  ``load_mesh`` checks each line's tag and token
+count in one pass and converts the collected tokens in bulk with Python's
+own ``float`` and ``int``; vertex ids are range-checked as Python ints, so an
+id too large for int64 still reports the missing vertex and its line.
 
 Validation is strict: every vertex must be used, simplices must be
 nondegenerate and pairwise distinct, and the mesh must be manifold (a vertex
 in at most two segments in 1D, an edge in at most two triangles in 2D).
 Boundary vertices are ordinary vertices; nothing here treats them specially.
+When an input has several defects, ``build_mesh`` reports the first of:
+
+1. a non-finite vertex coordinate (lowest vertex id);
+2. per simplex, in input order: wrong arity, a vertex id out of range, a
+   repeated vertex, the same vertices as an earlier simplex;
+3. a degenerate simplex (lowest simplex id);
+4. an unused vertex (lowest vertex id);
+5. 1D: a vertex in more than two segments (lowest id), then two segments
+   overlapping (the first pair in order of left end); 2D: an edge in more
+   than two triangles (the first such edge met in simplex order).
+
+Adjacency is stored as arrays.  All stars are slices of one read-only int64
+array holding, vertex by vertex, the ids of the simplices that contain it
+in ascending order; ``mesh.stars[v]`` is vertex v's slice.  Row v of
+``neighbor_matrix`` lists v's neighbours ascending, padded with -1 to the
+largest vertex degree.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -61,8 +79,7 @@ class SpaceMesh:
     orientations: np.ndarray      # (m,) int8, +1 if sorted order positively oriented
 
     # Derived structure, filled in by build_mesh.
-    stars: list[np.ndarray] = field(default_factory=list)      # vertex -> simplex ids
-    neighbors: list[np.ndarray] = field(default_factory=list)  # vertex -> vertex ids
+    stars: list[np.ndarray] = field(default_factory=list)      # vertex -> simplex ids, ascending
     neighbor_matrix: np.ndarray | None = None                  # (n, maxdeg), -1 padded
     widths: np.ndarray | None = None                           # (m,)
     measures: np.ndarray | None = None                         # (m,) length or area
@@ -128,25 +145,72 @@ def _diameter(vertices: np.ndarray) -> float:
     return math.sqrt(best)
 
 
-def _simplex_width_and_measure(pts: np.ndarray) -> tuple[float, float, float]:
-    """Width, measure (length/area), and diameter of one simplex."""
-    if pts.shape[0] == 2:
-        length = float(np.linalg.norm(pts[1] - pts[0]))
-        return length, length, length
-    e = [pts[1] - pts[0], pts[2] - pts[1], pts[0] - pts[2]]
-    lengths = [float(np.linalg.norm(v)) for v in e]
-    area2 = abs(float(e[0][0] * (-e[2][1]) - e[0][1] * (-e[2][0])))
-    longest = max(lengths)
-    width = area2 / longest if longest > 0.0 else 0.0
-    return width, 0.5 * area2, longest
+def _sorted_rows(simplices, n: int, k: int) -> np.ndarray:
+    """The simplex rows as (m, k) int64 in input order, each sorted ascending.
+
+    Raises the error of the first simplex with a defect; for that simplex the
+    checks run in the order arity, range, repeated vertex, duplicate.
+    """
+    if isinstance(simplices, np.ndarray) and simplices.ndim == 2:
+        arity = np.full(len(simplices), simplices.shape[1])
+    else:
+        simplices = list(simplices)
+        arity = np.fromiter(map(len, simplices), np.int64, len(simplices))
+    m = len(simplices)
+    if not m:
+        raise ValidationError("mesh has no simplices")
+    # Rows before the first one of the wrong arity form a proper array.
+    bad_arity = np.flatnonzero(arity != k)
+    stop = int(bad_arity[0]) if bad_arity.size else m
+    head = simplices[:stop]
+    try:
+        rows = np.array(head, dtype=np.int64).reshape(stop, k)
+    except OverflowError:
+        # An id beyond int64 is out of range; clamp it so the check below sees it.
+        rows = np.array([[min(max(int(v), -1), n) for v in s] for s in head],
+                        dtype=np.int64).reshape(stop, k)
+    srt = np.sort(rows, axis=1)
+    out_of_range = ((rows < 0) | (rows >= n)).any(axis=1)
+    repeated = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+    # Equal sorted rows are adjacent in lexicographic order; the sort is
+    # stable, so each run starts at the first simplex with those vertices.
+    # The key a*n + b of a row's first two ids fits int64 for n < 3e9.
+    pair = srt[:, 0] * n + srt[:, 1]
+    order = np.lexsort((srt[:, 2], pair)) if k == 3 else np.argsort(pair, kind="stable")
+    same = np.zeros(stop, dtype=bool)
+    same[1:] = (srt[order[1:]] == srt[order[:-1]]).all(axis=1)
+    run_start = np.maximum.accumulate(np.where(same, 0, np.arange(stop)))
+    first_seen = np.empty(stop, dtype=np.int64)
+    first_seen[order] = order[run_start]
+    duplicate = first_seen != np.arange(stop)
+
+    bad = np.flatnonzero(out_of_range | repeated | duplicate)
+    if not bad.size and stop == m:
+        return srt
+    s = int(bad[0]) if bad.size else stop
+    where = f"simplex {s}"
+    if s == stop:
+        raise ValidationError(
+            f"simplex has {int(arity[s])} vertices, expected {k}", where
+        )
+    row = tuple(int(v) for v in simplices[s])
+    if out_of_range[s]:
+        v = next(v for v in row if not 0 <= v < n)
+        raise ValidationError(f"vertex id {v} out of range 0..{n - 1}", where)
+    if repeated[s]:
+        raise ValidationError(f"repeated vertex in simplex {row}", where)
+    raise ValidationError(
+        f"duplicate simplex {row}, same vertices as simplex {first_seen[s]}", where
+    )
 
 
 def build_mesh(vertices, simplices) -> SpaceMesh:
     """Validate raw arrays and assemble a :class:`SpaceMesh`.
 
-    ``vertices`` is (n, dim) with dim 1 or 2; ``simplices`` is a sequence of
-    (dim+1)-tuples of vertex ids in any order.  Raises
-    :class:`ValidationError` describing the first problem found.
+    ``vertices`` is (n, dim) with dim 1 or 2; ``simplices`` is an (m, dim+1)
+    integer array or a sequence of (dim+1)-tuples of vertex ids in any order.
+    Raises :class:`ValidationError` describing the first problem found, in
+    the order given in the module docstring.
     """
     verts = np.asarray(vertices, dtype=np.float64)
     if verts.ndim == 1:
@@ -160,116 +224,115 @@ def build_mesh(vertices, simplices) -> SpaceMesh:
         raise ValidationError(f"non-finite coordinates {verts[bad[0]].tolist()}",
                               f"vertex {bad[0]}")
 
-    raw = [tuple(int(v) for v in s) for s in simplices]
-    if not raw:
-        raise ValidationError("mesh has no simplices")
-    m = len(raw)
+    k = dim + 1
+    srt = _sorted_rows(simplices, n, k)
+    m = len(srt)
+    pts = verts[srt]                                   # (m, k, dim)
 
-    sorted_rows = np.empty((m, dim + 1), dtype=np.int64)
-    orientations = np.empty(m, dtype=np.int8)
-    seen: dict[tuple[int, ...], int] = {}
-    for k, row in enumerate(raw):
-        where = f"simplex {k}"
-        if len(row) != dim + 1:
-            raise ValidationError(
-                f"simplex has {len(row)} vertices, expected {dim + 1}", where
-            )
-        for v in row:
-            if not 0 <= v < n:
-                raise ValidationError(f"vertex id {v} out of range 0..{n - 1}", where)
-        key = tuple(sorted(row))
-        if len(set(key)) != dim + 1:
-            raise ValidationError(f"repeated vertex in simplex {row}", where)
-        if key in seen:
-            raise ValidationError(
-                f"duplicate simplex {row}, same vertices as simplex {seen[key]}", where
-            )
-        seen[key] = k
-        sorted_rows[k] = key
-        if dim == 1:
-            orientations[k] = 1
-        else:
-            a, b, c = (verts[i] for i in key)
-            signed2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            orientations[k] = 1 if signed2 > 0.0 else -1
+    # Edge lengths by vecdot + sqrt round exactly as np.linalg.norm of one
+    # edge does; an axis-wise norm or sqrt(sum) differs in the last bit.
+    if dim == 1:
+        edge = pts[:, 1] - pts[:, 0]
+        widths = np.sqrt(np.vecdot(edge, edge))
+        measures = widths.copy()
+        diam = widths
+        orientations = np.ones(m, dtype=np.int8)
+    else:
+        a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
+        edges = np.stack([b - a, c - b, a - c], axis=1)       # (m, 3, 2)
+        diam = np.sqrt(np.vecdot(edges, edges)).max(axis=1)
+        e0, e2 = edges[:, 0], edges[:, 2]
+        area2 = np.abs(e0[:, 0] * (-e2[:, 1]) - e0[:, 1] * (-e2[:, 0]))
+        widths = np.zeros(m)
+        np.divide(area2, diam, out=widths, where=diam > 0.0)
+        measures = 0.5 * area2
+        signed2 = ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+                   - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+        orientations = np.where(signed2 > 0.0, 1, -1).astype(np.int8)
+    bad = np.flatnonzero((widths < DEGENERACY_RATIO * diam) | (diam == 0.0))
+    if bad.size:
+        s = int(bad[0])
+        raise ValidationError(
+            f"degenerate simplex {tuple(srt[s])} (width {widths[s]:g})",
+            f"simplex {s}",
+        )
 
-    widths = np.empty(m)
-    measures = np.empty(m)
-    for k in range(m):
-        pts = verts[sorted_rows[k]]
-        width, measure, diam = _simplex_width_and_measure(pts)
-        if width < DEGENERACY_RATIO * diam or diam == 0.0:
-            raise ValidationError(
-                f"degenerate simplex {tuple(sorted_rows[k])} (width {width:g})",
-                f"simplex {k}",
-            )
-        widths[k] = width
-        measures[k] = measure
-
-    stars: list[list[int]] = [[] for _ in range(n)]
-    for k in range(m):
-        for v in sorted_rows[k]:
-            stars[int(v)].append(k)
-    for v in range(n):
-        if not stars[v]:
-            raise ValidationError(f"vertex {v} is not part of any simplex", f"vertex {v}")
+    # Stars: one stable sort of the flat vertex ids groups each vertex's
+    # simplices, ascending, and a bincount gives where each group starts.
+    flat = srt.ravel()
+    degree = np.bincount(flat, minlength=n)
+    unused = np.flatnonzero(degree == 0)
+    if unused.size:
+        v = int(unused[0])
+        raise ValidationError(f"vertex {v} is not part of any simplex", f"vertex {v}")
+    star_ids = np.argsort(flat, kind="stable") // k
+    star_ids.setflags(write=False)
+    ends = np.cumsum(degree).tolist()
+    stars = [star_ids[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
 
     if dim == 1:
-        for v in range(n):
-            if len(stars[v]) > 2:
-                raise ValidationError(
-                    f"non-manifold: vertex {v} belongs to {len(stars[v])} segments",
-                    f"vertex {v}",
-                )
+        crowded = np.flatnonzero(degree > 2)
+        if crowded.size:
+            v = int(crowded[0])
+            raise ValidationError(
+                f"non-manifold: vertex {v} belongs to {degree[v]} segments",
+                f"vertex {v}",
+            )
         # Segments may meet only at endpoints: sort by interval and check overlap.
-        intervals = sorted(
-            (min(verts[a, 0], verts[b, 0]), max(verts[a, 0], verts[b, 0]), k)
-            for k, (a, b) in enumerate(sorted_rows)
-        )
-        for (lo1, hi1, k1), (lo2, hi2, k2) in zip(intervals, intervals[1:]):
-            if lo2 < hi1:
-                raise ValidationError(
-                    f"segments {k1} and {k2} overlap geometrically", f"simplex {k2}"
-                )
+        ends_x = verts[srt, 0]
+        lo, hi = ends_x.min(axis=1), ends_x.max(axis=1)
+        order = np.lexsort((hi, lo))
+        overlap = np.flatnonzero(lo[order[1:]] < hi[order[:-1]])
+        if overlap.size:
+            k1, k2 = order[overlap[0]], order[overlap[0] + 1]
+            raise ValidationError(
+                f"segments {k1} and {k2} overlap geometrically", f"simplex {k2}"
+            )
     else:
-        faces_of_edge: dict[tuple[int, int], list[int]] = {}
-        for k, row in enumerate(sorted_rows):
-            for a, b in itertools.combinations(row, 2):
-                faces_of_edge.setdefault((int(a), int(b)), []).append(k)
-        for (a, b), faces in faces_of_edge.items():
-            if len(faces) > 2:
-                raise ValidationError(
-                    f"non-manifold: edge ({a}, {b}) belongs to {len(faces)} triangles",
-                    f"edge ({a}, {b})",
-                )
+        # Edge (a, b) of a sorted row has key a*n + b; flat position 3*s + j
+        # orders edges by first appearance, so the first crowded edge
+        # reported is the first one met in simplex order.
+        edge_keys = (srt[:, [0, 0, 1]] * n + srt[:, [1, 2, 2]]).ravel()
+        order = np.argsort(edge_keys, kind="stable")
+        sorted_keys = edge_keys[order]
+        starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+        counts = np.diff(np.r_[starts, len(sorted_keys)])
+        crowded = np.flatnonzero(counts > 2)
+        if crowded.size:
+            i = crowded[np.argmin(order[starts[crowded]])]
+            a, b = divmod(int(sorted_keys[starts[i]]), n)
+            raise ValidationError(
+                f"non-manifold: edge ({a}, {b}) belongs to {counts[i]} triangles",
+                f"edge ({a}, {b})",
+            )
 
-    neighbors: list[np.ndarray] = []
-    for v in range(n):
-        adj = set()
-        for k in stars[v]:
-            adj.update(int(w) for w in sorted_rows[k] if w != v)
-        neighbors.append(np.array(sorted(adj), dtype=np.int64))
-    maxdeg = max(len(a) for a in neighbors)
-    neighbor_matrix = np.full((n, maxdeg), -1, dtype=np.int64)
-    for v, adj in enumerate(neighbors):
-        neighbor_matrix[v, : len(adj)] = adj
+    # Neighbours: every ordered pair of distinct vertices of a simplex, keyed
+    # v*n + w; the sorted distinct keys are the rows, ascending.  Sorting and
+    # dropping repeats is an order of magnitude faster than np.unique here.
+    i, j = np.nonzero(~np.eye(k, dtype=bool))
+    pairs = np.sort((srt[:, i] * n + srt[:, j]).ravel())
+    pairs = pairs[np.r_[True, pairs[1:] != pairs[:-1]]]
+    v, w = np.divmod(pairs, n)
+    count = np.bincount(v, minlength=n)
+    neighbor_matrix = np.full((n, int(count.max())), -1, dtype=np.int64)
+    starts = np.cumsum(count) - count
+    neighbor_matrix[v, np.arange(len(pairs)) - starts[v]] = w
 
-    centroids = verts[sorted_rows].mean(axis=1)
+    centroids = pts.mean(axis=1)
 
     mesh = SpaceMesh(
         dim=dim,
         vertices=verts,
-        simplices=sorted_rows,
+        simplices=srt,
         orientations=orientations,
-        stars=[np.array(s, dtype=np.int64) for s in stars],
-        neighbors=neighbors,
+        stars=stars,
         neighbor_matrix=neighbor_matrix,
         widths=widths,
         measures=measures,
         centroids=centroids,
     )
     verts.setflags(write=False)
-    sorted_rows.setflags(write=False)
+    srt.setflags(write=False)
     return mesh
 
 
@@ -290,66 +353,114 @@ def mesh_stats(mesh: SpaceMesh) -> MeshStats:
 # ---------------------------------------------------------------------------
 
 
-def load_mesh(path) -> SpaceMesh:
-    """Parse a mesh document; raise :class:`ValidationError` with the offending line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+def _line_error(tag: str, args: list[str], dim: int | None,
+                where: str) -> ValidationError | None:
+    """The problem with a line that is not a well-formed ``v`` or ``s`` line.
 
+    Returns None for a valid ``dim`` line.
+    """
+    if tag == "dim":
+        if dim is not None:
+            return ValidationError("duplicate dim line", where)
+        if len(args) != 1 or args[0] not in ("1", "2"):
+            return ValidationError(f"dim must be 1 or 2, got {args!r}", where)
+        return None
+    if tag == "v":
+        if dim is None:
+            return ValidationError("dim line must come before vertices", where)
+        return ValidationError(f"vertex needs {dim} coordinates, got {len(args)}", where)
+    if tag == "s":
+        if dim is None:
+            return ValidationError("dim line must come before simplices", where)
+        return ValidationError(
+            f"simplex needs {dim + 1} vertex ids, got {len(args)}", where
+        )
+    return ValidationError(f"unknown directive {tag!r}", where)
+
+
+def _bad_token(tokens: list[str], linenos: list[int], per_line: int, conv,
+               what: str, path) -> tuple[int, ValidationError] | None:
+    """(line number, error) of the first token ``conv`` rejects, or None."""
+    for i, token in enumerate(tokens):
+        try:
+            conv(token)
+        except ValueError as exc:
+            lineno = linenos[i // per_line]
+            return lineno, ValidationError(f"{what}: {exc}", f"{path}:{lineno}")
+    return None
+
+
+def _convert(coords: list[str], vlines: list[int], ids: list[str],
+             slines: list[int], dim: int, path) -> tuple[np.ndarray, list[int]]:
+    """Coordinates as float64 and vertex ids as Python ints, in file order.
+
+    Both use Python's own ``float`` and ``int`` parse rules.  When a token
+    does not parse, raises the error of the earliest such line.
+    """
+    try:
+        xs = np.fromiter(map(float, coords), np.float64, len(coords))
+        return xs, list(map(int, ids))
+    except ValueError:
+        pass
+    bad = [e for e in (_bad_token(coords, vlines, dim, float, "bad coordinate", path),
+                       _bad_token(ids, slines, dim + 1, int, "bad vertex id", path))
+           if e is not None]
+    raise min(bad, key=lambda e: e[0])[1]
+
+
+def _parse_mesh(path) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices (n, dim) and simplex rows (m, dim+1) int64 of a mesh document.
+
+    Raises :class:`ValidationError` naming the first bad line.
+    """
     dim: int | None = None
-    verts: list[list[float]] = []
-    simps: list[tuple[int, ...]] = []
-    simp_lines: list[int] = []
+    v_width = s_width = -1             # tokens on a v / s line, once dim is known
+    coords: list[str] = []
+    vlines: list[int] = []
+    ids: list[str] = []
+    slines: list[int] = []
 
-    for lineno, rawline in enumerate(lines, start=1):
-        where = f"{path}:{lineno}"
-        line = rawline.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        tag, args = tokens[0], tokens[1:]
-        if tag == "dim":
-            if dim is not None:
-                raise ValidationError("duplicate dim line", where)
-            if len(args) != 1 or args[0] not in ("1", "2"):
-                raise ValidationError(f"dim must be 1 or 2, got {args!r}", where)
-            dim = int(args[0])
-        elif tag == "v":
-            if dim is None:
-                raise ValidationError("dim line must come before vertices", where)
-            if len(args) != dim:
-                raise ValidationError(
-                    f"vertex needs {dim} coordinates, got {len(args)}", where
-                )
-            try:
-                verts.append([float(a) for a in args])
-            except ValueError as exc:
-                raise ValidationError(f"bad coordinate: {exc}", where) from None
-        elif tag == "s":
-            if dim is None:
-                raise ValidationError("dim line must come before simplices", where)
-            if len(args) != dim + 1:
-                raise ValidationError(
-                    f"simplex needs {dim + 1} vertex ids, got {len(args)}", where
-                )
-            try:
-                simps.append(tuple(int(a) for a in args))
-            except ValueError as exc:
-                raise ValidationError(f"bad vertex id: {exc}", where) from None
-            simp_lines.append(lineno)
-        else:
-            raise ValidationError(f"unknown directive {tag!r}", where)
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, rawline in enumerate(fh, start=1):
+            tokens = rawline.split("#", 1)[0].split()
+            if not tokens:
+                continue
+            tag = tokens[0]
+            if tag == "v" and len(tokens) == v_width:
+                coords += tokens[1:]
+                vlines.append(lineno)
+            elif tag == "s" and len(tokens) == s_width:
+                ids += tokens[1:]
+                slines.append(lineno)
+            else:
+                exc = _line_error(tag, tokens[1:], dim, f"{path}:{lineno}")
+                if exc is not None:
+                    # A token that does not parse on an earlier line is
+                    # the first error; converting raises it.
+                    if dim is not None:
+                        _convert(coords, vlines, ids, slines, dim, path)
+                    raise exc
+                dim = int(tokens[1])
+                v_width, s_width = dim + 1, dim + 2
 
     if dim is None:
         raise ValidationError("missing dim line", str(path))
-    nv = len(verts)
-    for row, lineno in zip(simps, simp_lines):
-        for v in row:
-            if not 0 <= v < nv:
-                raise ValidationError(
-                    f"simplex references missing vertex {v}", f"{path}:{lineno}"
-                )
+    xs, vids = _convert(coords, vlines, ids, slines, dim, path)
+    nv = len(vlines)
+    if vids and (min(vids) < 0 or max(vids) >= nv):
+        i = next(i for i, v in enumerate(vids) if not 0 <= v < nv)
+        raise ValidationError(
+            f"simplex references missing vertex {vids[i]}",
+            f"{path}:{slines[i // (dim + 1)]}",
+        )
+    return xs.reshape(nv, dim), np.array(vids, dtype=np.int64).reshape(-1, dim + 1)
+
+
+def load_mesh(path) -> SpaceMesh:
+    """Parse a mesh document; raise :class:`ValidationError` with the offending line."""
+    verts, simps = _parse_mesh(path)
     try:
-        return build_mesh(np.array(verts, dtype=np.float64).reshape(nv, dim), simps)
+        return build_mesh(verts, simps)
     except ValidationError as exc:
         # Re-point structural errors at the file (line unknown past parsing).
         raise ValidationError(str(exc), str(path)) from None

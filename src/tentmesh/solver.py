@@ -24,7 +24,8 @@ import numpy as np
 
 from .constraints import ConstraintConfig
 from .errors import InvalidArgument, ValidationError
-from .fields import CompositeMinField, SlopeField, TableField, sampled_min_simplices
+from .fields import CompositeMinField, SlopeField, TableField, require_finite, \
+    sampled_min_simplices
 
 
 class ScriptRow(NamedTuple):
@@ -61,6 +62,11 @@ class SlopeScript:
     _next: int = 0
 
     def __post_init__(self):
+        for row in self.rows:
+            require_finite(f"trigger of script row for element {row.element}",
+                           row.trigger)
+            require_finite(f"sigma of script row for element {row.element}",
+                           row.sigma)
         self.rows = sorted(self.rows, key=lambda r: (r.trigger, r.element))
         seen = set()
         for row in self.rows:

@@ -249,3 +249,50 @@ def test_cli_table_field_with_script(tmp_path):
     stats = dict(ln.split(None, 1)
                  for ln in (tmp_path / "stats.txt").read_text().splitlines())
     assert stats["script_rows_fired"] == "1"
+
+
+@pytest.mark.parametrize("field_text, name", [
+    ("constant inf\n", "sigma"),
+    ("timestep nan 1.0 0.5\n", "boundaries[0]"),
+    ("timestep 0.4 1.0 inf\n", "sigmas[1]"),
+    ("cone nan 0 1 2 0.5\n", "center[0]"),
+    ("cone 0 inf 1 2 0.5\n", "t_apex"),
+    ("cone 0 0 -inf 2 0.5\n", "sigma_inside"),
+    ("cone 0 0 1 nan 0.5\n", "sigma_outside"),
+    ("cone 0 0 1 2 nan\n", "cone_slope"),
+    ("table table.txt\n", "values[2]"),
+])
+def test_cli_nonfinite_field_parameter_exit_2(case_1d, capsys, field_text, name):
+    (case_1d / "field.txt").write_text(field_text)
+    (case_1d / "table.txt").write_text("0 1.0\n1 1.0\n2 nan\n")
+    assert main(_argv(case_1d)) == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, name", [("0 nan 0.5\n", "trigger"),
+                                       ("0 0.5 inf\n", "sigma")])
+def test_cli_nonfinite_script_row_exit_2(case_1d, capsys, row, name):
+    (case_1d / "field.txt").write_text("table table.txt\n")
+    (case_1d / "table.txt").write_text("0 1.0\n1 1.0\n2 1.0\n")
+    (case_1d / "script.txt").write_text(row)
+    assert main(_argv(case_1d, "--script", str(case_1d / "script.txt"))) == 2
+    assert f"{name} of script row for element 0 must be finite" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--max-patches", "-1"],
+                                   ["--snapshot-every", "-3", "--out", "o.txt"]])
+def test_cli_negative_count_exit_2(case_1d, capsys, extra):
+    extra = [str(case_1d / a) if a == "o.txt" else a for a in extra]
+    assert main(_argv(case_1d, *extra)) == 2
+    assert f"{extra[0]} must be >= 0" in capsys.readouterr().err
+    assert not (case_1d / "o.txt").exists()
+
+
+def test_cli_max_patches_zero_runs_no_patch(case_1d):
+    code = main(_argv(case_1d, "--max-patches", "0",
+                      "--stats", str(case_1d / "stats.txt")))
+    assert code == 0
+    stats = dict(ln.split(None, 1)
+                 for ln in (case_1d / "stats.txt").read_text().splitlines())
+    assert stats["patches"] == "0"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,30 @@ class TestBuiltinFields:
             ConstantField(0.0)
         with pytest.raises(ValidationError):
             TimeStepField([1.0], [1.0, -2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_parameters_rejected_by_name(self, bad):
+        makers = {
+            "sigma": lambda: ConstantField(bad),
+            "boundaries[1]": lambda: TimeStepField([0.5, bad], [1.0, 2.0, 3.0]),
+            "sigmas[0]": lambda: TimeStepField([0.5], [bad, 2.0]),
+            "center[1]": lambda: SpatialConeField([0.0, bad], 0.0, 1.0, 2.0, 0.5),
+            "t_apex": lambda: SpatialConeField([0.0], bad, 1.0, 2.0, 0.5),
+            "sigma_inside": lambda: SpatialConeField([0.0], 0.0, bad, 2.0, 0.5),
+            "sigma_outside": lambda: SpatialConeField([0.0], 0.0, 1.0, bad, 0.5),
+            "cone_slope": lambda: SpatialConeField([0.0], 0.0, 1.0, 2.0, bad),
+            "values[1]": lambda: TableField([1.0, bad]),
+        }
+        for name, make in makers.items():
+            with pytest.raises(ValidationError, match=rf"^{re.escape(name)} must be finite"):
+                make()
+        table = TableField([1.0, 2.0])
+        with pytest.raises(ValidationError, match=r"^sigmas\[1\] must be finite"):
+            table.note_future_sigma([0.5, bad])
+        with pytest.raises(ValidationError, match="^sigma must be finite"):
+            table.set_value(0, bad)
+        assert (table.sigma_min, table.sigma_max) == (1.0, 2.0)
+        assert table.table.tolist() == [1.0, 2.0]
 
     def test_negative_time_raises(self):
         with pytest.raises(OutOfDomain):

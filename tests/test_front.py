@@ -147,6 +147,6 @@ def test_local_minima_nonempty_and_correct(times):
     assert len(mins) > 0
     t = np.array(times)
     for v in range(9):
-        neigh = mesh.neighbors[v]
+        neigh = mesh.neighbor_matrix[v][mesh.neighbor_matrix[v] >= 0]
         is_min = bool((t[v] <= t[neigh]).all())
         assert (v in mins) == is_min

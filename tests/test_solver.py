@@ -49,6 +49,13 @@ def test_parse_script_rejects_bad_rows():
         parse_script("0 0.5 0.0\n")
     with pytest.raises(ValidationError, match=">= 0"):
         parse_script("0 -0.5 1.0\n")
+    for text, name in [("0 0.5 1.0\n3 nan 1.0\n", "trigger"),
+                       ("3 inf 1.0\n", "trigger"),
+                       ("3 0.5 nan\n", "sigma"),
+                       ("3 0.5 inf\n", "sigma")]:
+        with pytest.raises(ValidationError,
+                           match=f"{name} of script row for element 3 must be finite"):
+            parse_script(text)
 
 
 # -- attach ------------------------------------------------------------------

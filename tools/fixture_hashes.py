@@ -2,18 +2,24 @@
 
 Run from the repository root, against the tree whose bytes you want::
 
-    PYTHONPATH=src python3 tools/fixture_hashes.py
+    PYTHONPATH=src python3 tools/fixture_hashes.py [--check]
 
 Each fixture writes its mesh, field, table and script files into a temporary
 directory, calls ``tentmesh.cli.main`` once with ``--out``, ``--vtk`` and
 ``--stats``, and prints one ``<fixture> <artifact> <sha256>`` line per file.
-A refactor that must keep behaviour keeps every line: record the output
-before the change and diff it after.  The inputs are written here as text,
-not through the library, so a change to the mesh writer cannot move them.
+A refactor that must keep behaviour keeps every line.  The lines are pinned
+in ``fixture_hashes.txt`` next to this script; ``--check`` compares against
+it, prints each line that differs (``-`` pinned, ``+`` now) and exits 1 on
+any difference.  ``tests/test_fixture_hashes.py`` runs the check.  A change
+that moves bytes on purpose re-pins by writing this script's output to that
+file and lists the old and new hashes in CHANGES.md.  The inputs are written
+here as text, not through the library, so a change to the mesh writer cannot
+move them.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -154,12 +160,38 @@ def run_fixture(name: str, workdir: Path) -> list[tuple[str, str]]:
             for art in ARTIFACTS]
 
 
-def main_hashes() -> int:
+PINNED = Path(__file__).with_name("fixture_hashes.txt")
+
+
+def current_lines() -> list[str]:
+    """One ``<fixture> <artifact> <sha256>`` line per artifact, fixture order."""
+    lines = []
     for name in FIXTURES:
         with tempfile.TemporaryDirectory() as tmp:
-            for art, digest in run_fixture(name, Path(tmp)):
-                print(f"{name} {art} {digest}")
-    return 0
+            lines += [f"{name} {art} {digest}"
+                      for art, digest in run_fixture(name, Path(tmp))]
+    return lines
+
+
+def differing_lines(lines: list[str]) -> list[str]:
+    """Pinned lines missing from ``lines`` (``-``), then new ones (``+``)."""
+    pinned = PINNED.read_text(encoding="utf-8").splitlines()
+    return ([f"- {ln}" for ln in pinned if ln not in lines]
+            + [f"+ {ln}" for ln in lines if ln not in pinned])
+
+
+def main_hashes(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help=f"compare with {PINNED.name}; exit 1 on a difference")
+    args = parser.parse_args(argv)
+    lines = current_lines()
+    if not args.check:
+        print("\n".join(lines))
+        return 0
+    diff = differing_lines(lines)
+    print("\n".join(diff) if diff else f"all {len(lines)} hashes match {PINNED.name}")
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
