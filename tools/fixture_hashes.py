@@ -120,6 +120,16 @@ FIXTURES = {
         ["--target-time", "1.0", "--script", "{dir}/script.txt",
          "--assert-invariants"],
     ),
+    # A composite of table and cone under a script; the extra row drops a
+    # slope below the table's minimum, so the widened sigma_min and tmin are
+    # pinned too.
+    "table-cone-1d-script": (
+        {"mesh.txt": _interval(40, jitter=0.2),
+         "field.txt": "table table.txt\ncone 0.5 0.0 2.0 1.0 0.5\n",
+         "table.txt": _table(40),
+         "script.txt": _script(40, dt=0.02) + "7 0.3 0.75\n"},
+        ["--target-time", "1.0", "--script", "{dir}/script.txt"],
+    ),
     "timestep-min-slope": (
         {"mesh.txt": _grid(6, 6, 0.1),
          "field.txt": "timestep 0.15 2.0 1.0\n"},
