@@ -68,7 +68,7 @@ from .pitcher import (
     front_prism_volume,
     greedy_height,
 )
-from .solver import SlopeScript, load_script, parse_script, solve_patch
+from .solver import SlopeScript, bind_run, load_script, parse_script, solve_patch
 from .cli import (
     export_spacetime_mesh,
     export_vtk,
@@ -105,6 +105,7 @@ __all__ = [
     "ValidationError",
     "advance",
     "advance_until",
+    "bind_run",
     "build_cone_index",
     "build_mesh",
     "causal_segment",

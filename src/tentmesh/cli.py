@@ -25,7 +25,7 @@ from .front import export_snapshot
 from .mesh import load_mesh
 from .pitcher import HEURISTICS, SpacetimeMesh, TentRun, advance_until, \
     front_prism_volume
-from .solver import load_script
+from .solver import bind_run, load_script
 
 
 def _fmt(x: float) -> str:
@@ -65,7 +65,7 @@ def load_spacetime_mesh(path):
     short: the counts must match the records, and the last record must end
     with the newline the writer puts there.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         text = fh.read()
     lines = [ln.split() for ln in text.splitlines() if ln.strip()]
     at = 0
@@ -227,8 +227,8 @@ def run(args) -> int:
     script = load_script(args.script) if args.script else None
     if args.snapshot_every and not args.out:
         raise ValidationError("--snapshot-every needs --out for file naming")
-    if script is not None:
-        script.attach(field)
+    # The bound field's bounds cover the script, so the config fits the run.
+    field = bind_run(mesh, field, script)
     config = ConstraintConfig.for_problem(mesh, field, epsilon=args.epsilon,
                                           eta=args.eta)
 

@@ -21,10 +21,11 @@ class ValidationError(TentMeshError):
     """An input document or structure failed validation.
 
     ``location`` carries a human-readable pointer (file line, vertex id, ...)
-    when one is known.
+    when one is known; ``reason`` is the message without it.
     """
 
     def __init__(self, message: str, location: str | None = None):
+        self.reason = message
         self.location = location
         if location is not None:
             message = f"{message} (at {location})"

@@ -4,8 +4,10 @@ A slope field is the oracle the mesh generator queries while pitching.  All
 built-in fields are defined by global formulas for t >= 0 and report two
 global bounds, ``sigma_min`` and ``sigma_max``; the minimum step guarantee is
 derived from ``sigma_min``, so it must bound every value the field will ever
-return (including scripted future table updates, see
-:meth:`TableField.note_future_sigma`).
+return, including scripted table updates (:class:`TableField`'s ``future``).
+Fields are immutable values with read-only parameter arrays, so one field
+can drive any number of runs; :meth:`SlopeField.attach_domain` is the one
+setter, kept for library callers who want off-domain evaluation caught.
 
 ``min_slope_over`` is deliberately a *sampled* minimum: the field is
 evaluated at the simplex vertices, edge midpoints, centroid, and a fixed set
@@ -59,6 +61,13 @@ from .errors import InvalidArgument, OutOfDomain, ValidationError
 from .geometry import EventPoint
 
 _TIME_TOL = 0.0  # fields are defined for t >= 0 exactly
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 copy of ``values``."""
+    arr = np.array(values, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
 
 
 def require_finite(name: str, value) -> None:
@@ -159,8 +168,8 @@ class TimeStepField(SlopeField):
     kind = "timestep"
 
     def __init__(self, boundaries, sigmas, kappa: float = 1.0):
-        boundaries = np.asarray(boundaries, dtype=np.float64)
-        sigmas = np.asarray(sigmas, dtype=np.float64)
+        boundaries = _frozen(boundaries)
+        sigmas = _frozen(sigmas)
         require_finite("boundaries", boundaries)
         require_finite("sigmas", sigmas)
         if len(sigmas) != len(boundaries) + 1:
@@ -214,7 +223,7 @@ class SpatialConeField(SlopeField):
         super().__init__(
             min(sigma_inside, sigma_outside), max(sigma_inside, sigma_outside), kappa
         )
-        self.center = np.asarray(center, dtype=np.float64)
+        self.center = _frozen(center)
         self.t_apex = float(t_apex)
         self.sigma_inside = float(sigma_inside)
         self.sigma_outside = float(sigma_outside)
@@ -227,45 +236,28 @@ class SpatialConeField(SlopeField):
 
 
 class TableField(SlopeField):
-    """Per-element slope table, mutable only through :meth:`set_value`.
+    """Per-element slope table, held as a read-only copy of ``values``.
 
-    The driver's solver hook is the single writer; it updates entries between
-    pitches.  ``sigma_min``/``sigma_max`` cover the initial values plus any
-    announced future ones, so the global step floor stays valid.
+    ``future`` lists slopes the table may take later (scripted rewrites);
+    ``sigma_min``/``sigma_max`` cover them as well as the initial values, so
+    the global step floor stays valid.  Only a run writes table entries, and
+    only into the copy :func:`~tentmesh.solver.bind_run` makes for it.
     """
 
     kind = "table"
 
-    def __init__(self, values, kappa: float = 1.0):
-        values = np.asarray(values, dtype=np.float64)
+    def __init__(self, values, kappa: float = 1.0, future=()):
+        values = _frozen(values)
+        future = _frozen(future).reshape(-1)
         if values.ndim != 1 or len(values) == 0:
             raise ValidationError("table field needs one slope per element")
         require_finite("values", values)
-        if np.any(values <= 0.0):
+        require_finite("future", future)
+        bounds = np.concatenate([values, future])
+        if np.any(bounds <= 0.0):
             raise ValidationError("slopes must be positive")
-        super().__init__(float(values.min()), float(values.max()), kappa)
-        self.table = values.copy()
-
-    def note_future_sigma(self, sigmas) -> None:
-        """Widen the global bounds to cover scripted future values."""
-        sigmas = np.asarray(sigmas, dtype=np.float64).reshape(-1)
-        require_finite("sigmas", sigmas)
-        for s in sigmas:
-            if s <= 0.0:
-                raise ValidationError("slopes must be positive")
-            self.sigma_min = min(self.sigma_min, float(s))
-            self.sigma_max = max(self.sigma_max, float(s))
-
-    def set_value(self, element: int, sigma: float) -> None:
-        if not 0 <= element < len(self.table):
-            raise InvalidArgument(f"element {element} outside table of {len(self.table)}")
-        require_finite("sigma", sigma)
-        if sigma < self.sigma_min or sigma > self.sigma_max:
-            raise InvalidArgument(
-                f"table update {sigma} outside announced bounds "
-                f"[{self.sigma_min}, {self.sigma_max}]"
-            )
-        self.table[element] = sigma
+        super().__init__(float(bounds.min()), float(bounds.max()), kappa)
+        self.table = values
 
     def _values(self, xs, ts, elems):
         if elems is None:
@@ -283,7 +275,7 @@ class CompositeMinField(SlopeField):
     kind = "composite"
 
     def __init__(self, children, kappa: float = 1.0):
-        children = list(children)
+        children = tuple(children)
         if not children:
             raise ValidationError("composite field needs at least one child")
         super().__init__(
@@ -522,7 +514,7 @@ def _load_table(path: Path, n_elements: int | None) -> TableField:
     values = np.zeros(n_elements)
     seen = np.zeros(n_elements, dtype=bool)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
     except OSError as exc:
         raise ValidationError(f"cannot read table: {exc}", str(path)) from None
     for lineno, rawline in enumerate(lines, start=1):
@@ -575,7 +567,7 @@ def load_field(path, n_elements: int | None = None) -> SlopeField:
     """Parse a field document file."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
         raise ValidationError(f"cannot read field document: {exc}", str(path)) from None
     return parse_field(text, base_dir=path.parent, n_elements=n_elements,

@@ -253,7 +253,7 @@ def build_mesh(vertices, simplices) -> SpaceMesh:
     if bad.size:
         s = int(bad[0])
         raise ValidationError(
-            f"degenerate simplex {tuple(srt[s])} (width {widths[s]:g})",
+            f"degenerate simplex {tuple(srt[s].tolist())} (width {widths[s]:g})",
             f"simplex {s}",
         )
 
@@ -420,7 +420,8 @@ def _parse_mesh(path) -> tuple[np.ndarray, np.ndarray]:
     ids: list[str] = []
     slines: list[int] = []
 
-    with open(path, "r", encoding="utf-8") as fh:
+    # Undecodable bytes read as U+FFFD and fail like any other bad token.
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, rawline in enumerate(fh, start=1):
             tokens = rawline.split("#", 1)[0].split()
             if not tokens:
@@ -462,8 +463,9 @@ def load_mesh(path) -> SpaceMesh:
     try:
         return build_mesh(verts, simps)
     except ValidationError as exc:
-        # Re-point structural errors at the file (line unknown past parsing).
-        raise ValidationError(str(exc), str(path)) from None
+        # Structural errors name a simplex, vertex or edge, not a line.
+        where = str(path) if exc.location is None else f"{exc.location} of {path}"
+        raise ValidationError(exc.reason, where) from None
 
 
 def save_mesh(mesh: SpaceMesh, path) -> None:

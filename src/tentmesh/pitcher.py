@@ -24,8 +24,8 @@ are deterministic, so a run is a pure function of its inputs.
 
 from __future__ import annotations
 
-import copy
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +43,7 @@ from .fields import SlopeField
 from .front import Front, advance, initial_front, local_minima
 from .hierarchy import build as build_cones
 from .mesh import SpaceMesh
-from .solver import SlopeScript, solve_patch
+from .solver import SlopeScript, bind_run, solve_patch
 
 HEURISTICS = ("lowest", "min-slope", "round-robin")
 
@@ -383,12 +383,8 @@ def _select_vertex(heuristic: str, front: Front, cones, last: int,
             if best is None or score < best:
                 best = score
         return best[1]
-    if heuristic == "round-robin":
-        later = minima[minima > last]
-        return int(later[0]) if later.size else int(minima[0])
-    raise InvalidArgument(
-        f"unknown heuristic {heuristic!r}; choose from {', '.join(HEURISTICS)}"
-    )
+    later = minima[minima > last]  # round-robin; advance_until checked the name
+    return int(later[0]) if later.size else int(minima[0])
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +412,14 @@ def _patch_guard(mesh: SpaceMesh, config: ConstraintConfig, span: float) -> int:
     Every pitched vertex sat below the target and rose by at least the
     floor, so no vertex is pitched more than ceil(span / Tmin) times and
     the whole run fits in n_vertices * ceil(span / Tmin) patches.  Any
-    excess means the floor guarantee broke.
+    excess means the floor guarantee broke.  A target so far above the
+    front that span / Tmin is not finite is rejected.
     """
-    sweeps = math.ceil(span / config.tmin(mesh.dim))
-    return mesh.n_vertices * (sweeps + 1) + 256
+    sweeps = span / config.tmin(mesh.dim)
+    if not math.isfinite(sweeps):
+        raise ValidationError(f"target time lies {span!r} above the front: "
+                              "not a finite number of height floors")
+    return mesh.n_vertices * (math.ceil(sweeps) + 1) + 256
 
 
 def _assert_front_ok(mesh, front, field, config, patch, height) -> None:
@@ -461,9 +461,10 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
     Stops early (without error) after ``max_patches`` patches when that is
     given; otherwise a generous multiple of the worst-case element count acts
     as a runaway guard and overrunning it raises :class:`ContractViolation`.
-    ``field`` and ``script`` are copied, never mutated: the returned
-    :class:`TentRun` carries the run's own field, with any scripted table
-    rewrites applied.
+    The run evaluates the field :func:`~tentmesh.solver.bind_run` makes of
+    ``field`` and ``script``, and nothing the caller passed in is written:
+    the returned :class:`TentRun` carries the run's own field, with any
+    scripted table rewrites applied.
     """
     if heuristic not in HEURISTICS:
         raise InvalidArgument(
@@ -471,17 +472,12 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
         )
     if math.isnan(target_time):
         raise ValidationError("target time must be a number, got nan")
-    # The run owns its slope state: script rows rewrite table entries and
-    # advance the cursor, and the domain binds the field to this mesh.  Work
-    # on copies so the caller's field and script can drive another run.
-    field, script = copy.deepcopy((field, script))
-    if script is not None:
-        script.attach(field)  # widens slope bounds; must precede the config
+    # Script rows rewrite the run's own table; the bound field's bounds
+    # already cover them, so the config derived from it holds throughout.
+    field = bind_run(mesh, field, script)
+    pending = deque(script.rows if script is not None else ())
     if config is None:
         config = ConstraintConfig.for_problem(mesh, field)
-    lo = mesh.vertices.min(axis=0)
-    hi = mesh.vertices.max(axis=0)
-    field.attach_domain(lo, hi)
     if front is None:
         front = initial_front(mesh)
     if not math.isfinite(target_time) and max_patches is None:
@@ -525,7 +521,7 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
         rows = mesh.simplices[sids]
         slopes, fired = solve_patch(
             field, config, mesh.vertices[rows], new_front.times[rows],
-            sids, top, script,
+            sids, top, pending,
         )
         stats["script_rows_fired"] += len(fired)
         cones.set_front(new_front)

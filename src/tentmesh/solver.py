@@ -1,31 +1,29 @@
-"""Patch-local solve stage: outflow slope refresh and scripted updates.
+"""Patch-local solve stage: outflow slopes and scripted slope updates.
 
 In a full simulation each pitched patch is solved immediately, and the
-solution feeds two things back to the mesh generator: a conservative slope
-for every outflow facet, and possibly new wavespeeds for elements whose
-material state changed.  This module supplies both halves in a form the
-driver can run deterministically:
-
-* :func:`outflow_slopes` evaluates the sampled minimum slope of each lifted
-  facet, the value the cone index stores for it.
-* :class:`SlopeScript` is a reproducible stand-in for solution-driven
-  wavespeed changes: rows ``<element> <trigger> <sigma>`` rewrite a slope
-  table entry once a patch top reaches the trigger time.  Rows fire in
-  (trigger, element) order, after the triggering patch's own slopes are
-  computed, so a patch never sees updates it caused.
+solution feeds back a conservative slope for every outflow facet and
+possibly new wavespeeds, so the slopes a run sees depend on its own history.
+That history belongs to the run.  :class:`SlopeScript` is an immutable
+stand-in for solution-driven wavespeed changes: rows ``<element> <trigger>
+<sigma>`` rewrite a slope table entry once a patch top reaches the trigger.
+:func:`bind_run` gives the run a table of its own, and :func:`solve_patch`
+fires rows into it in (trigger, element) order, after the triggering
+patch's own slopes are sampled, so a patch never sees updates it caused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from collections import deque
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .constraints import ConstraintConfig
 from .errors import InvalidArgument, ValidationError
-from .fields import CompositeMinField, SlopeField, TableField, require_finite, \
-    sampled_min_simplices
+from .fields import CompositeMinField, SlopeField, SpatialConeField, TableField, \
+    require_finite, sampled_min_simplices
+from .mesh import SpaceMesh
 
 
 class ScriptRow(NamedTuple):
@@ -34,32 +32,11 @@ class ScriptRow(NamedTuple):
     sigma: float
 
 
-def _find_table(field: SlopeField) -> TableField | None:
-    if isinstance(field, TableField):
-        return field
-    if isinstance(field, CompositeMinField):
-        for child in field.children:
-            found = _find_table(child)
-            if found is not None:
-                return found
-    return None
-
-
-def _refresh_composite_bounds(field: SlopeField) -> None:
-    if isinstance(field, CompositeMinField):
-        for child in field.children:
-            _refresh_composite_bounds(child)
-        field.sigma_min = min(c.sigma_min for c in field.children)
-        field.sigma_max = min(c.sigma_max for c in field.children)
-
-
-@dataclass
+@dataclass(frozen=True)
 class SlopeScript:
-    """Ordered pending slope-table rewrites; see the module docstring."""
+    """Slope-table rewrites in firing order; see the module docstring."""
 
-    rows: list[ScriptRow]
-    _table: TableField | None = dataclass_field(default=None, repr=False)
-    _next: int = 0
+    rows: tuple[ScriptRow, ...]
 
     def __post_init__(self):
         for row in self.rows:
@@ -67,9 +44,9 @@ class SlopeScript:
                            row.trigger)
             require_finite(f"sigma of script row for element {row.element}",
                            row.sigma)
-        self.rows = sorted(self.rows, key=lambda r: (r.trigger, r.element))
+        rows = tuple(sorted(self.rows, key=lambda r: (r.trigger, r.element)))
         seen = set()
-        for row in self.rows:
+        for row in rows:
             key = (row.element, row.trigger)
             if key in seen:
                 raise ValidationError(
@@ -81,41 +58,7 @@ class SlopeScript:
                 raise ValidationError("script triggers must be >= 0")
             if row.sigma <= 0.0:
                 raise ValidationError("slopes must be positive")
-
-    def attach(self, field: SlopeField) -> None:
-        """Bind to the table inside ``field`` and widen its slope bounds.
-
-        Widening happens up front so the global step floor (and every clamp)
-        already accounts for slopes the script will introduce later.
-        """
-        table = _find_table(field)
-        if table is None:
-            raise InvalidArgument("slope script requires a table field")
-        n = len(table.table)
-        for row in self.rows:
-            if not 0 <= row.element < n:
-                raise ValidationError(
-                    f"script element {row.element} outside table of {n}"
-                )
-        table.note_future_sigma([row.sigma for row in self.rows])
-        _refresh_composite_bounds(field)
-        self._table = table
-
-    @property
-    def pending(self) -> int:
-        return len(self.rows) - self._next
-
-    def fire_until(self, t_top: float) -> list[ScriptRow]:
-        """Apply every unfired row with trigger <= t_top; returns them."""
-        if self._table is None:
-            raise InvalidArgument("script is not attached to a field")
-        fired = []
-        while self._next < len(self.rows) and self.rows[self._next].trigger <= t_top:
-            row = self.rows[self._next]
-            self._table.set_value(row.element, row.sigma)
-            fired.append(row)
-            self._next += 1
-        return fired
+        object.__setattr__(self, "rows", rows)
 
 
 def parse_script(text: str) -> SlopeScript:
@@ -141,29 +84,93 @@ def parse_script(text: str) -> SlopeScript:
 
 
 def load_script(path) -> SlopeScript:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         return parse_script(fh.read())
 
 
-def outflow_slopes(field: SlopeField, config: ConstraintConfig,
-                   positions: np.ndarray, times: np.ndarray,
-                   elements: np.ndarray) -> np.ndarray:
-    """Sampled minimum slope of each lifted facet (cone-store values)."""
-    return sampled_min_simplices(field, positions, times,
-                                 config.slope_samples, elements=elements)
+def _leaves(field: SlopeField):
+    """The non-composite fields of a field tree, depth first."""
+    if isinstance(field, CompositeMinField):
+        for child in field.children:
+            yield from _leaves(child)
+    else:
+        yield field
+
+
+def _find_table(field: SlopeField) -> TableField | None:
+    return next((f for f in _leaves(field) if isinstance(f, TableField)), None)
+
+
+def _replace(field: SlopeField, old: SlopeField, new: SlopeField) -> SlopeField:
+    """``field`` with ``old`` swapped for ``new``, composites rebuilt."""
+    if field is old:
+        return new
+    if isinstance(field, CompositeMinField):
+        return CompositeMinField([_replace(c, old, new) for c in field.children],
+                                 field.kappa)
+    return field
+
+
+def bind_run(mesh: SpaceMesh, field: SlopeField,
+             script: SlopeScript | None = None) -> SlopeField:
+    """The field a run of ``field`` and ``script`` on ``mesh`` evaluates.
+
+    The one place where the three meet: raises :class:`ValidationError` when
+    a table does not hold one slope per simplex, a cone centre does not have
+    ``mesh.dim`` coordinates, or a script row names an element outside the
+    table (:class:`InvalidArgument` when there is no table).  Without a
+    script the caller's field is returned.  With one, a fresh field tree
+    whose (first) table reads a writable copy made here, with bounds that
+    cover the script's slopes; nothing the caller passed in is changed.
+    """
+    for leaf in _leaves(field):
+        if isinstance(leaf, TableField) and len(leaf.table) != mesh.n_simplices:
+            raise ValidationError(
+                f"table field has {len(leaf.table)} slopes, but the mesh has "
+                f"{mesh.n_simplices} simplices"
+            )
+        if isinstance(leaf, SpatialConeField) and leaf.center.shape != (mesh.dim,):
+            raise ValidationError(
+                f"cone field centre has {leaf.center.size} coordinate(s), but "
+                f"the mesh is {mesh.dim}D"
+            )
+    if script is None:
+        return field
+    table = _find_table(field)
+    if table is None:
+        raise InvalidArgument("slope script requires a table field")
+    n = len(table.table)
+    for row in script.rows:
+        if not 0 <= row.element < n:
+            raise ValidationError(f"script element {row.element} outside table of {n}")
+    run_table = TableField(table.table, table.kappa,
+                           future=[row.sigma for row in script.rows])
+    run_table.table.flags.writeable = True  # the run's own copy
+    return _replace(field, table, run_table)
 
 
 def solve_patch(field: SlopeField, config: ConstraintConfig,
                 positions: np.ndarray, times: np.ndarray,
                 elements: np.ndarray, t_top: float,
-                script: SlopeScript | None = None,
+                pending: deque[ScriptRow] | None = None,
                 ) -> tuple[np.ndarray, list[ScriptRow]]:
-    """Run the solve stage for one patch.
+    """Run the solve stage for one patch; returns (slopes, fired rows).
 
     ``positions``/``times``/``elements`` describe the outflow facets (the
-    patch's lifted star facets).  Slopes are evaluated against the field
-    first; only then do script rows triggered by ``t_top`` fire.
+    patch's lifted star facets), whose slopes are sampled first.  Only then
+    are the rows at the head of ``pending`` (the run's unfired rows, in
+    firing order) with trigger <= ``t_top`` popped and written into the
+    table of ``field``, which must be the run's own from :func:`bind_run`.
     """
-    slopes = outflow_slopes(field, config, positions, times, elements)
-    fired = script.fire_until(t_top) if script is not None else []
+    slopes = sampled_min_simplices(field, positions, times,
+                                   config.slope_samples, elements=elements)
+    fired = []
+    if pending and pending[0].trigger <= t_top:
+        table = _find_table(field)
+        if table is None or not table.table.flags.writeable:
+            raise InvalidArgument("script rows fire only into a bind_run table")
+        while pending and pending[0].trigger <= t_top:
+            row = pending.popleft()
+            table.table[row.element] = row.sigma
+            fired.append(row)
     return slopes, fired

@@ -84,7 +84,7 @@ def reference_build_mesh(vertices, simplices) -> SpaceMesh:
         width, measure, diam = _simplex_width_and_measure(pts)
         if width < DEGENERACY_RATIO * diam or diam == 0.0:
             raise ValidationError(
-                f"degenerate simplex {tuple(sorted_rows[k])} (width {width:g})",
+                f"degenerate simplex {tuple(sorted_rows[k].tolist())} (width {width:g})",
                 f"simplex {k}",
             )
         widths[k] = width

@@ -296,3 +296,29 @@ def test_cli_max_patches_zero_runs_no_patch(case_1d):
     stats = dict(ln.split(None, 1)
                  for ln in (case_1d / "stats.txt").read_text().splitlines())
     assert stats["patches"] == "0"
+
+
+@pytest.mark.parametrize("mesh, field_text, error", [
+    (grid_mesh(3, 3), "cone 0.5 0.0 2.0 1.0 0.5\n",
+     "cone field centre has 1 coordinate(s), but the mesh is 2D"),
+    (interval_mesh([0.0, 0.5, 1.0]), "cone 0.5 0.0 0.0 2.0 1.0 0.5\n",
+     "cone field centre has 2 coordinate(s), but the mesh is 1D"),
+])
+def test_cli_field_that_does_not_fit_mesh_exit_2(tmp_path, capsys, mesh,
+                                                 field_text, error):
+    save_mesh(mesh, tmp_path / "mesh.txt")
+    (tmp_path / "field.txt").write_text(field_text)
+    assert main(_argv(tmp_path, "--out", str(tmp_path / "o.txt"))) == 2
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "o.txt").exists()
+
+
+def test_cli_unreachable_target_exit_2(tmp_path, capsys):
+    # span / Tmin = 1e308 / 0.5 overflows to inf.
+    save_mesh(interval_mesh([0.0, 0.5, 1.0]), tmp_path / "mesh.txt")
+    (tmp_path / "field.txt").write_text("constant 1.0\n")
+    code = main(["--mesh", str(tmp_path / "mesh.txt"),
+                 "--field", str(tmp_path / "field.txt"),
+                 "--target-time", "1e308"])
+    assert code == 2
+    assert "target time" in capsys.readouterr().err

@@ -77,15 +77,24 @@ class TestBuiltinFields:
         assert got.tolist() == [2.0, 1.0, 0.5]
 
     def test_table_future_values_widen_bounds(self):
-        f = TableField([1.0, 1.0])
-        f.note_future_sigma([0.25])
-        assert f.sigma_min == 0.25
-        f.set_value(1, 0.25)
-        assert f.table.tolist() == [1.0, 0.25]
-        with pytest.raises(InvalidArgument):
-            f.set_value(0, 0.1)  # below announced bounds
-        with pytest.raises(InvalidArgument):
-            f.set_value(7, 1.0)
+        f = TableField([1.0, 1.0], future=[0.25, 3.0])
+        assert (f.sigma_min, f.sigma_max) == (0.25, 3.0)
+        assert f.table.tolist() == [1.0, 1.0]
+        with pytest.raises(ValidationError, match="positive"):
+            TableField([1.0, 1.0], future=[0.0])
+
+    def test_fields_are_read_only_copies(self):
+        values, center = np.array([1.0, 2.0]), np.array([0.5, 0.5])
+        table = TableField(values)
+        cone = SpatialConeField(center, 0.0, 2.0, 1.0, 0.5)
+        step = TimeStepField(np.array([1.0]), np.array([1.0, 2.0]))
+        for arr in (table.table, cone.center, step.boundaries, step.sigmas):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 9.0
+        values[0] = center[0] = 9.0  # the caller's arrays stay theirs
+        assert table.table.tolist() == [1.0, 2.0]
+        assert cone.center.tolist() == [0.5, 0.5]
+        assert values.flags.writeable and center.flags.writeable
 
     def test_composite_is_pointwise_min(self):
         f = CompositeMinField([ConstantField(2.0), TimeStepField([1.0], [3.0, 0.5])])
@@ -115,13 +124,8 @@ class TestBuiltinFields:
         for name, make in makers.items():
             with pytest.raises(ValidationError, match=rf"^{re.escape(name)} must be finite"):
                 make()
-        table = TableField([1.0, 2.0])
-        with pytest.raises(ValidationError, match=r"^sigmas\[1\] must be finite"):
-            table.note_future_sigma([0.5, bad])
-        with pytest.raises(ValidationError, match="^sigma must be finite"):
-            table.set_value(0, bad)
-        assert (table.sigma_min, table.sigma_max) == (1.0, 2.0)
-        assert table.table.tolist() == [1.0, 2.0]
+        with pytest.raises(ValidationError, match=r"^future\[1\] must be finite"):
+            TableField([1.0, 2.0], future=[0.5, bad])
 
     def test_negative_time_raises(self):
         with pytest.raises(OutOfDomain):

@@ -177,8 +177,16 @@ class TestTextFormat:
         path = tmp_path / "m.mesh"
         path.write_text("dim 1\nv 0.0\nv 1e999\ns 0 1\n")
         with pytest.raises(ValidationError,
-                           match=r"non-finite coordinates \[inf\] \(at vertex 1\)"):
+                           match=r"non-finite coordinates \[inf\] \(at vertex 1 of .*m\.mesh\)$"):
             load_mesh(path)
+
+    def test_structural_error_names_file_and_simplex_once(self, tmp_path):
+        path = tmp_path / "m.mesh"
+        path.write_text("dim 2\nv 0 0\nv 1 0\nv 0 1\nv 2 0\ns 0 1 2\ns 0 1 3\n")
+        with pytest.raises(ValidationError) as info:
+            load_mesh(path)
+        assert str(info.value) == (
+            f"degenerate simplex (0, 1, 3) (width 0) (at simplex 1 of {path})")
 
     def test_tokens_parse_as_python_float_and_int(self, tmp_path):
         path = tmp_path / "m.mesh"

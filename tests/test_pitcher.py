@@ -15,6 +15,7 @@ from tentmesh.constraints import ConstraintConfig
 from tentmesh.cli import export_spacetime_mesh
 from tentmesh.errors import ContractViolation, InvalidArgument, ValidationError
 from tentmesh.fields import (
+    CompositeMinField,
     ConstantField,
     SpatialConeField,
     TableField,
@@ -470,7 +471,62 @@ def test_run_leaves_caller_field_and_script_reusable(tmp_path):
     assert outputs[0] == outputs[1]
     assert field.table.tolist() == [1.0] * mesh.n_simplices
     assert field.sigma_max == 1.0 and field.domain is None
-    assert script.pending == 10
+    assert script.rows == parse_script("".join(f"{e} 0.1 1.5\n"
+                                               for e in range(10))).rows
+
+
+def _composite_case():
+    """A 2D composite of table and slow-down cone, with a script whose rows
+    all fire before the target; built afresh on every call."""
+    mesh = grid_mesh(4, 4, skew=0.1)
+    rng = np.random.default_rng(5)
+    table = TableField(rng.uniform(1.0, 1.5, mesh.n_simplices))
+    field = CompositeMinField([table, SpatialConeField([0.2, 0.2], 0.0, 2.0,
+                                                       1.25, 0.1)])
+    script = parse_script("".join(f"{e} {0.02 * (e % 5)!r} {1.6 + 0.1 * (e % 3)!r}\n"
+                                  for e in range(0, mesh.n_simplices, 3)))
+    return mesh, field, script
+
+
+def test_rerun_identity_with_composite_field_and_script(tmp_path):
+    # One set of input objects drives two runs: the heights and --out bytes
+    # agree, and afterwards every input equals a freshly built one.
+    mesh, field, script = _composite_case()
+    outputs, heights = [], []
+    for k in range(2):
+        run = advance_until(mesh, field, 0.12, script=script)
+        assert run.stats["script_rows_fired"] == len(script.rows)
+        export_spacetime_mesh(run.stmesh, tmp_path / f"run{k}.txt")
+        outputs.append((tmp_path / f"run{k}.txt").read_bytes())
+        heights.append(run.heights.tobytes())
+    assert outputs[0] == outputs[1] and heights[0] == heights[1]
+    _, fresh, fresh_script = _composite_case()
+    for got, want in zip(field.children, fresh.children):
+        assert (got.sigma_min, got.sigma_max) == (want.sigma_min, want.sigma_max)
+        assert got.domain is None
+    assert field.children[0].table.tobytes() == fresh.children[0].table.tobytes()
+    assert (field.sigma_min, field.sigma_max) == (fresh.sigma_min, fresh.sigma_max)
+    assert field.domain is None
+    assert script.rows == fresh_script.rows
+    # The run's own field carries the rewrites and the widened bounds.
+    assert run.field.children[0].table.tolist() != field.children[0].table.tolist()
+    assert run.field.sigma_max > field.sigma_max
+
+
+@pytest.mark.parametrize("mesh, field", [
+    (grid_mesh(2, 2), TableField([1.0, 1.0])),
+    (interval_mesh([0.0, 1.0]), TableField([1.0, 1.0])),
+    (grid_mesh(3, 3), SpatialConeField([0.5], 0.0, 2.0, 1.0, 0.5)),
+    (interval_mesh([0.0, 0.5, 1.0]), SpatialConeField([0.5, 0.0], 2.0, 1.0, 0.5, 1.0)),
+])
+def test_run_rejects_field_that_does_not_fit_mesh(mesh, field):
+    with pytest.raises(ValidationError, match="^(table|cone) field"):
+        advance_until(mesh, field, 0.5)
+
+
+def test_run_rejects_target_beyond_finite_floor_count():
+    with pytest.raises(ValidationError, match="target time"):
+        advance_until(interval_mesh([0.0, 0.5, 1.0]), ConstantField(1.0), 1e308)
 
 
 def test_run_rejects_nan_target():
