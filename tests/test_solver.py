@@ -69,12 +69,18 @@ def _line(n):
     return interval_mesh(np.arange(n + 1.0))
 
 
-def test_bind_run_widens_table_and_composite_bounds():
+def test_attach_widens_table_bounds():
+    # Attaching a script to a run (bind_run) widens the run table's bounds
+    # to cover the script's slopes and leaves the caller's table alone.
     table = TableField([1.0, 1.0])
     script = parse_script("0 0.5 0.25\n1 0.75 4.0\n")
     bound = bind_run(_line(2), table, script)
     assert (bound.sigma_min, bound.sigma_max) == (0.25, 4.0)
     assert (table.sigma_min, table.sigma_max) == (1.0, 1.0)
+
+
+def test_attach_refreshes_composite_bounds():
+    table = TableField([1.0, 1.0])
     combo = CompositeMinField([ConstantField(2.0), table])
     bound = bind_run(_line(2), combo, parse_script("0 0.5 0.25\n"))
     assert isinstance(bound, CompositeMinField) and bound is not combo
@@ -83,10 +89,13 @@ def test_bind_run_widens_table_and_composite_bounds():
     assert combo.sigma_min == 1.0
 
 
-def test_bind_run_checks_script_against_table():
+def test_attach_requires_table():
     script = parse_script("0 0.5 0.25\n")
     with pytest.raises(InvalidArgument, match="table"):
         bind_run(_line(2), ConstantField(1.0), script)
+
+
+def test_attach_checks_element_range():
     for elem in (2, -1):
         with pytest.raises(ValidationError, match=f"element {elem} outside table of 2"):
             bind_run(_line(2), TableField([1.0, 1.0]),
