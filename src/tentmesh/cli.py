@@ -192,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.5,
                    help="progress parameter in (0, 1/2] (default 0.5)")
     p.add_argument("--eta", type=float, default=None,
-                   help="safety margin (default 1e-9 * sigma_min * wmin)")
+                   help="height-search resolution and 1D remote-cone margin "
+                        "(default 1e-9 * sigma_min * wmin)")
     p.add_argument("--heuristic", choices=HEURISTICS, default="lowest",
                    help="vertex selection rule (default lowest)")
     p.add_argument("--no-hierarchy", action="store_true",

@@ -94,9 +94,10 @@ class ConstraintConfig:
     """Pitching parameters derived from the mesh and field.
 
     ``tmin_1d = sigma_min * wmin`` and ``tmin_2d = epsilon * sigma_min *
-    wmin`` are the guaranteed step floors; ``eta`` is the safety margin
-    subtracted from greedy step heights (and the resolution the greedy search
-    works to).
+    wmin`` are the guaranteed step floors.  ``eta`` is the resolution of the
+    greedy height search, which stops once its bracket is narrower than
+    ``eta / 8`` and returns the verified lower end; in 1D it is also the
+    margin by which a tentpole stays below the earliest remote cone entry.
     """
 
     epsilon: float
@@ -291,6 +292,15 @@ class FacetVerdicts(NamedTuple):
         scale = np.maximum(1.0, scale)
         return cls(slack, scale, np.broadcast_to(binding, slack.shape),
                    slack >= -rel_tol * scale)
+
+    def margin(self, rel_tol: float) -> float:
+        """``min(slack + rel_tol * scale)``: >= 0 exactly when all are satisfied.
+
+        A rounded sum of two finite floats has the sign of the exact sum, so
+        for finite slacks this agrees with ``satisfied`` facet for facet; a
+        NaN slack gives a NaN margin.
+        """
+        return float(np.min(self.slack + rel_tol * self.scale))
 
     def verdict(self, i: int) -> ConstraintVerdict:
         return ConstraintVerdict(bool(self.satisfied[i]), float(self.slack[i]),

@@ -16,10 +16,13 @@ in 1D, ``epsilon * sigma_min * wmin`` in 2D), which a local-minimum lift can
 always take safely.  That floor is what guarantees termination.
 
 The height search brackets the top between the floor and a closed-form local
-cap, accepts the cap if it verifies against the sampled field, and otherwise
-bisects downward, returning a value at least ``eta`` below the last
-infeasible candidate.  All choices (vertex selection, tie-breaks, bisection)
-are deterministic, so a run is a pure function of its inputs.
+cap and accepts the cap if it verifies against the sampled field.  Otherwise
+a safeguarded Illinois regula falsi on the star's margin (the smallest
+tolerance-adjusted slack the verifier computes, >= 0 exactly when the star
+is acceptable) narrows the bracket to ``eta / 8`` and returns its verified
+lower end: every height a run takes is a probed, feasible point.  All
+choices (vertex selection, tie-breaks, search steps) are deterministic, so a
+run is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .fields import SlopeField
 from .front import Front, advance, initial_front, local_minima
 from .hierarchy import build as build_cones
 from .mesh import SpaceMesh
-from .solver import SlopeScript, bind_run, solve_patch
+from .solver import SlopeScript, bind_run, seal_run, solve_patch
 
 HEURISTICS = ("lowest", "min-slope", "round-robin")
 
@@ -208,13 +211,15 @@ def local_cap(mesh: SpaceMesh, times: np.ndarray, p: int,
 
 def star_feasible(mesh: SpaceMesh, times: np.ndarray, p: int, c: float,
                   field: SlopeField, config: ConstraintConfig,
-                  cones=None) -> bool:
+                  cones=None, *, margin: list | None = None) -> bool:
     """Whether topping p at time c leaves its star acceptable.
 
     1D: each lifted segment causal against the field sampled over it, the
     slopes :func:`~tentmesh.solver.solve_patch` stores for the same star.
     2D: each lifted triangle progressive, with the smallest intersecting
-    remote cone slope capping the causality half.
+    remote cone slope capping the causality half.  When ``margin`` is a
+    list, the star's :meth:`~tentmesh.constraints.FacetVerdicts.margin` from
+    the same evaluation is appended to it (>= 0 exactly when feasible).
     """
     sids = mesh.stars[p]
     rows = mesh.simplices[sids]
@@ -228,6 +233,8 @@ def star_feasible(mesh: SpaceMesh, times: np.ndarray, p: int, c: float,
             mesh.vertices[rows], lifted, rows, mesh.apex_geometry.take(sids),
             field, config, elements=sids, sigma_cap=sigma_rem,
         )
+    if margin is not None:
+        margin.append(verdicts.margin(config.rel_tol))
     return bool(verdicts.satisfied.all())
 
 
@@ -251,43 +258,73 @@ def pitch_bracket(mesh: SpaceMesh, front: Front, field: SlopeField,
     return floor_top, cap
 
 
-def _bisect_top(feasible, lo: float, hi: float,
-                eta: float) -> tuple[float, float, int]:
-    """Shrink [feasible lo, infeasible hi] to width eta/8.
+# Steps the bracket may take without halving before a bisection is forced.
+STALL_STEPS = 2
 
-    Returns (lo, hi, steps); lo is always a verified-feasible point.
+
+def search_top(probe, lo: float, m_lo: float, hi: float, m_hi: float,
+               tol: float) -> tuple[float, float, int]:
+    """Narrow [feasible lo, infeasible hi] to width ``tol``; (lo, hi, steps).
+
+    ``probe(x)`` returns (feasible, margin) with margin >= 0 exactly when
+    feasible; ``m_lo`` and ``m_hi`` are the margins at the ends.  The next
+    probe is the Illinois regula falsi point (the secant through the two
+    ends, with the end kept twice running halved in weight), clamped to at
+    least ``tol / 2`` inside the bracket, so a secant that lands on the root
+    is followed by a probe just past it that closes the bracket.  When the
+    bracket has not halved over ``STALL_STEPS`` steps, the next probe
+    bisects, so margins with kinks or jumps still converge: at most
+    ``(STALL_STEPS + 1) * (ceil(log2((hi - lo) / tol)) + 1)`` steps.
+    ``lo`` stays a verified-feasible probe and ``hi`` an infeasible one.
     """
-    tol = eta / 8.0
-    span = hi - lo
-    max_iters = min(128, math.ceil(math.log2(max(2.0, span / tol))) + 5)
     steps = 0
-    while hi - lo > tol and steps < max_iters:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # float resolution exhausted
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
+    ref, since = hi - lo, 0    # width when the bracket last halved
+    side = 0                   # +1: lo moved last step, -1: hi moved
+    while hi - lo > tol:
+        x = lo + 0.5 * (hi - lo)
+        if since < STALL_STEPS and math.isfinite(m_lo - m_hi) \
+                and m_lo >= 0.0 > m_hi:
+            x = lo + (hi - lo) * (m_lo / (m_lo - m_hi))
+            x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        if not lo < x < hi:
+            x = lo + 0.5 * (hi - lo)
+            if not lo < x < hi:
+                break  # float resolution exhausted
+        ok, m = probe(x)
         steps += 1
+        if ok:
+            lo, m_lo = x, m
+            if side > 0:
+                m_hi *= 0.5
+            side = 1
+        else:
+            hi, m_hi = x, m
+            if side < 0:
+                m_lo *= 0.5
+            side = -1
+        since += 1
+        if hi - lo <= 0.5 * ref or since > STALL_STEPS:
+            ref, since = hi - lo, 0
     return lo, hi, steps
 
 
-def _rescue_foothold(feasible, lo: float, hi: float,
-                     samples: int = 32) -> float | None:
-    """First feasible point on a uniform grid over (lo, hi), or None.
+def _rescue_foothold(probe, lo: float, hi: float,
+                     samples: int = 32) -> tuple[float, float] | None:
+    """First feasible probe on a uniform grid over (lo, hi), or None.
 
-    Used when the floor itself is infeasible: a slope drop can shrink the
-    progress budget of a facet after its time spread was already built under
-    the old slope, leaving a feasible *interval* strictly above the floor
-    (the vertex must catch up in one larger step).  Both endpoints are known
-    infeasible, so only interior grid points are probed.
+    Returns (point, margin).  Used when the floor itself is infeasible: a
+    slope drop can shrink the progress budget of a facet after its time
+    spread was already built under the old slope, leaving a feasible
+    *interval* strictly above the floor (the vertex must catch up in one
+    larger step).  Both endpoints are known infeasible, so only interior
+    grid points are probed.
     """
     step = (hi - lo) / samples
     for k in range(1, samples):
-        c = lo + k * step
-        if feasible(c):
-            return c
+        x = lo + k * step
+        ok, m = probe(x)
+        if ok:
+            return x, m
     return None
 
 
@@ -296,22 +333,35 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
                   stats: dict | None = None) -> float:
     """Height for pitching p: floor-bounded, verified against the field.
 
-    Accepts the closed-form cap when it verifies directly; otherwise bisects
-    down and backs off by eta from the last infeasible candidate, so the
-    result sits within eta of the feasible supremum whenever feasibility is
-    downward closed on the bracket.  If even the floor fails -- possible only
-    when a slope drop overtakes the front, shrinking a progress budget that
-    was filled under the older, larger slope -- a bounded grid scan looks for
-    a verified catch-up height above the floor before declaring the run
-    wedged.  Never returns less than the floor.
+    Accepts the closed-form cap when it verifies directly; otherwise
+    :func:`search_top` narrows [floor, cap] to ``eta / 8``, steered by the
+    star's margin, and the verified lower end is returned, so the result
+    sits within ``eta / 8`` of a feasibility boundary.  If even the floor
+    fails -- possible only when a slope drop overtakes the front, shrinking
+    a progress budget that was filled under the older, larger slope -- a
+    bounded grid scan looks for a verified catch-up height above the floor,
+    and the same search narrows from there, before declaring the run
+    wedged.  Every returned height h was probed and accepted as the top
+    ``t_p + h``, and none is below the floor.  ``stats["bisection_steps"]``
+    counts the search's probes.
     """
     times = front.times
     t_p = float(times[p])
     floor_top, cap = pitch_bracket(mesh, front, field, config, cones, p)
     tmin = config.tmin(mesh.dim)
+    tol = config.eta / 8.0
 
-    def feasible(c: float) -> bool:
-        return star_feasible(mesh, times, p, c, field, config, cones)
+    # The search runs over heights, so every returned height h is exactly
+    # the height of a probed top t_p + h.
+    def probe(h: float) -> tuple[bool, float]:
+        out: list[float] = []
+        ok = star_feasible(mesh, times, p, t_p + h, field, config, cones,
+                           margin=out)
+        return ok, out[0]
+
+    def count(key: str, n: int = 1) -> None:
+        if stats is not None:
+            stats[key] += n
 
     def wedge() -> ContractViolation:
         # Fields whose slope drops after the front has passed below the
@@ -323,19 +373,21 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
             "was not progressive"
         )
 
-    if cap > floor_top and feasible(cap):
-        if stats is not None:
-            stats["cap_hits"] += 1
-        return max(tmin, cap - t_p)
-    if feasible(floor_top):
+    h_cap = cap - t_p
+    if cap > floor_top:
+        h_cap = max(tmin, h_cap)
+        cap_ok, m_cap = probe(h_cap)
+        if cap_ok:
+            count("cap_hits")
+            return h_cap
+    floor_ok, m_floor = probe(tmin)
+    if floor_ok:
         if cap <= floor_top:
-            if stats is not None:
-                stats["floor_hits"] += 1
+            count("floor_hits")
             return tmin
-        lo, hi, steps = _bisect_top(feasible, floor_top, cap, config.eta)
-        if stats is not None:
-            stats["bisection_steps"] += steps
-        return max(tmin, (hi - config.eta) - t_p)
+        h, _, steps = search_top(probe, tmin, m_floor, h_cap, m_cap, tol)
+        count("bisection_steps", steps)
+        return h
     # The floor itself failed: a slope drop outpaced the front, shrinking a
     # progress budget that was filled under the older, larger slope.  The
     # closed-form cap shares that collapsed slope, so the catch-up height
@@ -346,19 +398,18 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
     hi_r = max(cap, nb_max + tmin)
     if hi_r <= floor_top:
         raise wedge()
-    if feasible(hi_r):
-        if stats is not None:
-            stats["floor_rescues"] += 1
-        return hi_r - t_p
-    lo = _rescue_foothold(feasible, floor_top, hi_r)
-    if lo is None:
+    h_r = hi_r - t_p
+    ok_r, m_r = probe(h_r)
+    if ok_r:
+        count("floor_rescues")
+        return h_r
+    foothold = _rescue_foothold(probe, tmin, h_r)
+    if foothold is None:
         raise wedge()
-    if stats is not None:
-        stats["floor_rescues"] += 1
-    lo, hi, steps = _bisect_top(feasible, lo, hi_r, config.eta)
-    if stats is not None:
-        stats["bisection_steps"] += steps
-    return lo - t_p
+    count("floor_rescues")
+    h, _, steps = search_top(probe, *foothold, h_r, m_r, tol)
+    count("bisection_steps", steps)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +515,7 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
     The run evaluates the field :func:`~tentmesh.solver.bind_run` makes of
     ``field`` and ``script``, and nothing the caller passed in is written:
     the returned :class:`TentRun` carries the run's own field, with any
-    scripted table rewrites applied.
+    scripted table rewrites applied and its table read-only.
     """
     if heuristic not in HEURISTICS:
         raise InvalidArgument(
@@ -535,6 +586,7 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
                 and len(stmesh.patches) % snapshot_every == 0:
             snapshot_cb(len(stmesh.patches), front)
 
+    seal_run(field)
     harr = np.asarray(heights)
     stats.update({
         "patches": len(stmesh.patches),

@@ -61,8 +61,12 @@ class SlopeScript:
         object.__setattr__(self, "rows", rows)
 
 
-def parse_script(text: str) -> SlopeScript:
-    """Parse script rows, one ``<element> <trigger> <sigma>`` per line."""
+def parse_script(text: str, source: str = "<script>") -> SlopeScript:
+    """Parse script rows, one ``<element> <trigger> <sigma>`` per line.
+
+    Errors name ``source:line``, or ``source`` alone for a script that
+    is wrong as a whole (duplicate rows, bad values).
+    """
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -71,21 +75,25 @@ def parse_script(text: str) -> SlopeScript:
         parts = line.split()
         if len(parts) != 3:
             raise ValidationError(
-                "expected '<element> <trigger> <sigma>'", location=f"line {lineno}"
+                "expected '<element> <trigger> <sigma>'",
+                location=f"{source}:{lineno}",
             )
         try:
             elem = int(parts[0])
             trigger = float(parts[1])
             sigma = float(parts[2])
         except ValueError as exc:
-            raise ValidationError(str(exc), location=f"line {lineno}") from exc
+            raise ValidationError(str(exc), location=f"{source}:{lineno}") from exc
         rows.append(ScriptRow(elem, trigger, sigma))
-    return SlopeScript(rows)
+    try:
+        return SlopeScript(rows)
+    except ValidationError as exc:
+        raise ValidationError(exc.reason, location=source) from exc
 
 
 def load_script(path) -> SlopeScript:
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return parse_script(fh.read())
+        return parse_script(fh.read(), source=str(path))
 
 
 def _leaves(field: SlopeField):
@@ -147,6 +155,17 @@ def bind_run(mesh: SpaceMesh, field: SlopeField,
                            future=[row.sigma for row in script.rows])
     run_table.table.flags.writeable = True  # the run's own copy
     return _replace(field, table, run_table)
+
+
+def seal_run(field: SlopeField) -> None:
+    """Make the table of a finished run's field read-only.
+
+    The field a run returns is then a value like the caller's own fields:
+    a later :func:`bind_run` of it with a script copies the table again.
+    """
+    table = _find_table(field)
+    if table is not None:
+        table.table.flags.writeable = False
 
 
 def solve_patch(field: SlopeField, config: ConstraintConfig,

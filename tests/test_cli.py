@@ -280,6 +280,19 @@ def test_cli_nonfinite_script_row_exit_2(case_1d, capsys, row, name):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,line", [("0 0.1 2.0\n0 0.2\n", ":2)"),
+                                       ("0 0.1 two\n", ":1)"),
+                                       ("0 0.1 2.0\n0 0.1 3.0\n", ")")])
+def test_cli_bad_script_row_names_the_file(case_1d, capsys, text, line):
+    # Row errors read path:line; a duplicate is an error of the whole file.
+    (case_1d / "field.txt").write_text("table table.txt\n")
+    (case_1d / "table.txt").write_text("0 1.0\n1 1.0\n2 1.0\n")
+    script = case_1d / "script.txt"
+    script.write_text(text)
+    assert main(_argv(case_1d, "--script", str(script))) == 2
+    assert f"(at {script}{line}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("extra", [["--max-patches", "-1"],
                                    ["--snapshot-every", "-3", "--out", "o.txt"]])
 def test_cli_negative_count_exit_2(case_1d, capsys, extra):

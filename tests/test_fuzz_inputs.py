@@ -174,4 +174,7 @@ def test_bytes_that_are_not_utf8_exit_2(tmp_path, capsys, name):
     argv = ["--mesh", str(tmp_path / "mesh"), "--field", str(tmp_path / "field"),
             "--script", str(tmp_path / "script"), "--target-time", "0.2"]
     assert main(argv) == 2
-    assert "\ufffd" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "\ufffd" in err
+    if name == "script":
+        assert f"(at {tmp_path / 'script'}:1)" in err

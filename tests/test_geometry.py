@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tentmesh.errors import DegenerateSimplex
@@ -219,6 +219,7 @@ def test_normals_dot_sign_tracks_angle_at_r(pts):
 
 
 @given(triangles())
+@example(np.array([[0.0, 0.05], [-219.0, -219.0], [-327.0, -327.0]]))
 @settings(max_examples=200, deadline=None)
 def test_width_is_smallest_altitude(pts):
     p, q, r = pts
@@ -229,4 +230,17 @@ def test_width_is_smallest_altitude(pts):
         project_onto_line(r, p, q)[1],
     ]
     assert w == pytest.approx(min(alts), rel=1e-9)
-    assert w <= min(alts) * (1 + 1e-12)
+    # Both sides are twice the area over an edge length, but the area is a
+    # cross product taken at a different vertex: at p for the width, at the
+    # apex for an altitude.  The cross product at a vertex with edges e1, e2
+    # rounds the two coordinate differences, the two products and their
+    # difference, an absolute error of a few ulps of |e1| * |e2|; relative
+    # to twice the area that is a few ulps times |e1| * |e2| / area2, large
+    # for a near-collinear triangle.  The edge lengths add an ulp or two.
+    (a, b), (c, d) = q - p, r - p
+    area2 = abs(a * d - b * c)
+    ratio = [np.linalg.norm(b - a) * np.linalg.norm(c - a) / area2
+             for a, b, c in ((p, q, r), (q, r, p), (r, p, q))]
+    k = int(np.argmin(alts))
+    bound = 4.0 * np.finfo(float).eps * (ratio[0] + ratio[k] + 2.0)
+    assert w <= min(alts) * (1.0 + bound)

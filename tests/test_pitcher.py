@@ -1,8 +1,8 @@
 """Driver tests: greedy heights, patch bookkeeping, and full runs.
 
 Derivations for the frozen values are spelled out at each test; eta below
-always means the configured safety margin (1e-9 * sigma_min * wmin unless a
-test overrides it).
+always means the configured height-search resolution and 1D remote-cone
+margin (1e-9 * sigma_min * wmin unless a test overrides it).
 """
 
 import math
@@ -24,14 +24,17 @@ from tentmesh.fields import (
 from tentmesh.front import Front, initial_front
 from tentmesh.hierarchy import build as build_cones
 from tentmesh.mesh import build_mesh, grid_mesh, interval_mesh, strip_mesh
+from tentmesh import pitcher
 from tentmesh.pitcher import (
     HEURISTICS,
+    STALL_STEPS,
     SpacetimeMesh,
     advance_until,
     front_prism_volume,
     greedy_height,
     local_cap,
     pitch_bracket,
+    search_top,
     star_feasible,
 )
 from tentmesh.solver import parse_script, solve_patch
@@ -331,6 +334,154 @@ def test_greedy_never_below_floor(data):
     assert h >= cfg.tmin(dim)
 
 
+# -- the height search -------------------------------------------------------
+
+
+_TOL = 1e-9 / 8.0
+
+
+def _step_bound(lo, hi, tol):
+    """search_top's stated worst case over the bracket [lo, hi]."""
+    return (STALL_STEPS + 1) * (math.ceil(math.log2((hi - lo) / tol)) + 1)
+
+
+_MARGINS = {
+    "line": lambda r: lambda x: 0.7 * (r - x),
+    # The shallow line binds far from the root, the steep one near it.
+    "kink": lambda r: lambda x: min(2.0 * (r - x), 0.05 + 0.01 * (r - x)),
+    "step": lambda r: lambda x: 0.3 if x < r else -0.8,
+    "flat-zero": lambda r: lambda x: 0.0 if x <= r else r - x,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_MARGINS))
+@settings(max_examples=60, deadline=None)
+@given(root=st.floats(0.001, 0.999))
+def test_search_top_on_synthetic_margins(shape, root):
+    margin = _MARGINS[shape](root)
+    probed = []
+
+    def probe(x):
+        probed.append(x)
+        m = margin(x)
+        return m >= 0.0, m
+
+    lo, hi, steps = search_top(probe, 0.0, margin(0.0), 1.0, margin(1.0), _TOL)
+    assert margin(lo) >= 0.0 > margin(hi)
+    assert 0.0 < hi - lo <= _TOL
+    assert steps == len(probed) <= _step_bound(0.0, 1.0, _TOL)
+    assert lo in probed and hi in probed
+    if shape == "line":
+        assert steps <= 3
+
+
+def _check_heights(mp) -> list[int]:
+    """Make every greedy height assert that it is a probed, feasible top.
+
+    Wraps ``pitcher.star_feasible`` (to record accepted probes) and
+    ``pitcher.greedy_height`` through the monkeypatch ``mp``; returns a
+    one-element list counting the checked heights.
+    """
+    real_probe, real_height = pitcher.star_feasible, pitcher.greedy_height
+    accepted = []
+    checked = [0]
+
+    def probe(mesh, times, p, c, *rest, **kw):
+        ok = real_probe(mesh, times, p, c, *rest, **kw)
+        if ok:
+            accepted.append(c)
+        return ok
+
+    def height(mesh, front, field, config, cones, p, stats=None):
+        accepted.clear()
+        h = real_height(mesh, front, field, config, cones, p, stats)
+        top = float(front.times[p]) + h
+        assert h >= config.tmin(mesh.dim)
+        assert top in accepted
+        assert real_probe(mesh, front.times, p, top, field, config, cones) is True
+        checked[0] += 1
+        return h
+
+    mp.setattr(pitcher, "star_feasible", probe)
+    mp.setattr(pitcher, "greedy_height", height)
+    return checked
+
+
+def _random_case(rng, dim, kind):
+    if dim == 1:
+        mesh = interval_mesh(np.concatenate(
+            [[0.0], np.cumsum(rng.uniform(0.3, 2.0, size=int(rng.integers(2, 6))))]))
+    else:
+        mesh = (grid_mesh(2, 2), strip_mesh(4),
+                grid_mesh(3, 3, skew=0.2))[int(rng.integers(3))]
+    script = None
+    if kind == "constant":
+        field = ConstantField(float(rng.uniform(0.4, 1.5)))
+    elif kind == "timestep":
+        levels = [float(rng.uniform(0.8, 1.5)), float(rng.uniform(0.2, 0.5))]
+        if dim == 2 and rng.integers(2):
+            levels.reverse()
+        field = TimeStepField([float(rng.uniform(0.05, 0.4))], levels)
+    elif kind == "cone":
+        field = SpatialConeField(mesh.vertices.mean(axis=0), 0.0, 1.5, 0.5, 0.5)
+    else:
+        m = mesh.n_simplices
+        field = TableField(rng.uniform(0.8, 2.0, m))
+        script = parse_script("".join(
+            f"{e} {t!r} {s!r}\n" for e, t, s in
+            zip(rng.integers(m, size=m).tolist(), rng.uniform(0.0, 1.0, m).tolist(),
+                rng.uniform(0.05, 2.0, m).tolist())))
+    return mesh, field, script
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_greedy_heights_are_probed_feasible_tops(data):
+    # c07-style random fronts (coarse eta), then every height of a short
+    # run: each is a top the search probed and accepted, never below tmin.
+    dim = data.draw(st.sampled_from([1, 2]))
+    kind = data.draw(st.sampled_from(["constant", "timestep", "cone",
+                                      "table+script"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mesh, field, script = _random_case(rng, dim, kind)
+    with pytest.MonkeyPatch.context() as mp:
+        checked = _check_heights(mp)
+        if script is None:
+            cfg, _, _ = _setup(mesh, field)
+            cfg = cfg.with_eta(1e-2 * cfg.tmin(dim))
+            front = random_front(mesh, cfg, rng, pitches=int(rng.integers(0, 4)))
+            cones = build_cones(mesh, front, field, cfg)
+            pitcher.greedy_height(mesh, front, field, cfg, cones,
+                                  front.argmin_vertex())
+            assert checked[0] == 1
+            checked[0] = 0
+        try:
+            run = advance_until(mesh, field, 0.6, script=script, max_patches=25)
+        except ContractViolation:
+            return  # a scripted drop can wedge a run after checked heights
+    assert checked[0] == run.stats["patches"] > 0
+
+
+def test_floor_rescue_heights_are_probed_feasible_tops():
+    # Interval [0, 1, 3], slopes 1.  Vertex 0 rises to 1 - eta; its patch
+    # fires the row that drops segment [0, 1] to slope 0.2, so tmin = 0.2.
+    # Vertex 1 (at 0) then needs |1 - eta - c| <= 0.2: its floor 0.2 and its
+    # cap of about 2 (stored slope 1 over both segments) both fail, so the
+    # rescue probes the cap again, then a grid over (0.2, 2) finds a
+    # foothold, and the search narrows to just under 1.2 - eta.
+    mesh = interval_mesh([0.0, 1.0, 3.0])
+    with pytest.MonkeyPatch.context() as mp:
+        checked = _check_heights(mp)
+        run = advance_until(mesh, TableField([1.0, 1.0]), 1.5,
+                            script=parse_script("0 0.5 0.2\n"))
+    assert run.stats["floor_rescues"] == 1
+    assert run.stats["bisection_steps"] > 0
+    assert checked[0] == run.stats["patches"]
+    eta = run.config.eta
+    assert run.heights[1] == pytest.approx(1.2 - eta, abs=eta / 8)
+    assert run.heights[1] <= 1.2 - eta
+
+
 # -- full runs ---------------------------------------------------------------
 
 
@@ -511,6 +662,23 @@ def test_rerun_identity_with_composite_field_and_script(tmp_path):
     # The run's own field carries the rewrites and the widened bounds.
     assert run.field.children[0].table.tolist() != field.children[0].table.tolist()
     assert run.field.sigma_max > field.sigma_max
+
+
+def test_finished_run_field_is_read_only_and_rebinds():
+    # The run's table is frozen when advance_until returns; running again
+    # from run.field with a script binds a fresh writable copy, and the
+    # first run's table keeps its rewrites.
+    mesh, field, script = _composite_case()
+    run = advance_until(mesh, field, 0.12, script=script)
+    table = run.field.children[0].table
+    before = table.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 9.0
+    again = advance_until(mesh, run.field, 0.2, script=script)
+    assert again.stats["script_rows_fired"] == len(script.rows)
+    assert again.field.children[0].table is not table
+    assert not again.field.children[0].table.flags.writeable
+    assert table.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("mesh, field", [

@@ -42,10 +42,10 @@ def test_parse_script_basic():
 
 
 def test_parse_script_rejects_bad_rows():
-    with pytest.raises(ValidationError, match="line 1"):
+    with pytest.raises(ValidationError, match="at <script>:1"):
         parse_script("1 0.5\n")
-    with pytest.raises(ValidationError, match="line 2"):
-        parse_script("0 0.5 1.0\n1 abc 1.0\n")
+    with pytest.raises(ValidationError, match="at rows.txt:2"):
+        parse_script("0 0.5 1.0\n1 abc 1.0\n", source="rows.txt")
     with pytest.raises(ValidationError, match="duplicate"):
         parse_script("1 0.5 2.0\n1 0.5 0.3\n")
     with pytest.raises(ValidationError, match="positive"):
