@@ -49,6 +49,12 @@ single-triangle checks bit for bit.  Worst-verdict rule: a triangle's
 verdict is the first minimum slack in the order causal 0, progress 0,
 causal 1, progress 1, ..., judged against its own scale.
 
+The pitcher's closed-form star cap, :func:`tentmesh.pitcher.local_cap`,
+solves the same two constraints for the top of the pitched vertex p, from
+the same :class:`~tentmesh.geometry.ApexGeometry` columns: the altitude form
+of :func:`causality_slack` at apex p, and the edge form of
+:func:`progress_ok` with p as the latest vertex.
+
 Every check returns a :class:`ConstraintVerdict` with a signed slack in time
 units; ``satisfied`` applies the relative tolerance ``rel_tol`` (slack down
 to ``-rel_tol * scale`` still passes, so exact-equality designs are stable
@@ -67,14 +73,7 @@ import numpy as np
 
 from .errors import InvalidArgument, ValidationError
 from .fields import SlopeField, sampled_min_simplices
-from .geometry import (
-    APEX_OTHERS,
-    ApexGeometry,
-    TriangleFrame,
-    apex_geometry,
-    frame,
-    phi,
-)
+from .geometry import APEX_OTHERS, ApexGeometry, apex_geometry, frame, phi
 from .mesh import SpaceMesh
 
 BINDING_CAUSALITY = "causality"
@@ -190,8 +189,7 @@ def causal_segment(t_a: float, t_b: float, length: float, sigma: float,
 
 
 def causal_triangle(points, times, sigma: float, apex: int = 0,
-                    rel_tol: float = 1e-12,
-                    fr: TriangleFrame | None = None) -> ConstraintVerdict:
+                    rel_tol: float = 1e-12) -> ConstraintVerdict:
     """Causality of a triangle facet, checked from the given apex.
 
     ``points`` is (3, 2) and ``times`` the matching vertex times; ``apex``
@@ -203,8 +201,7 @@ def causal_triangle(points, times, sigma: float, apex: int = 0,
     times = np.asarray(times, dtype=np.float64)
     others = [i for i in range(3) if i != apex]
     qi, ri = others
-    if fr is None:
-        fr = frame(points[apex], points[qi], points[ri])
+    fr = frame(points[apex], points[qi], points[ri])
     dt_qr = times[ri] - times[qi]
     g = abs(dt_qr) / fr.qr_len
     if g > sigma:
@@ -239,28 +236,6 @@ def progress_ok(points, times, sigma: float, epsilon: float,
     bound = (1.0 - epsilon) * sigma * phi(points[lo], points[mid], points[hi]) * length
     diff = float(times[hi] - times[mid])
     return _verdict(bound - diff, BINDING_PROGRESS, max(bound, diff), rel_tol)
-
-
-def progress_bound_rhs(fr: TriangleFrame, g: float, sigma_prog: float,
-                       epsilon: float) -> float:
-    """Upper bound on (t'(p) - t(u)) / |pu| imposed by the progress constraint.
-
-    ``fr`` is the frame of triangle (p, q, r) with q the earlier end of the
-    opposite edge and ``g = (t(r) - t(q)) / |qr| >= 0`` the gradient along
-    it.  Lifting p to the top of the triangle tilts the facet; rotating the
-    gradient onto the edge rp turns the progress bound into this cap on the
-    perpendicular rate at p.  Equivalently (and exactly): t'(p) may not
-    exceed ``t(r) + |rp| (1 - epsilon) sigma_prog phi_q``.
-    """
-    if g < 0.0:
-        raise InvalidArgument("gradient along qr must be nonnegative (q is earlier)")
-    c = fr.cos_nn
-    s = math.sqrt(max(0.0, 1.0 - c * c))
-    # Shape factor of q: larger sine of the angles at r and at p.
-    sin_at_r = fr.altitude / fr.rp_len
-    sin_at_p = fr.altitude * fr.qr_len / (fr.pq_len * fr.rp_len)
-    phi_q = min(1.0, max(sin_at_r, sin_at_p))
-    return ((1.0 - epsilon) * sigma_prog * phi_q - g * c) / s
 
 
 # ---------------------------------------------------------------------------

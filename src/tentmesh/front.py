@@ -12,6 +12,7 @@ validated for causality against the field before being accepted).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,11 +85,11 @@ def local_minima(front: Front) -> np.ndarray:
 
 
 def advance(front: Front, p: int, dt: float) -> Front:
-    """New front with vertex ``p`` lifted by ``dt >= 0``."""
+    """New front with vertex ``p`` lifted by a finite ``dt >= 0``."""
     if not 0 <= p < front.mesh.n_vertices:
         raise NotFound(f"vertex {p} does not exist")
-    if dt < 0.0:
-        raise InvalidArgument(f"lift must be nonnegative, got {dt}")
+    if not (dt >= 0.0 and math.isfinite(dt)):
+        raise InvalidArgument(f"lift must be finite and nonnegative, got {dt}")
     t = front.times.copy()
     t[p] += dt
     t.setflags(write=False)

@@ -112,55 +112,34 @@ def phi(p, q, r) -> float:
 
 @dataclass(frozen=True)
 class TriangleFrame:
-    """Scalars of a triangle pqr that the local cap and the checks read.
+    """Scalars of a triangle pqr for the altitude form of causality at apex p.
 
     ``altitude = |pu|`` with ``u`` the foot of the perpendicular from ``p``
     onto line qr; ``u_along`` is the signed coordinate of ``u`` on the qr
     axis measured from ``q`` (so ``u_along < 0`` or ``> qr_len`` when ``u``
-    falls outside the segment).  ``cos_nn`` is the dot product of the unit
-    normal of line qr pointing toward ``p`` and the unit normal of line rp
-    pointing toward ``q``; it is negative or zero exactly when the angle at
-    ``r`` is non-obtuse.
+    falls outside the segment).  :func:`~tentmesh.constraints.causal_triangle`
+    reads them directly; :func:`apex_geometry` collects them per (triangle,
+    apex) for the batched checks and the pitcher's star cap.
     """
 
     altitude: float
     u_along: float
     qr_len: float
-    rp_len: float
-    pq_len: float
-    cos_nn: float
 
 
 def frame(p, q, r) -> TriangleFrame:
     """Build the :class:`TriangleFrame` for triangle pqr.
 
-    Raises :class:`DegenerateSimplex` for degenerate triangles, for which the
-    normals would be ill-defined.
+    Raises :class:`DegenerateSimplex` for degenerate triangles.
     """
     p, q, r = as_point(p, 2), as_point(q, 2), as_point(r, 2)
     area2, _ = _require_nondegenerate(p, q, r)
-
     d_qr = r - q
     qr_len = math.hypot(d_qr[0], d_qr[1])
-    v_qr = d_qr / qr_len
-    n_qr = np.array([-v_qr[1], v_qr[0]])
-    if n_qr @ (p - q) < 0.0:
-        n_qr = -n_qr
-
-    d_rp = p - r
-    rp_len = math.hypot(d_rp[0], d_rp[1])
-    v_rp = d_rp / rp_len
-    n_rp = np.array([-v_rp[1], v_rp[0]])
-    if n_rp @ (q - p) < 0.0:
-        n_rp = -n_rp
-
     return TriangleFrame(
         altitude=area2 / qr_len,
-        u_along=float((p - q) @ v_qr),
+        u_along=float((p - q) @ (d_qr / qr_len)),
         qr_len=qr_len,
-        rp_len=rp_len,
-        pq_len=math.hypot(q[0] - p[0], q[1] - p[1]),
-        cos_nn=float(n_qr @ n_rp),
     )
 
 

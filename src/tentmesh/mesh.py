@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotFound, ValidationError
-from .geometry import DEGENERACY_RATIO, ApexGeometry, TriangleFrame, frame
+from .geometry import DEGENERACY_RATIO, ApexGeometry
 from .geometry import apex_geometry as _apex_geometry
 
 
@@ -70,7 +70,10 @@ class SpaceMesh:
     """An immutable simplicial mesh with precomputed adjacency and geometry.
 
     Treat instances as frozen after construction; the advancing front stores
-    times separately and never mutates the mesh.
+    times separately and never mutates the mesh.  Beyond the arrays
+    ``build_mesh`` fills in, the one derived value is :attr:`apex_geometry`,
+    which the 2D causality and progress checks and the pitcher's star cap
+    all read.
     """
 
     dim: int
@@ -84,8 +87,6 @@ class SpaceMesh:
     widths: np.ndarray | None = None                           # (m,)
     measures: np.ndarray | None = None                         # (m,) length or area
     centroids: np.ndarray | None = None                        # (m, dim)
-
-    _frame_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -111,24 +112,10 @@ class SpaceMesh:
     def apex_geometry(self) -> ApexGeometry:
         """2D only: :class:`ApexGeometry` of every triangle, row = simplex id.
 
-        Built on first use, by the first 2D causality or progressive check
-        of a run, so building a mesh and 1D runs never pay for it.
+        Built on first use, by the first 2D star cap or check of a run, so
+        building a mesh and 1D runs never pay for it.
         """
         return _apex_geometry(self.vertices[self.simplices])
-
-    def simplex_frame(self, sid: int, p: int, q: int, r: int) -> TriangleFrame:
-        """Memoized triangle frame for simplex ``sid`` with roles (p, q, r).
-
-        The vertex ids must be the three vertices of the simplex; the roles
-        (which vertex is the apex, which end of the opposite edge is q) select
-        one of six frames per triangle.
-        """
-        key = (sid, p, q, r)
-        got = self._frame_cache.get(key)
-        if got is None:
-            got = frame(self.vertices[p], self.vertices[q], self.vertices[r])
-            self._frame_cache[key] = got
-        return got
 
 
 def _diameter(vertices: np.ndarray) -> float:

@@ -16,7 +16,12 @@ in 1D, ``epsilon * sigma_min * wmin`` in 2D), which a local-minimum lift can
 always take safely.  That floor is what guarantees termination.
 
 The height search brackets the top between the floor and a closed-form local
-cap and accepts the cap if it verifies against the sampled field.  Otherwise
+cap and accepts the cap if it verifies against the sampled field.  The cap
+is where the verifier's own constraints reach zero on p's star for the
+smallest cone slope over it: in 1D the neighbor cone walls, in 2D per
+triangle the altitude form of causality at apex p and the edge form of
+progress with p as the latest vertex, both read from the mesh's cached
+:class:`~tentmesh.geometry.ApexGeometry`.  Otherwise
 a safeguarded Illinois regula falsi on the star's margin (the smallest
 tolerance-adjusted slack the verifier computes, >= 0 exactly when the star
 is acceptable) narrows the bracket to ``eta / 8`` and returns its verified
@@ -38,12 +43,12 @@ from .constraints import (
     facet_causality,
     front_causality_report,
     is_progressive_front,
-    progress_bound_rhs,
     progressive_verdicts,
 )
 from .errors import ContractViolation, InvalidArgument, ValidationError
 from .fields import SlopeField
 from .front import Front, advance, initial_front, local_minima
+from .geometry import APEX_OTHERS
 from .hierarchy import build as build_cones
 from .mesh import SpaceMesh
 from .solver import SlopeScript, bind_run, seal_run, solve_patch
@@ -184,9 +189,12 @@ def local_cap(mesh: SpaceMesh, times: np.ndarray, p: int,
     """Closed-form top-time cap from p's star alone, for slope sigma_loc.
 
     1D: the neighbor cone walls, t(q) + sigma |pq|.  2D: per star triangle,
-    the causality cap through the foot of the perpendicular plus the progress
-    cap in the same frame; the time at the foot is extrapolated linearly
-    along the opposite edge.
+    the top at which one of the verifier's own constraints reaches zero,
+    read from ``mesh.apex_geometry``: causality in the altitude form of
+    :func:`~tentmesh.constraints.causality_slack` at apex p, and progress in
+    the edge form of :func:`~tentmesh.constraints.progress_ok` with p as the
+    latest vertex, ``t(b) + |bp| (1 - epsilon) sigma phi(a)`` for the earlier
+    end a and the later end b of the opposite edge, ordered by (time, id).
     """
     cap = math.inf
     if mesh.dim == 1:
@@ -195,16 +203,22 @@ def local_cap(mesh: SpaceMesh, times: np.ndarray, p: int,
             q = int(row[1]) if int(row[0]) == p else int(row[0])
             cap = min(cap, float(times[q]) + sigma_loc * float(mesh.measures[sid]))
         return cap
-    for sid in mesh.stars[p]:
-        row = mesh.simplices[sid]
-        a, b = (int(v) for v in row if int(v) != p)
-        if (float(times[b]), b) < (float(times[a]), a):
-            a, b = b, a
-        fr = mesh.simplex_frame(int(sid), p, a, b)
-        g = (float(times[b]) - float(times[a])) / fr.qr_len
-        t_u = float(times[a]) + fr.u_along * g
-        causal = t_u + fr.altitude * math.sqrt(max(0.0, sigma_loc * sigma_loc - g * g))
-        progress = t_u + fr.altitude * progress_bound_rhs(fr, g, sigma_loc, epsilon)
+    geo = mesh.apex_geometry
+    budget = (1.0 - epsilon) * sigma_loc
+    for sid in mesh.stars[p].tolist():
+        row = mesh.simplices[sid].tolist()
+        k = row.index(p)
+        qi, ri = APEX_OTHERS[k]
+        t_q, t_r = float(times[row[qi]]), float(times[row[ri]])
+        length = float(geo.qr_len[sid, k])
+        g = abs(t_r - t_q) / length
+        w = float(geo.u_along[sid, k]) / length
+        t_u = t_q * (1.0 - w) + t_r * w
+        causal = t_u + float(geo.altitude[sid, k]) * math.sqrt(
+            max(0.0, sigma_loc * sigma_loc - g * g))
+        # Rows are id-sorted, so a time tie leaves q the earlier end.
+        a, t_b = (ri, t_q) if t_r < t_q else (qi, t_r)
+        progress = t_b + float(geo.edge_len[sid, a]) * (budget * float(geo.phi[sid, a]))
         cap = min(cap, causal, progress)
     return cap
 
@@ -457,19 +471,26 @@ class TentRun:
     stats: dict
 
 
-def _patch_guard(mesh: SpaceMesh, config: ConstraintConfig, span: float) -> int:
+def _patch_guard(mesh: SpaceMesh, config: ConstraintConfig,
+                 target_time: float, span: float) -> int:
     """Runaway guard derived from the height floor.
 
     Every pitched vertex sat below the target and rose by at least the
     floor, so no vertex is pitched more than ceil(span / Tmin) times and
     the whole run fits in n_vertices * ceil(span / Tmin) patches.  Any
     excess means the floor guarantee broke.  A target so far above the
-    front that span / Tmin is not finite is rejected.
+    front that span / Tmin is not finite is rejected, and so is a target
+    so large that adding the floor to it does not change it: near such a
+    target a floor lift no longer moves a vertex.
     """
-    sweeps = span / config.tmin(mesh.dim)
+    tmin = config.tmin(mesh.dim)
+    sweeps = span / tmin
     if not math.isfinite(sweeps):
         raise ValidationError(f"target time lies {span!r} above the front: "
                               "not a finite number of height floors")
+    if target_time + tmin == target_time:
+        raise ValidationError(f"target time {target_time!r} is too large for "
+                              f"the height floor {tmin!r} to move a vertex")
     return mesh.n_vertices * (math.ceil(sweeps) + 1) + 256
 
 
@@ -550,7 +571,7 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
     if max_patches is not None:
         guard = max_patches
     elif span > 0.0:
-        guard = _patch_guard(mesh, config, span)
+        guard = _patch_guard(mesh, config, target_time, span)
 
     last_rr = -1
     while front.min_time() < target_time:

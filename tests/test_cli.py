@@ -327,11 +327,13 @@ def test_cli_field_that_does_not_fit_mesh_exit_2(tmp_path, capsys, mesh,
 
 
 def test_cli_unreachable_target_exit_2(tmp_path, capsys):
-    # span / Tmin = 1e308 / 0.5 overflows to inf.
-    save_mesh(interval_mesh([0.0, 0.5, 1.0]), tmp_path / "mesh.txt")
+    # Spacing 0.5: span / Tmin = 1e308 / 0.5 overflows to inf.  Spacing 1:
+    # span / Tmin is finite, but 1e308 + Tmin == 1e308.
     (tmp_path / "field.txt").write_text("constant 1.0\n")
-    code = main(["--mesh", str(tmp_path / "mesh.txt"),
-                 "--field", str(tmp_path / "field.txt"),
-                 "--target-time", "1e308"])
-    assert code == 2
-    assert "target time" in capsys.readouterr().err
+    for xs in ([0.0, 0.5, 1.0], [0.0, 1.0, 2.0]):
+        save_mesh(interval_mesh(xs), tmp_path / "mesh.txt")
+        code = main(["--mesh", str(tmp_path / "mesh.txt"),
+                     "--field", str(tmp_path / "field.txt"),
+                     "--target-time", "1e308"])
+        assert code == 2
+        assert "target time" in capsys.readouterr().err

@@ -9,8 +9,7 @@ Frozen reference values, derived by hand:
 * Same triangle with times (1, 0, 1): the plane is t = 1 - x with gradient
   norm exactly 1 = sigma, slack 0.
 * Equilateral side-1 triangle, sigma=1, epsilon=1/2: the progress bound on
-  the late edge is (1/2) * sin(60) * 1 = 0.4330127018922193; the perpendicular
-  form of the same bound gives rhs = 0.5 at zero base gradient.
+  the late edge is (1/2) * sin(60) * 1 = 0.4330127018922193.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from tentmesh.constraints import (
     front_causality_report,
     is_progressive_front,
     is_progressive_triangle,
-    progress_bound_rhs,
     progress_ok,
     progressive_verdicts,
 )
@@ -183,39 +181,6 @@ class TestProgress:
         # the flat triangle trivially satisfies progress.
         v = progress_ok(EQUILATERAL, np.zeros(3), 1.0, 0.5)
         assert v.satisfied and v.slack == pytest.approx(PROGRESS_EDGE_BOUND)
-
-    def test_rhs_equilateral(self):
-        fr = frame(EQUILATERAL[2], EQUILATERAL[0], EQUILATERAL[1])
-        assert progress_bound_rhs(fr, 0.0, 1.0, 0.5) == pytest.approx(0.5, rel=1e-12)
-
-    @given(
-        st.integers(min_value=0, max_value=10_000),
-        st.floats(min_value=0.05, max_value=0.5),
-        st.floats(min_value=0.2, max_value=3.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_rhs_matches_direct_edge_form(self, seed, epsilon, sigma):
-        # The perpendicular-rate cap must equal the plain edge bound
-        # t(r) + |rp| (1 - eps) sigma phi_q translated through t(u); this is
-        # the rotation identity the 2D constraint machinery rests on.
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(-2.0, 2.0, size=(3, 2))
-        try:
-            fr = frame(pts[0], pts[1], pts[2])
-        except Exception:
-            assume(False)
-        assume(fr.altitude > 1e-3 * fr.qr_len)
-        g = rng.uniform(0.0, 0.95) * sigma
-        t_q = rng.uniform(0.0, 1.0)
-        t_r = t_q + g * fr.qr_len
-        t_u = t_q + fr.u_along * g
-        cap_perp = t_u + fr.altitude * progress_bound_rhs(fr, g, sigma, epsilon)
-        from tentmesh.geometry import phi
-
-        phi_q = phi(pts[1], pts[2], pts[0])
-        cap_direct = t_r + fr.rp_len * (1.0 - epsilon) * sigma * phi_q
-        scale = max(1.0, abs(cap_direct))
-        assert cap_perp == pytest.approx(cap_direct, abs=1e-9 * scale)
 
 
 class TestProgressiveTriangle:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,9 +95,12 @@ class TestAdvance:
         fr = initial_front(SQUARE)
         assert advance(fr, 0, 0.0).times.tolist() == fr.times.tolist()
 
-    def test_negative_lift_rejected(self):
+    @pytest.mark.parametrize("dt", [-1.0, math.nan, math.inf])
+    def test_negative_lift_rejected(self, dt):
+        # Non-finite lifts are rejected too: a NaN or infinite time would
+        # otherwise enter the front.
         with pytest.raises(InvalidArgument):
-            advance(initial_front(SQUARE), 0, -0.1)
+            advance(initial_front(SQUARE), 0, dt)
 
     def test_unknown_vertex_rejected(self):
         with pytest.raises(NotFound):

@@ -10,9 +10,8 @@ non-obvious ones:
 * Equilateral side-1 triangle: every shape factor is sin(60) =
   0.8660254037844386, which is also its width (the minimum altitude).
 * Skewed obtuse triangle p=(0,0), q=(4,0), r=(3,1): the angle at r is obtuse
-  (cos = -1/sqrt(5)), so the edge normals of qr and rp point to the same side
-  and their dot product is +1/sqrt(5) = 0.4472135954999579.  The foot u=(2,2)
-  lies beyond r, |uq| = |pu| = 2*sqrt(2), hence beta = 1.
+  (cos = -1/sqrt(5)), so the foot u=(2,2) lies beyond r, and |uq| = |pu| =
+  2*sqrt(2).
 """
 
 from __future__ import annotations
@@ -113,24 +112,15 @@ class TestPhi:
 
 
 class TestFrame:
-    def test_equilateral_normals_dot(self):
-        f = frame((0.5, math.sqrt(3.0) / 2.0), (0, 0), (1, 0))
-        assert f.cos_nn == pytest.approx(-0.5, rel=1e-12)
-
-    def test_right_angle_at_r_gives_orthogonal_normals(self):
-        f = frame((0, 0), (1, 1), (1, 0))
-        assert f.cos_nn == pytest.approx(0.0, abs=1e-15)
-
-    def test_obtuse_at_r_gives_positive_dot(self):
+    def test_obtuse_at_r_puts_foot_beyond_r(self):
         f = frame((0, 0), (4, 0), (3, 1))
-        assert f.cos_nn == pytest.approx(1.0 / math.sqrt(5.0), rel=1e-12)
+        assert f.u_along == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
         assert f.u_along > f.qr_len
 
     def test_unit_right_triangle_fields(self):
         f = frame((0, 0), (1, 0), (0, 1))
         assert f.altitude == pytest.approx(SQRT2_OVER_2, rel=1e-15)
         assert f.qr_len == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        assert f.rp_len == pytest.approx(1.0, abs=0.0)
 
 
 class TestWidth:
@@ -201,21 +191,6 @@ def test_frame_sign_conventions(pts):
     assert float(np.linalg.norm(p - u)) == pytest.approx(
         f.altitude, rel=1e-6, abs=1e-9 * float(np.linalg.norm(r - q))
     )
-
-
-@given(triangles())
-@settings(max_examples=200, deadline=None)
-def test_normals_dot_sign_tracks_angle_at_r(pts):
-    # n_qr . n_rp is positive exactly when the angle at r is obtuse.
-    p, q, r = pts
-    cos_at_r = (p - r) @ (q - r)
-    assume(abs(cos_at_r) > 1e-6)  # skip near-right angles, sign is then noise
-    f = frame(p, q, r)
-    assert (f.cos_nn > 0.0) == (cos_at_r < 0.0)
-    # And its magnitude is |ur| / rp_len on the obtuse side.
-    if f.cos_nn > 0.0:
-        assert f.cos_nn == pytest.approx(abs(f.qr_len - f.u_along) / f.rp_len,
-                                         rel=1e-9)
 
 
 @given(triangles())

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tentmesh.constraints import ConstraintConfig
+from tentmesh.constraints import ConstraintConfig, causal_triangle, progress_ok
 from tentmesh.cli import export_spacetime_mesh
 from tentmesh.errors import ContractViolation, InvalidArgument, ValidationError
 from tentmesh.fields import (
@@ -126,6 +126,46 @@ def test_local_cap_2d_causality_binds_with_small_epsilon():
     )
     cap = local_cap(mesh, np.zeros(3), 0, 1.0, 0.01)
     assert cap == pytest.approx(math.sqrt(0.5), abs=1e-15)
+
+
+@given(st.integers(min_value=5, max_value=8),
+       st.integers(min_value=0, max_value=2**32 - 1),
+       st.floats(min_value=0.5, max_value=2.0),
+       st.floats(min_value=0.05, max_value=0.5))
+@settings(max_examples=100, deadline=None)
+def test_local_cap_2d_is_where_the_star_constraints_bind(k, seed, sigma, epsilon):
+    # A jittered star of k triangles around p = vertex 0, constant slope.
+    # The ring times spread by at most 0.05 sigma, well below any cap, so p
+    # is the latest vertex of each lifted triangle.  At the cap every
+    # triangle is causal at apex p and within the edge-form progress bound,
+    # the tightest one exactly; just above it one fails.
+    rng = np.random.default_rng(seed)
+    angles = 2.0 * math.pi * (np.arange(k) + rng.uniform(-0.25, 0.25, k)) / k
+    radii = rng.uniform(0.7, 1.3, k)
+    ring = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
+    mesh = build_mesh(np.vstack(([0.0, 0.0], ring)),
+                      np.array([[0, 1 + i, 1 + (i + 1) % k] for i in range(k)]))
+    times = np.concatenate(([0.0], 0.05 * sigma * rng.uniform(0.0, 1.0, k)))
+    cap = local_cap(mesh, times, 0, sigma, epsilon)
+
+    def verdicts(top):
+        lifted = times.copy()
+        lifted[0] = top
+        out = []
+        for row in mesh.simplices:
+            pts, t = mesh.vertices[row], lifted[row]
+            apex = int(np.flatnonzero(row == 0)[0])
+            out.append(causal_triangle(pts, t, sigma, apex=apex))
+            out.append(progress_ok(pts, t, sigma, epsilon, ids=row))
+        return out
+
+    at_cap = verdicts(cap)
+    assert all(v.satisfied for v in at_cap)
+    tightest = min(at_cap, key=lambda v: v.slack)
+    assert abs(tightest.slack) <= 1e-12 * tightest.scale
+    above = verdicts(cap + 1e-9 * max(1.0, cap))
+    assert min(v.slack for v in above) < 0.0
+    assert not all(v.satisfied for v in above)
 
 
 # -- greedy heights, 1D ------------------------------------------------------
@@ -693,8 +733,13 @@ def test_run_rejects_field_that_does_not_fit_mesh(mesh, field):
 
 
 def test_run_rejects_target_beyond_finite_floor_count():
+    # Tmin 0.5: span / Tmin = 1e308 / 0.5 overflows to inf.
     with pytest.raises(ValidationError, match="target time"):
         advance_until(interval_mesh([0.0, 0.5, 1.0]), ConstantField(1.0), 1e308)
+    # Tmin 1: span / Tmin is finite, but 1e308 + 1 == 1e308, so a floor lift
+    # no longer moves a vertex near the target and the run would not end.
+    with pytest.raises(ValidationError, match="target time"):
+        advance_until(interval_mesh([0.0, 1.0, 2.0]), ConstantField(1.0), 1e308)
 
 
 def test_run_rejects_nan_target():
