@@ -10,8 +10,9 @@ families of constraints govern how far a vertex may be lifted:
   the gradient magnitude along qr, causality holds iff
   ``|t(p) - t(u)| <= |pu| sqrt(sigma^2 - g^2)`` (and g <= sigma).
 * Progress: ordering a triangle's vertices by time as lo <= mid <= hi,
-  ``(t(hi) - t(mid)) / |mid hi| <= (1 - epsilon) sigma phi(lo)`` where phi is
-  the shape factor from :func:`tentmesh.geometry.phi`.  This reserves a
+  ``(t(hi) - t(mid)) / |mid hi| <= (1 - epsilon) sigma phi(lo)`` where
+  |mid hi| and phi come from :func:`tentmesh.geometry.frame` with apex lo,
+  the same base edge the causality check at lo measures.  This reserves a
   fraction of the slope budget so the next pitch at the low vertex can raise
   it by at least the global floor.
 
@@ -42,12 +43,13 @@ and :func:`is_progressive_triangle` (F = 1) all call it.  Per triangle it
   its vertices re-ordered by (time, id), against the slope of row n + k.
 
 The per-(triangle, apex) geometry comes from
-:class:`~tentmesh.geometry.ApexGeometry`, the same scalars
-:func:`causal_triangle` and :func:`progress_ok` compute, and the kernel
-repeats their float operations in their order, so it agrees with those
-single-triangle checks bit for bit.  Worst-verdict rule: a triangle's
-verdict is the first minimum slack in the order causal 0, progress 0,
-causal 1, progress 1, ..., judged against its own scale.
+:class:`~tentmesh.geometry.ApexGeometry`, the
+:func:`~tentmesh.geometry.frame` scalars :func:`causal_triangle` and
+:func:`progress_ok` read (one base-edge length, ``qr_len``, for both
+families), and the kernel repeats their float operations in their order,
+so it agrees with those single-triangle checks bit for bit.  Worst-verdict
+rule: a triangle's verdict is the first minimum slack in the order causal
+0, progress 0, causal 1, progress 1, ..., judged against its own scale.
 
 The pitcher's closed-form star cap, :func:`tentmesh.pitcher.local_cap`,
 solves the same two constraints for the top of the pitched vertex p, from
@@ -73,7 +75,7 @@ import numpy as np
 
 from .errors import InvalidArgument, ValidationError
 from .fields import SlopeField, sampled_min_simplices
-from .geometry import APEX_OTHERS, ApexGeometry, apex_geometry, frame, phi
+from .geometry import APEX_OTHERS, ApexGeometry, apex_geometry, frame
 from .mesh import SpaceMesh
 
 BINDING_CAUSALITY = "causality"
@@ -232,8 +234,8 @@ def progress_ok(points, times, sigma: float, epsilon: float,
     points = np.asarray(points, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
     lo, mid, hi = _order_by_time(times, ids)
-    length = float(np.linalg.norm(points[hi] - points[mid]))
-    bound = (1.0 - epsilon) * sigma * phi(points[lo], points[mid], points[hi]) * length
+    fr = frame(points[lo], points[mid], points[hi])
+    bound = (1.0 - epsilon) * sigma * fr.phi * fr.qr_len
     diff = float(times[hi] - times[mid])
     return _verdict(bound - diff, BINDING_PROGRESS, max(bound, diff), rel_tol)
 
@@ -322,7 +324,7 @@ def progressive_verdicts(points: np.ndarray, times: np.ndarray,
 
     # Causality of each lifted triangle, in the altitude form at apex lo.
     t_qr = times[f[:, None], _OTHERS[lo]]
-    alt, u_along, qr_len, phi_lo, len_lo = (a[f, lo][:, None] for a in geometry)
+    alt, u_along, qr_len, phi_lo = (a[f, lo][:, None] for a in geometry)
     slack = np.empty((F, n, 2))
     scale = np.empty((F, n, 2))
     slack[..., 0], scale[..., 0] = causality_slack(
@@ -336,7 +338,7 @@ def progressive_verdicts(points: np.ndarray, times: np.ndarray,
     past_mid = (t_lift > t_mid) | ((t_lift == t_mid) & (id_lo > id_mid))
     past_hi = (t_lift > t_hi) | ((t_lift == t_hi) & (id_lo > id_hi))
     phi = np.where(past_mid, geometry.phi[f, mid][:, None], phi_lo)
-    length = np.where(past_mid, geometry.edge_len[f, mid][:, None], len_lo)
+    length = np.where(past_mid, geometry.qr_len[f, mid][:, None], qr_len)
     bound = (1.0 - config.epsilon) * sig[:, n:] * phi * length
     diff = np.where(past_hi, t_lift - t_hi,
                     np.where(past_mid, t_hi - t_lift, t_hi - t_mid))

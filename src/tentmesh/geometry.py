@@ -10,6 +10,11 @@ Conventions used throughout the package:
 * ``u`` is the foot of the perpendicular from ``p`` onto the line through
   ``q`` and ``r``.  ``u`` may fall outside the segment ``qr``.
 
+:func:`frame` is the one routine that measures a triangle from an apex: one
+degeneracy test, then the altitude, the foot ``u``, the base edge |qr| and
+the shape factor of the apex.  :func:`apex_geometry` collects it for every
+(triangle, apex) of a mesh.
+
 A simplex counts as degenerate when its minimum altitude is smaller than
 ``DEGENERACY_RATIO`` times its diameter (longest edge).  All functions here
 raise :class:`DegenerateSimplex` rather than return garbage for such inputs.
@@ -18,7 +23,6 @@ raise :class:`DegenerateSimplex` rather than return garbage for such inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -54,7 +58,7 @@ def _area2(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> float:
     )
 
 
-def _edge_lengths(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> tuple[float, float, float]:
+def _side_lengths(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> tuple[float, float, float]:
     """Lengths (|qr|, |rp|, |pq|), i.e. each edge named by the opposite vertex."""
     return (
         math.hypot(r[0] - q[0], r[1] - q[1]),
@@ -63,102 +67,81 @@ def _edge_lengths(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> tuple[float, f
     )
 
 
-def _require_nondegenerate(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> tuple[float, float]:
-    """Return (twice area, longest edge), raising if the triangle is degenerate.
+def _require_nondegenerate(p: np.ndarray, q: np.ndarray,
+                           r: np.ndarray) -> tuple[float, tuple[float, float, float]]:
+    """Return (twice area, (|qr|, |rp|, |pq|)), raising if the triangle is degenerate.
 
     Minimum altitude equals 2*area / longest edge, so the degeneracy test
     ``min_altitude < ratio * diameter`` becomes ``2*area < ratio * diameter^2``.
     """
     area2 = _area2(p, q, r)
-    longest = max(_edge_lengths(p, q, r))
+    lengths = _side_lengths(p, q, r)
+    longest = max(lengths)
     if area2 < DEGENERACY_RATIO * longest * longest or longest == 0.0:
         raise DegenerateSimplex(
             f"triangle with vertices {tuple(p)}, {tuple(q)}, {tuple(r)} is degenerate"
         )
-    return area2, longest
+    return area2, lengths
 
 
-def project_onto_line(p, q, r) -> tuple[np.ndarray, float]:
-    """Foot of the perpendicular from ``p`` onto line ``qr`` and its distance.
-
-    Returns ``(u, altitude)`` where ``u`` may lie outside the segment ``qr``
-    and ``altitude = |pu| > 0``.  Raises :class:`DegenerateSimplex` when
-    ``q == r`` or ``p`` is (numerically) collinear with ``q`` and ``r``.
-    """
-    p, q, r = as_point(p, 2), as_point(q, 2), as_point(r, 2)
-    area2, _ = _require_nondegenerate(p, q, r)
-    d = r - q
-    # Parametrize with the exact squared length; hypot(d)**2 would round.
-    t = float((p - q) @ d) / float(d @ d)
-    u = q + t * d
-    altitude = area2 / math.hypot(d[0], d[1])
-    return u, altitude
-
-
-def phi(p, q, r) -> float:
-    """Sine bound ``max(sin(angle at q), sin(angle at r))`` for triangle pqr.
-
-    This is the shape factor of vertex ``p``: the larger of the sines of the
-    two angles not at ``p``.  It lies in (0, 1] for nondegenerate triangles
-    and equals 1 exactly when one of those angles is right.
-    """
-    p, q, r = as_point(p, 2), as_point(q, 2), as_point(r, 2)
-    area2, _ = _require_nondegenerate(p, q, r)
-    qr, rp, pq = _edge_lengths(p, q, r)
-    sin_q = area2 / (pq * qr)  # angle at q, between edges qp and qr
-    sin_r = area2 / (rp * qr)  # angle at r, between edges rp and rq
-    return min(1.0, max(sin_q, sin_r))
-
-
-@dataclass(frozen=True)
-class TriangleFrame:
-    """Scalars of a triangle pqr for the altitude form of causality at apex p.
+class TriangleFrame(NamedTuple):
+    """Shape of a triangle pqr seen from its apex p.
 
     ``altitude = |pu|`` with ``u`` the foot of the perpendicular from ``p``
     onto line qr; ``u_along`` is the signed coordinate of ``u`` on the qr
     axis measured from ``q`` (so ``u_along < 0`` or ``> qr_len`` when ``u``
-    falls outside the segment).  :func:`~tentmesh.constraints.causal_triangle`
-    reads them directly; :func:`apex_geometry` collects them per (triangle,
-    apex) for the batched checks and the pitcher's star cap.
+    falls outside the segment); ``qr_len`` is the base edge |qr| by
+    ``math.hypot``; ``phi`` is the shape factor of p,
+    ``max(sin(angle at q), sin(angle at r))``, which lies in (0, 1] and
+    equals 1 exactly when one of those angles is right.  Causality at apex p
+    reads the first three; progress with p = lo reads ``qr_len`` as
+    |mid hi| and ``phi`` as phi(lo).
     """
 
     altitude: float
     u_along: float
     qr_len: float
+    phi: float
 
 
 def frame(p, q, r) -> TriangleFrame:
     """Build the :class:`TriangleFrame` for triangle pqr.
 
-    Raises :class:`DegenerateSimplex` for degenerate triangles.
+    The one routine that measures a triangle from an apex.  Swapping q and
+    r changes only ``u_along``, which is measured from q; the other fields
+    keep their bits.  Raises :class:`DegenerateSimplex` for degenerate
+    triangles.
     """
     p, q, r = as_point(p, 2), as_point(q, 2), as_point(r, 2)
-    area2, _ = _require_nondegenerate(p, q, r)
-    d_qr = r - q
-    qr_len = math.hypot(d_qr[0], d_qr[1])
+    area2, (qr_len, rp_len, pq_len) = _require_nondegenerate(p, q, r)
+    sin_q = area2 / (pq_len * qr_len)  # angle at q, between edges qp and qr
+    sin_r = area2 / (rp_len * qr_len)  # angle at r, between edges rp and rq
     return TriangleFrame(
         altitude=area2 / qr_len,
-        u_along=float((p - q) @ (d_qr / qr_len)),
+        u_along=float((p - q) @ ((r - q) / qr_len)),
         qr_len=qr_len,
+        phi=min(1.0, max(sin_q, sin_r)),
     )
 
 
-class ApexGeometry(NamedTuple):
-    """Per-(triangle, apex) shape data, each field an (F, 3) array.
+def phi(p, q, r) -> float:
+    """Shape factor of vertex p in triangle pqr: ``frame(p, q, r).phi``."""
+    return frame(p, q, r).phi
 
-    Column ``a`` describes the triangle with local vertex ``a`` as the apex p
-    and the other two, in local-index order, as q and r.  The first three
-    fields come from :func:`frame`, ``phi`` from :func:`phi` and
-    ``edge_len`` is ``np.linalg.norm(r - q)``: exactly the scalars the
-    single-triangle checks compute, so batched checks that read them agree
-    with those checks bit for bit.
+
+class ApexGeometry(NamedTuple):
+    """Per-(triangle, apex) :class:`TriangleFrame` fields, each an (F, 3) array.
+
+    Column ``a`` is ``frame`` of the triangle with local vertex ``a`` as the
+    apex p and the other two, in local-index order, as q and r: exactly the
+    scalars the single-triangle checks compute, so batched checks that read
+    them agree with those checks bit for bit.
     """
 
     altitude: np.ndarray  # |pu|
     u_along: np.ndarray   # signed position of the foot u on the qr axis
-    qr_len: np.ndarray    # |qr| by hypot, as the frame measures it
+    qr_len: np.ndarray    # |qr|
     phi: np.ndarray       # shape factor of the apex
-    edge_len: np.ndarray  # |qr| by np.linalg.norm, as the progress check measures it
 
     def take(self, rows) -> "ApexGeometry":
         """The rows ``rows`` of every field."""
@@ -171,13 +154,10 @@ def apex_geometry(corners) -> ApexGeometry:
     Raises :class:`DegenerateSimplex` for a degenerate triangle.
     """
     corners = np.asarray(corners, dtype=np.float64)
-    out = np.empty((5, corners.shape[0], 3))
+    out = np.empty((4, corners.shape[0], 3))
     for f, pts in enumerate(corners):
         for a, (qi, ri) in enumerate(APEX_OTHERS):
-            p, q, r = pts[a], pts[qi], pts[ri]
-            fr = frame(p, q, r)
-            out[:, f, a] = (fr.altitude, fr.u_along, fr.qr_len, phi(p, q, r),
-                            float(np.linalg.norm(r - q)))
+            out[:, f, a] = frame(pts[a], pts[qi], pts[ri])
     return ApexGeometry(*out)
 
 
@@ -194,8 +174,8 @@ def triangle_width(p, q, r=None) -> float:
             raise DegenerateSimplex("zero-length segment")
         return length
     p, q, r = as_point(p, 2), as_point(q, 2), as_point(r, 2)
-    area2, longest = _require_nondegenerate(p, q, r)
-    return area2 / longest
+    area2, lengths = _require_nondegenerate(p, q, r)
+    return area2 / max(lengths)
 
 
 def simplex_width(points: np.ndarray) -> float:

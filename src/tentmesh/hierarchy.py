@@ -117,9 +117,21 @@ def entry_times(mesh: SpaceMesh, times: np.ndarray, slopes: np.ndarray,
 
 
 class _ConesBase:
-    """Shared state: the mutable slope store, the current front, counters."""
+    """Shared state: the mutable slope store, the current front, counters.
+
+    The store is the index's own copy of ``slopes``, one positive finite
+    slope per facet; :meth:`update_leaf` writes only that copy.
+    """
 
     def __init__(self, mesh: SpaceMesh, front, slopes: np.ndarray):
+        slopes = np.array(slopes, dtype=np.float64)
+        if slopes.shape != (mesh.n_simplices,):
+            raise InvalidArgument(f"expected {mesh.n_simplices} facet slopes, "
+                                  f"got shape {slopes.shape}")
+        bad = np.flatnonzero(~((slopes > 0.0) & (slopes < math.inf)))
+        if bad.size:
+            raise InvalidArgument(f"slope must be positive and finite, got "
+                                  f"{slopes[bad[0]]} at facet {bad[0]}")
         self.mesh = mesh
         self.front = front
         self.slopes = slopes
@@ -227,7 +239,7 @@ class ConeHierarchy(_ConesBase):
         # end, m included, is a valid reduceat index.
         rows = mesh.simplices[order]
         pts = mesh.vertices[rows]                       # (m, k, d)
-        mins = np.column_stack([front.times[rows].min(axis=1), slopes[order],
+        mins = np.column_stack([front.times[rows].min(axis=1), self.slopes[order],
                                 pts.min(axis=1)])       # (m, 2 + d)
         maxs = pts.max(axis=1)                          # (m, d)
         mins = np.vstack([mins, mins[-1:]])
@@ -371,7 +383,7 @@ def build(mesh: SpaceMesh, front, field: SlopeField,
         front.times[mesh.simplices],
         config.slope_samples,
         elements=np.arange(mesh.n_simplices),
-    ).copy()
+    )
     cls = ConeHierarchy if use_hierarchy else ExhaustiveCones
     return cls(mesh, front, slopes)
 

@@ -1,9 +1,10 @@
 """Simplicial space meshes in one and two dimensions.
 
 A mesh is a set of vertices plus segments (1D) or triangles (2D).  Simplices
-are stored with their vertex ids sorted ascending and a parallel orientation
-flag recording whether that sorted order is positively oriented, so identical
-inputs always produce identical in-memory structures and output files.
+are stored with their vertex ids sorted ascending, whatever their orientation
+in the input, so identical inputs always produce identical in-memory
+structures and output files.  The mesh owns its arrays: ``build_mesh`` copies
+the caller's vertices and freezes its copies.
 
 The text format is line based::
 
@@ -79,7 +80,6 @@ class SpaceMesh:
     dim: int
     vertices: np.ndarray          # (n, dim) float64
     simplices: np.ndarray         # (m, dim+1) int64, rows sorted ascending
-    orientations: np.ndarray      # (m,) int8, +1 if sorted order positively oriented
 
     # Derived structure, filled in by build_mesh.
     stars: list[np.ndarray] = field(default_factory=list)      # vertex -> simplex ids, ascending
@@ -196,10 +196,12 @@ def build_mesh(vertices, simplices) -> SpaceMesh:
 
     ``vertices`` is (n, dim) with dim 1 or 2; ``simplices`` is an (m, dim+1)
     integer array or a sequence of (dim+1)-tuples of vertex ids in any order.
+    The mesh keeps a read-only copy of ``vertices``; the caller's array is
+    neither shared nor frozen.
     Raises :class:`ValidationError` describing the first problem found, in
     the order given in the module docstring.
     """
-    verts = np.asarray(vertices, dtype=np.float64)
+    verts = np.array(vertices, dtype=np.float64)
     if verts.ndim == 1:
         verts = verts[:, None]
     if verts.ndim != 2 or verts.shape[1] not in (1, 2):
@@ -223,7 +225,6 @@ def build_mesh(vertices, simplices) -> SpaceMesh:
         widths = np.sqrt(np.vecdot(edge, edge))
         measures = widths.copy()
         diam = widths
-        orientations = np.ones(m, dtype=np.int8)
     else:
         a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
         edges = np.stack([b - a, c - b, a - c], axis=1)       # (m, 3, 2)
@@ -233,9 +234,6 @@ def build_mesh(vertices, simplices) -> SpaceMesh:
         widths = np.zeros(m)
         np.divide(area2, diam, out=widths, where=diam > 0.0)
         measures = 0.5 * area2
-        signed2 = ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                   - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
-        orientations = np.where(signed2 > 0.0, 1, -1).astype(np.int8)
     bad = np.flatnonzero((widths < DEGENERACY_RATIO * diam) | (diam == 0.0))
     if bad.size:
         s = int(bad[0])
@@ -311,7 +309,6 @@ def build_mesh(vertices, simplices) -> SpaceMesh:
         dim=dim,
         vertices=verts,
         simplices=srt,
-        orientations=orientations,
         stars=stars,
         neighbor_matrix=neighbor_matrix,
         widths=widths,

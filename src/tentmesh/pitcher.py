@@ -41,7 +41,6 @@ import numpy as np
 from .constraints import (
     ConstraintConfig,
     facet_causality,
-    front_causality_report,
     is_progressive_front,
     progressive_verdicts,
 )
@@ -218,7 +217,7 @@ def local_cap(mesh: SpaceMesh, times: np.ndarray, p: int,
             max(0.0, sigma_loc * sigma_loc - g * g))
         # Rows are id-sorted, so a time tie leaves q the earlier end.
         a, t_b = (ri, t_q) if t_r < t_q else (qi, t_r)
-        progress = t_b + float(geo.edge_len[sid, a]) * (budget * float(geo.phi[sid, a]))
+        progress = t_b + float(geo.qr_len[sid, a]) * (budget * float(geo.phi[sid, a]))
         cap = min(cap, causal, progress)
     return cap
 
@@ -480,42 +479,38 @@ def _patch_guard(mesh: SpaceMesh, config: ConstraintConfig,
     the whole run fits in n_vertices * ceil(span / Tmin) patches.  Any
     excess means the floor guarantee broke.  A target so far above the
     front that span / Tmin is not finite is rejected, and so is a target
-    so large that adding the floor to it does not change it: near such a
-    target a floor lift no longer moves a vertex.
+    so large that a floor lift cannot move a time just below it: there
+    ``Tmin`` is at most half an ulp, so the sum rounds back to that time.
     """
     tmin = config.tmin(mesh.dim)
     sweeps = span / tmin
     if not math.isfinite(sweeps):
         raise ValidationError(f"target time lies {span!r} above the front: "
                               "not a finite number of height floors")
-    if target_time + tmin == target_time:
+    if 2.0 * tmin <= math.ulp(math.nextafter(target_time, -math.inf)):
         raise ValidationError(f"target time {target_time!r} is too large for "
                               f"the height floor {tmin!r} to move a vertex")
     return mesh.n_vertices * (math.ceil(sweeps) + 1) + 256
 
 
 def _assert_front_ok(mesh, front, field, config, patch, height) -> None:
+    """Raise unless the height met the floor and the whole front is progressive.
+
+    In 2D the progressive check's unlifted rows re-check causality of every
+    facet; in 1D it is the causality check itself.
+    """
     tmin = config.tmin(mesh.dim)
     if not height >= tmin:
         raise ContractViolation(
             f"patch {patch.index} height {height!r} fell below floor {tmin!r}"
         )
-    report = front_causality_report(mesh, front.times, field, config)
-    bad = np.flatnonzero(~report["satisfied"])
-    if bad.size:
-        sid = int(bad[0])
+    ok, violations = is_progressive_front(front, field, config, limit=1)
+    if not ok:
+        sid, verdict = violations[0]
         raise ContractViolation(
-            f"front facet {sid} uncausal after patch {patch.index} "
-            f"(slack {float(report['slack'][sid])!r})"
+            f"front facet {sid} not progressive after patch {patch.index} "
+            f"({verdict.binding} slack {verdict.slack!r})"
         )
-    if mesh.dim == 2:
-        ok, violations = is_progressive_front(front, field, config, limit=1)
-        if not ok:
-            sid, verdict = violations[0]
-            raise ContractViolation(
-                f"front facet {sid} not progressive after patch {patch.index} "
-                f"({verdict.binding} slack {verdict.slack!r})"
-            )
 
 
 def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,

@@ -50,7 +50,6 @@ def reference_build_mesh(vertices, simplices) -> SpaceMesh:
     m = len(raw)
 
     sorted_rows = np.empty((m, dim + 1), dtype=np.int64)
-    orientations = np.empty(m, dtype=np.int8)
     seen: dict[tuple[int, ...], int] = {}
     for k, row in enumerate(raw):
         where = f"simplex {k}"
@@ -70,12 +69,6 @@ def reference_build_mesh(vertices, simplices) -> SpaceMesh:
             )
         seen[key] = k
         sorted_rows[k] = key
-        if dim == 1:
-            orientations[k] = 1
-        else:
-            a, b, c = (verts[i] for i in key)
-            signed2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            orientations[k] = 1 if signed2 > 0.0 else -1
 
     widths = np.empty(m)
     measures = np.empty(m)
@@ -144,7 +137,6 @@ def reference_build_mesh(vertices, simplices) -> SpaceMesh:
         dim=dim,
         vertices=verts,
         simplices=sorted_rows,
-        orientations=orientations,
         stars=[np.array(s, dtype=np.int64) for s in stars],
         neighbor_matrix=neighbor_matrix,
         widths=widths,

@@ -28,7 +28,6 @@ from tentmesh.geometry import (
     EventPoint,
     frame,
     phi,
-    project_onto_line,
     simplex_width,
     triangle_width,
 )
@@ -73,26 +72,6 @@ def triangles(draw):
 # ---------------------------------------------------------------------------
 
 
-class TestProjectOntoLine:
-    def test_unit_right_triangle(self):
-        u, altitude = project_onto_line((0, 0), (1, 0), (0, 1))
-        assert u == pytest.approx([0.5, 0.5], abs=0.0)
-        assert altitude == pytest.approx(SQRT2_OVER_2, rel=1e-15)
-
-    def test_foot_may_fall_outside_segment(self):
-        u, altitude = project_onto_line((0, 0), (4, 0), (3, 1))
-        assert u == pytest.approx([2.0, 2.0], rel=1e-12)
-        assert altitude == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
-
-    def test_collinear_raises(self):
-        with pytest.raises(DegenerateSimplex):
-            project_onto_line((2, 2), (0, 0), (1, 1))
-
-    def test_coincident_base_raises(self):
-        with pytest.raises(DegenerateSimplex):
-            project_onto_line((0, 1), (3, 3), (3, 3))
-
-
 class TestPhi:
     def test_unit_right_triangle_apex_at_right_angle(self):
         # Base angles are both 45 degrees.
@@ -116,11 +95,32 @@ class TestFrame:
         f = frame((0, 0), (4, 0), (3, 1))
         assert f.u_along == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
         assert f.u_along > f.qr_len
+        assert f.altitude == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
 
     def test_unit_right_triangle_fields(self):
         f = frame((0, 0), (1, 0), (0, 1))
+        # The foot u = (1/2, 1/2) is the midpoint of qr.
+        assert f.u_along == pytest.approx(SQRT2_OVER_2, rel=1e-15)
         assert f.altitude == pytest.approx(SQRT2_OVER_2, rel=1e-15)
         assert f.qr_len == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert f.phi == phi((0, 0), (1, 0), (0, 1))
+
+    def test_collinear_raises(self):
+        with pytest.raises(DegenerateSimplex):
+            frame((2, 2), (0, 0), (1, 1))
+
+    def test_coincident_base_raises(self):
+        with pytest.raises(DegenerateSimplex):
+            frame((0, 1), (3, 3), (3, 3))
+
+    def test_swapping_base_vertices_keeps_length_and_shape_bits(self):
+        # ApexGeometry takes q and r in local-index order, progress_ok in
+        # time order; both must read the same qr_len and phi.
+        p, q, r = np.array([0.3, 0.1]), np.array([2.0, 0.4]), np.array([1.1, 1.7])
+        f, g = frame(p, q, r), frame(p, r, q)
+        assert (f.altitude, f.qr_len, f.phi) == (g.altitude, g.qr_len, g.phi)
+        assert f.qr_len == math.hypot(*(r - q))
+        assert g.u_along == pytest.approx(f.qr_len - f.u_along, rel=1e-12)
 
 
 class TestWidth:
@@ -162,7 +162,7 @@ def test_event_point_roundtrips_fields():
 def test_altitude_matches_area_formula(pts):
     # |pu| * |qr| must equal twice the triangle area.
     p, q, r = pts
-    _, altitude = project_onto_line(p, q, r)
+    altitude = frame(p, q, r).altitude
     qr = np.linalg.norm(r - q)
     area2 = abs((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
     assert altitude * qr == pytest.approx(area2, rel=1e-9)
@@ -200,9 +200,9 @@ def test_width_is_smallest_altitude(pts):
     p, q, r = pts
     w = triangle_width(p, q, r)
     alts = [
-        project_onto_line(p, q, r)[1],
-        project_onto_line(q, r, p)[1],
-        project_onto_line(r, p, q)[1],
+        frame(p, q, r).altitude,
+        frame(q, r, p).altitude,
+        frame(r, p, q).altitude,
     ]
     assert w == pytest.approx(min(alts), rel=1e-9)
     # Both sides are twice the area over an edge length, but the area is a

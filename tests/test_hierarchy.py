@@ -25,7 +25,7 @@ from tentmesh.mesh import build_mesh, grid_mesh, interval_mesh, strip_mesh
 def _cones(mesh, times, slopes, use_hierarchy):
     front = Front(mesh, np.asarray(times, dtype=float))
     cls = ConeHierarchy if use_hierarchy else ExhaustiveCones
-    return cls(mesh, front, np.asarray(slopes, dtype=float).copy())
+    return cls(mesh, front, np.asarray(slopes, dtype=float))
 
 
 # -- entry-time kernel, frozen oracles ---------------------------------------
@@ -293,6 +293,34 @@ def test_update_leaf_rejects_nonfinite_or_nonpositive(use_hierarchy, slope):
     with pytest.raises(InvalidArgument):
         update_leaf(cones, 5, slope)
     assert cones.slopes.tolist() == [1.0] * 8
+
+
+@pytest.mark.parametrize("cls", [ExhaustiveCones, ConeHierarchy])
+def test_index_owns_a_copy_of_its_slopes(cls):
+    mesh = interval_mesh(np.arange(6.0))
+    slopes = np.ones(5)
+    cones = cls(mesh, initial_front(mesh), slopes)
+    update_leaf(cones, 2, 0.5)
+    assert slopes.tolist() == [1.0] * 5
+    assert cones.slopes.tolist() == [1.0, 1.0, 0.5, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("cls", [ExhaustiveCones, ConeHierarchy])
+@pytest.mark.parametrize("slopes", [
+    [1.0, math.nan, 1.0, 1.0, 1.0],
+    [1.0, 1.0, math.inf, 1.0, 1.0],
+    [1.0, 1.0, 1.0, 0.0, 1.0],
+    [1.0, 1.0, 1.0, 1.0, -2.0],
+    [1.0, 1.0],
+    [[1.0] * 5],
+])
+def test_index_rejects_bad_initial_slopes(cls, slopes):
+    # A NaN used to be stored, after which the tree's ray_shoot(0) answered
+    # (inf, None) and the scan (nan, 1); a short array failed only later
+    # with IndexError.
+    mesh = interval_mesh(np.arange(6.0))
+    with pytest.raises(InvalidArgument):
+        cls(mesh, initial_front(mesh), np.array(slopes))
 
 
 @pytest.mark.parametrize("use_hierarchy", [False, True])

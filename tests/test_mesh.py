@@ -55,12 +55,11 @@ def test_grid_mesh_stats():
 
 
 def test_simplices_stored_sorted_with_orientation():
+    # Rows are stored sorted whether the input order is clockwise or not.
     mesh = build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 2, 1)])
     assert tuple(mesh.simplices[0]) == (0, 1, 2)
-    # Sorted order (0,1,2) is counterclockwise for this geometry.
-    assert mesh.orientations[0] == 1
-    flipped = build_mesh([(0, 0), (0, 1), (1, 0)], [(0, 1, 2)])
-    assert flipped.orientations[0] == -1
+    flipped = build_mesh([(0, 0), (0, 1), (1, 0)], [(2, 1, 0)])
+    assert tuple(flipped.simplices[0]) == (0, 1, 2)
 
 
 def test_vertex_star_and_neighbors():
@@ -72,6 +71,25 @@ def test_vertex_star_and_neighbors():
         vertex_star(mesh, 99)
     # Padded adjacency rows end in -1 for low-degree vertices.
     assert mesh.neighbor_matrix[0, 1] == -1
+
+
+@pytest.mark.parametrize("verts", [
+    np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),   # (n, 2) float64
+    np.array([0.0, 1.0, 3.0]),                        # flat 1D
+])
+def test_build_mesh_copies_caller_vertices(verts):
+    simplices = [(0, 1, 2)] if verts.ndim == 2 else [(0, 1), (1, 2)]
+    mesh = build_mesh(verts, simplices)
+    assert verts.flags.writeable
+    assert not np.shares_memory(verts, mesh.vertices)
+    assert not mesh.vertices.flags.writeable
+
+
+def test_interval_mesh_copies_caller_breakpoints():
+    xs = np.arange(4.0)
+    mesh = interval_mesh(xs)
+    xs[2] = 2.5
+    assert mesh.vertices[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
 class TestValidation:
@@ -248,8 +266,8 @@ def test_grid_mesh_is_valid_and_round_trips(tmp_path_factory, nx, ny):
 # the array build against the scalar reference
 # ---------------------------------------------------------------------------
 
-FIELDS = ("vertices", "simplices", "orientations", "neighbor_matrix", "widths",
-          "measures", "centroids")
+FIELDS = ("vertices", "simplices", "neighbor_matrix", "widths", "measures",
+          "centroids")
 
 
 def _assert_same_mesh(got, want):

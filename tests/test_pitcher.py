@@ -6,12 +6,19 @@ margin (1e-9 * sigma_min * wmin unless a test overrides it).
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tentmesh.constraints import ConstraintConfig, causal_triangle, progress_ok
+from tentmesh.constraints import (
+    ConstraintConfig,
+    causal_triangle,
+    front_causality_report,
+    is_progressive_front,
+    progress_ok,
+)
 from tentmesh.cli import export_spacetime_mesh
 from tentmesh.errors import ContractViolation, InvalidArgument, ValidationError
 from tentmesh.fields import (
@@ -740,6 +747,44 @@ def test_run_rejects_target_beyond_finite_floor_count():
     # no longer moves a vertex near the target and the run would not end.
     with pytest.raises(ValidationError, match="target time"):
         advance_until(interval_mesh([0.0, 1.0, 2.0]), ConstantField(1.0), 1e308)
+    # Tmin 1.  Just below 2**53 + 2 the ulp is 2, so a lift by half an ulp
+    # leaves a time with an even last bit where it was, although
+    # (2**53 + 2) + 1 rounds up to 2**53 + 4; the run used to spin until
+    # its patch guard and raise ContractViolation.
+    mesh, field = interval_mesh([0.0, 1.0, 2.0]), ConstantField(1.0)
+    start = initial_front(mesh, np.full(3, 2.0**53), field=field)
+    with pytest.raises(ValidationError, match="target time"):
+        advance_until(mesh, field, 2.0**53 + 2, front=start)
+
+
+def test_run_reaches_target_where_floor_lifts_still_move():
+    # 2**53 + 1 == 2**53, but below 2**53 the ulp is 1 and a lift by Tmin 1
+    # moves every time: this target used to be rejected.
+    mesh, field = interval_mesh([0.0, 1.0, 2.0]), ConstantField(1.0)
+    start = initial_front(mesh, np.full(3, 2.0**53 - 8), field=field)
+    run = advance_until(mesh, field, 2.0**53, front=start)
+    assert run.stats["target_reached"]
+    assert run.stats["patches"] == 14
+
+
+@pytest.mark.parametrize("mesh, vertex, time, sid, binding", [
+    (interval_mesh([0.0, 1.0, 2.0, 3.0]), 3, 1.5, 2, "causality"),
+    (grid_mesh(2, 2), 2, 0.45, 2, "causality"),   # uncausal
+    (grid_mesh(2, 2), 2, 0.3, 2, "progress"),     # causal, not progressive
+])
+def test_invariant_check_names_the_bad_facet(mesh, vertex, time, sid, binding):
+    field = ConstantField(1.0)
+    cfg = ConstraintConfig.for_problem(mesh, field)
+    times = np.zeros(mesh.n_vertices)
+    times[vertex] = time
+    front = Front(mesh, times)
+    patch = SimpleNamespace(index=7)
+    causal = front_causality_report(mesh, times, field, cfg)["satisfied"].all()
+    assert causal == (binding == "progress")
+    ok, violations = is_progressive_front(front, field, cfg)
+    assert [(s, v.binding) for s, v in violations] == [(sid, binding)]
+    with pytest.raises(ContractViolation, match=rf"front facet {sid} .*patch 7"):
+        pitcher._assert_front_ok(mesh, front, field, cfg, patch, cfg.tmin(mesh.dim))
 
 
 def test_run_rejects_nan_target():
