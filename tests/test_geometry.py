@@ -72,6 +72,27 @@ def triangles(draw):
 # ---------------------------------------------------------------------------
 
 
+def _foot(p, q, r):
+    """Foot u of the altitude from p onto line qr, and |pu|, read from frame."""
+    f = frame(p, q, r)
+    q, r = np.asarray(q, dtype=float), np.asarray(r, dtype=float)
+    return q + f.u_along * ((r - q) / f.qr_len), f.altitude
+
+
+class TestProjectOntoLine:
+    # frame places the foot at u_along from q on the qr axis; the point is
+    # rebuilt from it with two more roundings, hence rel=1e-15, not exact.
+    def test_unit_right_triangle(self):
+        u, altitude = _foot((0, 0), (1, 0), (0, 1))
+        assert u == pytest.approx([0.5, 0.5], rel=1e-15)
+        assert altitude == pytest.approx(SQRT2_OVER_2, rel=1e-15)
+
+    def test_foot_may_fall_outside_segment(self):
+        u, altitude = _foot((0, 0), (4, 0), (3, 1))
+        assert u == pytest.approx([2.0, 2.0], rel=1e-12)
+        assert altitude == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
+
+
 class TestPhi:
     def test_unit_right_triangle_apex_at_right_angle(self):
         # Base angles are both 45 degrees.
