@@ -20,14 +20,16 @@ A triangle is *progressive* when lifting its lowest vertex by any amount up
 to the floor keeps it causal and keeps the progress constraint satisfied
 against the slope sampled over the companion triangle whose mid vertex is
 lifted by the floor.  The "any amount" quantifier is checked at the interval
-endpoints plus a few interior samples; for the built-in fields the
-constraints vary monotonically between samples, so the endpoints carry the
-guarantee.
+endpoints plus ``INTERIOR_LIFTS`` evenly spaced interior samples; for the
+built-in fields the constraints vary monotonically between samples, so the
+endpoints carry the guarantee.
 
 Causality has one array kernel, :func:`causality_slack`: the altitude form
 at an apex for triangles, the budget form for segments.  Every causality
 check calls it: :func:`facet_causality` (1D stars, 1D fronts and
 :func:`front_causality_report`) and the progressive check below.
+:func:`facet_verdicts` picks the check for the mesh's dimension, for star
+verification and :func:`is_progressive_front` alike.
 
 One numpy kernel, :func:`progressive_verdicts`, makes the progressive check
 for F triangles at once; 2D star verification, :func:`is_progressive_front`
@@ -58,11 +60,11 @@ of :func:`causality_slack` at apex p, and the edge form of
 :func:`progress_ok` with p as the latest vertex.
 
 Every check returns a :class:`ConstraintVerdict` with a signed slack in time
-units; ``satisfied`` applies the relative tolerance ``rel_tol`` (slack down
-to ``-rel_tol * scale`` still passes, so exact-equality designs are stable
-under roundoff).  In 1D there is no progress constraint: causal fronts
-already guarantee full-height steps, and the progressive notions degenerate
-to causality.
+units; ``satisfied`` applies the relative tolerance ``REL_TOL`` = 1e-12
+(slack down to ``-REL_TOL * scale`` still passes, with scale at least 1,
+so exact-equality designs are stable under roundoff).  In 1D there is no
+progress constraint: causal fronts already guarantee full-height steps,
+and the progressive notions degenerate to causality.
 """
 
 from __future__ import annotations
@@ -80,6 +82,9 @@ from .mesh import SpaceMesh
 
 BINDING_CAUSALITY = "causality"
 BINDING_PROGRESS = "progress"
+
+REL_TOL = 1e-12     # a slack down to -REL_TOL * scale still passes
+INTERIOR_LIFTS = 3  # lift samples strictly between 0 and the floor
 
 
 @dataclass(frozen=True)
@@ -105,32 +110,29 @@ class ConstraintConfig:
     eta: float
     tmin_1d: float
     tmin_2d: float
-    dt_interior_samples: int = 3
     slope_samples: int = 4
-    rel_tol: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 0.5:
             raise ValidationError(f"epsilon must be in (0, 1/2], got {self.epsilon}")
+        # Checked before eta, whose default derives from the same product.
+        for name in ("tmin_1d", "tmin_2d"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValidationError(
+                    f"height floor {name} must be positive and finite, got {value!r}"
+                )
         if not (math.isfinite(self.eta) and self.eta > 0.0):
             raise ValidationError(f"eta must be positive and finite, got {self.eta}")
-        if self.dt_interior_samples < 0:
-            raise ValidationError("dt_interior_samples must be nonnegative")
 
     @classmethod
     def for_problem(cls, mesh: SpaceMesh, field: SlopeField,
-                    epsilon: float = 0.5, eta: float | None = None,
-                    **kwargs) -> "ConstraintConfig":
+                    epsilon: float = 0.5,
+                    eta: float | None = None) -> "ConstraintConfig":
         base = field.sigma_min * mesh.wmin
         if eta is None:
             eta = 1e-9 * base
-        return cls(
-            epsilon=epsilon,
-            eta=eta,
-            tmin_1d=base,
-            tmin_2d=epsilon * base,
-            **kwargs,
-        )
+        return cls(epsilon=epsilon, eta=eta, tmin_1d=base, tmin_2d=epsilon * base)
 
     def tmin(self, dim: int) -> float:
         return self.tmin_1d if dim == 1 else self.tmin_2d
@@ -139,11 +141,10 @@ class ConstraintConfig:
         return replace(self, eta=eta)
 
 
-def _verdict(slack: float, binding: str, scale: float,
-             rel_tol: float) -> ConstraintVerdict:
+def _verdict(slack: float, binding: str, scale: float) -> ConstraintVerdict:
     scale = max(1.0, scale)
     return ConstraintVerdict(
-        satisfied=bool(slack >= -rel_tol * scale),
+        satisfied=bool(slack >= -REL_TOL * scale),
         slack=float(slack),
         binding=binding,
         scale=scale,
@@ -180,18 +181,18 @@ def causality_slack(sigma, t_q, t_r, length, t_p=None, altitude=None,
             np.where(steep, np.maximum(budget, abs_dt), np.maximum(rhs, lhs)))
 
 
-def causal_segment(t_a: float, t_b: float, length: float, sigma: float,
-                   rel_tol: float = 1e-12) -> ConstraintVerdict:
+def causal_segment(t_a: float, t_b: float, length: float,
+                   sigma: float) -> ConstraintVerdict:
     """Causality of a 1D facet: |t_b - t_a| <= sigma * length."""
     if length <= 0.0 or sigma <= 0.0:
         raise InvalidArgument("segment length and slope must be positive")
     budget = sigma * length
     diff = abs(t_b - t_a)
-    return _verdict(budget - diff, BINDING_CAUSALITY, max(budget, diff), rel_tol)
+    return _verdict(budget - diff, BINDING_CAUSALITY, max(budget, diff))
 
 
-def causal_triangle(points, times, sigma: float, apex: int = 0,
-                    rel_tol: float = 1e-12) -> ConstraintVerdict:
+def causal_triangle(points, times, sigma: float,
+                    apex: int = 0) -> ConstraintVerdict:
     """Causality of a triangle facet, checked from the given apex.
 
     ``points`` is (3, 2) and ``times`` the matching vertex times; ``apex``
@@ -210,12 +211,12 @@ def causal_triangle(points, times, sigma: float, apex: int = 0,
         # The base edge alone exceeds the slope: no apex time can fix it.
         budget = sigma * fr.qr_len
         return _verdict(budget - abs(dt_qr), BINDING_CAUSALITY,
-                        max(budget, abs(dt_qr)), rel_tol)
+                        max(budget, abs(dt_qr)))
     w = fr.u_along / fr.qr_len
     t_u = times[qi] * (1.0 - w) + times[ri] * w
     rhs = fr.altitude * math.sqrt(max(0.0, sigma * sigma - g * g))
     lhs = abs(times[apex] - t_u)
-    return _verdict(rhs - lhs, BINDING_CAUSALITY, max(rhs, lhs), rel_tol)
+    return _verdict(rhs - lhs, BINDING_CAUSALITY, max(rhs, lhs))
 
 
 def _order_by_time(times, ids) -> tuple[int, int, int]:
@@ -224,7 +225,7 @@ def _order_by_time(times, ids) -> tuple[int, int, int]:
 
 
 def progress_ok(points, times, sigma: float, epsilon: float,
-                ids=(0, 1, 2), rel_tol: float = 1e-12) -> ConstraintVerdict:
+                ids=(0, 1, 2)) -> ConstraintVerdict:
     """Progress constraint for one triangle at the given vertex times.
 
     Vertices are ordered by (time, id); the constraint bounds the gradient
@@ -237,17 +238,12 @@ def progress_ok(points, times, sigma: float, epsilon: float,
     fr = frame(points[lo], points[mid], points[hi])
     bound = (1.0 - epsilon) * sigma * fr.phi * fr.qr_len
     diff = float(times[hi] - times[mid])
-    return _verdict(bound - diff, BINDING_PROGRESS, max(bound, diff), rel_tol)
+    return _verdict(bound - diff, BINDING_PROGRESS, max(bound, diff))
 
 
 # ---------------------------------------------------------------------------
 # progressive triangles and fronts
 # ---------------------------------------------------------------------------
-
-
-def _dt_samples(tmin: float, interior: int) -> np.ndarray:
-    """Deterministic lift samples {0, ..., tmin} with `interior` inner points."""
-    return np.linspace(0.0, tmin, interior + 2)
 
 
 _OTHERS = np.array(APEX_OTHERS)
@@ -263,21 +259,21 @@ class FacetVerdicts(NamedTuple):
     satisfied: np.ndarray
 
     @classmethod
-    def judge(cls, slack: np.ndarray, scale: np.ndarray, binding,
-              rel_tol: float) -> "FacetVerdicts":
+    def judge(cls, slack: np.ndarray, scale: np.ndarray,
+              binding) -> "FacetVerdicts":
         """Verdicts from slack and raw scale, as :func:`_verdict` makes them."""
         scale = np.maximum(1.0, scale)
         return cls(slack, scale, np.broadcast_to(binding, slack.shape),
-                   slack >= -rel_tol * scale)
+                   slack >= -REL_TOL * scale)
 
-    def margin(self, rel_tol: float) -> float:
-        """``min(slack + rel_tol * scale)``: >= 0 exactly when all are satisfied.
+    def margin(self) -> float:
+        """``min(slack + REL_TOL * scale)``: >= 0 exactly when all are satisfied.
 
         A rounded sum of two finite floats has the sign of the exact sum, so
         for finite slacks this agrees with ``satisfied`` facet for facet; a
         NaN slack gives a NaN margin.
         """
-        return float(np.min(self.slack + rel_tol * self.scale))
+        return float(np.min(self.slack + REL_TOL * self.scale))
 
     def verdict(self, i: int) -> ConstraintVerdict:
         return ConstraintVerdict(bool(self.satisfied[i]), float(self.slack[i]),
@@ -299,7 +295,7 @@ def progressive_verdicts(points: np.ndarray, times: np.ndarray,
     """
     F = times.shape[0]
     tmin = config.tmin_2d
-    dts = _dt_samples(tmin, config.dt_interior_samples)
+    dts = np.linspace(0.0, tmin, INTERIOR_LIFTS + 2)
     n = len(dts)
     f = np.arange(F)
     order = np.lexsort((ids, times))
@@ -351,7 +347,6 @@ def progressive_verdicts(points: np.ndarray, times: np.ndarray,
     return FacetVerdicts.judge(
         slack[f, k], scale.reshape(F, 2 * n)[f, k],
         np.where(k % 2 == 1, BINDING_PROGRESS, BINDING_CAUSALITY),
-        config.rel_tol,
     )
 
 
@@ -383,16 +378,8 @@ def is_progressive_front(front, field: SlopeField,
     causality only.
     """
     mesh: SpaceMesh = front.mesh
-    rows = mesh.simplices
-    sids = np.arange(mesh.n_simplices)
-    if mesh.dim == 1:
-        verdicts, _ = facet_causality(mesh, sids, front.times[rows], field,
-                                      config)
-    else:
-        verdicts = progressive_verdicts(
-            mesh.vertices[rows], front.times[rows], rows, mesh.apex_geometry,
-            field, config, elements=sids,
-        )
+    verdicts = facet_verdicts(mesh, np.arange(mesh.n_simplices),
+                              front.times[mesh.simplices], field, config)
     violations = [(int(sid), verdicts.verdict(sid))
                   for sid in np.flatnonzero(~verdicts.satisfied)[:limit]]
     return len(violations) == 0, violations
@@ -431,8 +418,26 @@ def facet_causality(mesh: SpaceMesh, sids: np.ndarray, T: np.ndarray,
             sigma, t_qr[:, 0], t_qr[:, 1], geo.qr_len[sids, apex], T[f, apex],
             geo.altitude[sids, apex], geo.u_along[sids, apex],
         )
-    return FacetVerdicts.judge(slack, scale, BINDING_CAUSALITY,
-                               config.rel_tol), sigma
+    return FacetVerdicts.judge(slack, scale, BINDING_CAUSALITY), sigma
+
+
+def facet_verdicts(mesh: SpaceMesh, sids: np.ndarray, T: np.ndarray,
+                   field: SlopeField, config: ConstraintConfig,
+                   sigma_cap: float = math.inf) -> FacetVerdicts:
+    """The acceptance check of facets ``sids`` at times ``T``, per dimension.
+
+    Row i of ``T`` holds the times of simplex ``sids[i]``'s vertices in id
+    order.  1D: :func:`facet_causality`.  2D: :func:`progressive_verdicts`,
+    with ``sigma_cap`` (a remote cone slope) capping the causality half; 1D
+    ignores it, as tentpoles there stay below remote cones outright.
+    """
+    if mesh.dim == 1:
+        return facet_causality(mesh, sids, T, field, config)[0]
+    rows = mesh.simplices[sids]
+    return progressive_verdicts(
+        mesh.vertices[rows], T, rows, mesh.apex_geometry.take(sids), field,
+        config, elements=sids, sigma_cap=sigma_cap,
+    )
 
 
 def front_causality_report(mesh: SpaceMesh, times: np.ndarray,

@@ -11,11 +11,10 @@ setter, kept for library callers who want off-domain evaluation caught.
 
 ``min_slope_over`` is deliberately a *sampled* minimum: the field is
 evaluated at the simplex vertices, edge midpoints, centroid, and a fixed set
-of extra barycentric points, and the smallest sample (scaled by the safety
-factor ``kappa`` and clamped to ``sigma_min``) stands in for the true
-infimum.  For fields whose variation is resolved by those samples this is
-conservative; discontinuities thinner than the sampling are the caller's
-responsibility, which is what ``kappa < 1`` is for.
+of extra barycentric points, and the smallest sample (clamped to
+``sigma_min``) stands in for the true infimum.  For fields whose variation
+is resolved by those samples this is conservative; discontinuities thinner
+than the sampling are the caller's responsibility.
 
 Field documents are line based, ``#`` starts a comment::
 
@@ -38,13 +37,15 @@ older, larger slope.  Slope rises (slow-downs) of any shape are always
 safe.  Level-in-space drops (``timestep``) are safe too: the driver
 throttles every tent against the drop before crossing it, so fronts arrive
 flat and rebuild their spreads under the new slope.  A spatial speed-up
-``cone`` needs ``cone_slope <= sigma_inside`` so the faster wave outruns
-the news of its own arrival; that makes it safe to drive 1D runs, where a
-stranded vertex can always catch up to its neighbor.  In 2D even such a
-cone can leave a vertex wedged between a facet spread that is suddenly too
-steep and a progress budget that is suddenly too small; the driver first
-looks for a verified catch-up pitch and raises
-:class:`~tentmesh.errors.ContractViolation` only when none exists.
+``cone`` with ``cone_slope <= sigma_inside`` grows its region at
+``1 / cone_slope >= 1 / sigma_inside``, so the speed-up spreads at least
+as fast as its own wave; gate c01 draws its 1D speed-up cones in this
+range, and 1D runs drive through them, since a stranded vertex can always
+catch up to its neighbor.  In 2D even such a cone can leave a vertex
+wedged between a facet spread that is suddenly too steep and a progress
+budget that is suddenly too small; the driver first looks for a verified
+catch-up pitch and raises :class:`~tentmesh.errors.ContractViolation` only
+when none exists.
 Evaluating any field is always well defined, so the constructors reject
 only parameters that are not finite numbers (see :func:`require_finite`).
 """
@@ -52,7 +53,6 @@ only parameters that are not finite numbers (see :func:`require_finite`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -83,31 +83,19 @@ def require_finite(name: str, value) -> None:
         raise ValidationError(f"{label} must be finite, got {arr.flat[bad[0]]}")
 
 
-@dataclass(frozen=True)
-class SimplexSlope:
-    """A (possibly lifted) simplex with its conservative sampled slope."""
-
-    positions: np.ndarray  # (k, dim) vertex positions
-    times: np.ndarray      # (k,) vertex times
-    value: float           # sampled min slope, kappa-scaled and clamped
-
-
 class SlopeField:
     """Base class; subclasses implement ``_values`` as a pure vectorized map."""
 
     kind = "abstract"
 
-    def __init__(self, sigma_min: float, sigma_max: float, kappa: float = 1.0):
+    def __init__(self, sigma_min: float, sigma_max: float):
         if not (sigma_min > 0.0 and sigma_max >= sigma_min):
             raise ValidationError(
                 f"slope bounds must satisfy 0 < sigma_min <= sigma_max, "
                 f"got ({sigma_min}, {sigma_max})"
             )
-        if not 0.0 < kappa <= 1.0:
-            raise ValidationError(f"kappa must be in (0, 1], got {kappa}")
         self.sigma_min = float(sigma_min)
         self.sigma_max = float(sigma_max)
-        self.kappa = float(kappa)
         self.domain: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- evaluation ---------------------------------------------------------
@@ -149,9 +137,9 @@ def slope_at(field: SlopeField, point: EventPoint) -> float:
 class ConstantField(SlopeField):
     kind = "constant"
 
-    def __init__(self, sigma: float, kappa: float = 1.0):
+    def __init__(self, sigma: float):
         require_finite("sigma", sigma)
-        super().__init__(sigma, sigma, kappa)
+        super().__init__(sigma, sigma)
         self.sigma = float(sigma)
 
     def _values(self, xs, ts, elems):
@@ -167,7 +155,7 @@ class TimeStepField(SlopeField):
 
     kind = "timestep"
 
-    def __init__(self, boundaries, sigmas, kappa: float = 1.0):
+    def __init__(self, boundaries, sigmas):
         boundaries = _frozen(boundaries)
         sigmas = _frozen(sigmas)
         require_finite("boundaries", boundaries)
@@ -181,7 +169,7 @@ class TimeStepField(SlopeField):
             raise ValidationError("timestep boundaries must be strictly ascending")
         if np.any(sigmas <= 0.0):
             raise ValidationError("slopes must be positive")
-        super().__init__(float(sigmas.min()), float(sigmas.max()), kappa)
+        super().__init__(float(sigmas.min()), float(sigmas.max()))
         self.boundaries = boundaries
         self.sigmas = sigmas
 
@@ -198,19 +186,20 @@ class SpatialConeField(SlopeField):
     inside when ``t - t_apex >= cone_slope * |x - center|``.
 
     When the field drives a run and ``sigma_inside < sigma_outside`` (the
-    wave speeds up inside), keep ``cone_slope <= sigma_inside``: the
-    speed-up must not spread faster than the sped-up wave, or the front can
-    reach a state with no causal lift.  Even then, only drive 1D runs with
-    a speed-up cone; in 2D it can wedge a front vertex between facet
-    spreads committed under the outside slope and the shrunken inside
-    budgets (see the module docstring).  Slow-down cones
+    wave speeds up inside), gate c01 draws 1D cones with ``cone_slope <=
+    sigma_inside``: the region then grows at ``1 / cone_slope``, at least
+    the inside wave speed ``1 / sigma_inside``, so the speed-up spreads at
+    least as fast as the sped-up wave.  Only drive 1D runs with a speed-up
+    cone; in 2D it can wedge a front vertex between facet spreads committed
+    under the outside slope and the shrunken inside budgets (see the module
+    docstring).  Slow-down cones
     (``sigma_inside > sigma_outside``) are safe everywhere.
     """
 
     kind = "cone"
 
     def __init__(self, center, t_apex: float, sigma_inside: float,
-                 sigma_outside: float, cone_slope: float, kappa: float = 1.0):
+                 sigma_outside: float, cone_slope: float):
         for name, value in (("center", center), ("t_apex", t_apex),
                             ("sigma_inside", sigma_inside),
                             ("sigma_outside", sigma_outside),
@@ -220,9 +209,8 @@ class SpatialConeField(SlopeField):
             raise ValidationError("slopes must be positive")
         if cone_slope < 0.0:
             raise ValidationError("cone_slope must be nonnegative")
-        super().__init__(
-            min(sigma_inside, sigma_outside), max(sigma_inside, sigma_outside), kappa
-        )
+        super().__init__(min(sigma_inside, sigma_outside),
+                         max(sigma_inside, sigma_outside))
         self.center = _frozen(center)
         self.t_apex = float(t_apex)
         self.sigma_inside = float(sigma_inside)
@@ -246,7 +234,7 @@ class TableField(SlopeField):
 
     kind = "table"
 
-    def __init__(self, values, kappa: float = 1.0, future=()):
+    def __init__(self, values, future=()):
         values = _frozen(values)
         future = _frozen(future).reshape(-1)
         if values.ndim != 1 or len(values) == 0:
@@ -256,7 +244,7 @@ class TableField(SlopeField):
         bounds = np.concatenate([values, future])
         if np.any(bounds <= 0.0):
             raise ValidationError("slopes must be positive")
-        super().__init__(float(bounds.min()), float(bounds.max()), kappa)
+        super().__init__(float(bounds.min()), float(bounds.max()))
         self.table = values
 
     def _values(self, xs, ts, elems):
@@ -274,15 +262,12 @@ class CompositeMinField(SlopeField):
 
     kind = "composite"
 
-    def __init__(self, children, kappa: float = 1.0):
+    def __init__(self, children):
         children = tuple(children)
         if not children:
             raise ValidationError("composite field needs at least one child")
-        super().__init__(
-            min(c.sigma_min for c in children),
-            min(c.sigma_max for c in children),
-            kappa,
-        )
+        super().__init__(min(c.sigma_min for c in children),
+                         min(c.sigma_max for c in children))
         self.children = children
 
     def _values(self, xs, ts, elems):
@@ -335,7 +320,7 @@ def _barycentric_weights(k: int, samples: int) -> np.ndarray:
 def sampled_min_values(field: SlopeField, positions: np.ndarray,
                        times_batch: np.ndarray, samples: int = 4,
                        element: int | None = None) -> np.ndarray:
-    """Kappa-scaled, clamped sampled minimum for a batch of time assignments.
+    """Clamped sampled minimum for a batch of time assignments.
 
     ``positions`` is (k, dim); ``times_batch`` is (B, k): the same spatial
     simplex under B different vertex-time assignments (the greedy probes many
@@ -344,8 +329,7 @@ def sampled_min_values(field: SlopeField, positions: np.ndarray,
     positions = np.asarray(positions, dtype=np.float64)
     times_batch = np.atleast_2d(np.asarray(times_batch, dtype=np.float64))
     if field.is_constant:
-        # Sampling a constant always returns the constant: the minimum equals
-        # sigma_min, so the kappa scaling is clamped away.
+        # Sampling a constant always returns the constant, its sigma_min.
         return np.full(times_batch.shape[0], field.sigma_min)
     k = positions.shape[0]
     weights = _barycentric_weights(k, samples)  # (S, k)
@@ -357,7 +341,7 @@ def sampled_min_values(field: SlopeField, positions: np.ndarray,
         elems = np.full(B * S, int(element), dtype=np.int64)
     flat = field.values(np.tile(pts, (B, 1)), ts.reshape(-1), elems=elems)
     mins = flat.reshape(B, S).min(axis=1)
-    return np.maximum(field.sigma_min, mins * field.kappa)
+    return np.maximum(field.sigma_min, mins)
 
 
 def sampled_min_simplices(field: SlopeField, positions: np.ndarray,
@@ -367,7 +351,7 @@ def sampled_min_simplices(field: SlopeField, positions: np.ndarray,
 
     ``positions`` is (m, k, dim), ``times`` is (m, k), ``elements`` an
     optional (m,) id array.  Returns (m,) values with the sample points and
-    scaling of :func:`min_slope_over`, but a row's sample times can differ
+    clamp of :func:`min_slope_over`, but a row's sample times can differ
     in the last bit with the number of rows (numpy's product takes another
     path), so checks that must agree on a slope sample the same rows.
     """
@@ -387,22 +371,17 @@ def sampled_min_simplices(field: SlopeField, positions: np.ndarray,
     if elements is not None:
         elems = np.repeat(np.asarray(elements, dtype=np.int64), S)
     vals = field.values(pts, ts, elems=elems).reshape(m, S).min(axis=1)
-    return np.maximum(field.sigma_min, vals * field.kappa)
+    return np.maximum(field.sigma_min, vals)
 
 
 def min_slope_over(field: SlopeField, positions, times, samples: int = 4,
-                   element: int | None = None) -> SimplexSlope:
+                   element: int | None = None) -> float:
     """Conservative slope for one (possibly lifted) simplex.
 
     See the module docstring for the sampling contract.  ``element`` is the
     mesh element id, required by table-backed fields.
     """
-    positions = np.asarray(positions, dtype=np.float64)
-    times = np.asarray(times, dtype=np.float64)
-    value = float(
-        sampled_min_values(field, positions, times[None, :], samples, element)[0]
-    )
-    return SimplexSlope(positions=positions, times=times, value=value)
+    return float(sampled_min_values(field, positions, [times], samples, element)[0])
 
 
 # ---------------------------------------------------------------------------

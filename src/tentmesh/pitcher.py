@@ -38,12 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (
-    ConstraintConfig,
-    facet_causality,
-    is_progressive_front,
-    progressive_verdicts,
-)
+from .constraints import ConstraintConfig, facet_verdicts, is_progressive_front
 from .errors import ContractViolation, InvalidArgument, ValidationError
 from .fields import SlopeField
 from .front import Front, advance, initial_front, local_minima
@@ -238,16 +233,12 @@ def star_feasible(mesh: SpaceMesh, times: np.ndarray, p: int, c: float,
     rows = mesh.simplices[sids]
     lifted = times[rows]
     lifted[rows == p] = c
-    if mesh.dim == 1:
-        verdicts, _ = facet_causality(mesh, sids, lifted, field, config)
-    else:
-        sigma_rem = math.inf if cones is None else cones.min_slope_intersecting(p, c)
-        verdicts = progressive_verdicts(
-            mesh.vertices[rows], lifted, rows, mesh.apex_geometry.take(sids),
-            field, config, elements=sids, sigma_cap=sigma_rem,
-        )
+    sigma_rem = math.inf  # 1D tentpoles stay below remote cones outright
+    if mesh.dim == 2 and cones is not None:
+        sigma_rem = cones.min_slope_intersecting(p, c)
+    verdicts = facet_verdicts(mesh, sids, lifted, field, config, sigma_rem)
     if margin is not None:
-        margin.append(verdicts.margin(config.rel_tol))
+        margin.append(verdicts.margin())
     return bool(verdicts.satisfied.all())
 
 

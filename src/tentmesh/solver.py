@@ -114,8 +114,7 @@ def _replace(field: SlopeField, old: SlopeField, new: SlopeField) -> SlopeField:
     if field is old:
         return new
     if isinstance(field, CompositeMinField):
-        return CompositeMinField([_replace(c, old, new) for c in field.children],
-                                 field.kappa)
+        return CompositeMinField([_replace(c, old, new) for c in field.children])
     return field
 
 
@@ -151,8 +150,7 @@ def bind_run(mesh: SpaceMesh, field: SlopeField,
     for row in script.rows:
         if not 0 <= row.element < n:
             raise ValidationError(f"script element {row.element} outside table of {n}")
-    run_table = TableField(table.table, table.kappa,
-                           future=[row.sigma for row in script.rows])
+    run_table = TableField(table.table, future=[row.sigma for row in script.rows])
     run_table.table.flags.writeable = True  # the run's own copy
     return _replace(field, table, run_table)
 

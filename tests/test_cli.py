@@ -226,6 +226,17 @@ def test_cli_nan_vertex_exit_2(case_1d, capsys, eta):
     assert "vertex 1" in capsys.readouterr().err
 
 
+def test_cli_underflowing_height_floor_exit_2(tmp_path, capsys):
+    # sigma_min * wmin = 1e-200 * 1e-150 underflows to a zero floor.
+    (tmp_path / "mesh.txt").write_text(
+        "dim 1\nv 0.0\nv 1e-150\nv 2e-150\ns 0 1\ns 1 2\n")
+    (tmp_path / "field.txt").write_text("constant 1e-200\n")
+    assert main(_argv(tmp_path, "--eta", "1e-9")) == 2
+    err = capsys.readouterr().err
+    assert "tmin_1d must be positive and finite" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_cli_nan_target_exit_2(case_1d, capsys):
     code = main(["--mesh", str(case_1d / "mesh.txt"),
                  "--field", str(case_1d / "field.txt"),

@@ -26,7 +26,10 @@ from support import plane_fit_gradient, random_front
 from tentmesh.constraints import (
     BINDING_CAUSALITY,
     BINDING_PROGRESS,
+    INTERIOR_LIFTS,
+    REL_TOL,
     ConstraintConfig,
+    FacetVerdicts,
     causal_segment,
     causal_triangle,
     front_causality_report,
@@ -83,6 +86,18 @@ class TestConfig:
     def test_eta_finite(self, eta):
         with pytest.raises(ValidationError, match="finite"):
             make_config(eta=eta)
+
+    @pytest.mark.parametrize("name", ["tmin_1d", "tmin_2d"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_height_floor_positive_and_finite(self, name, value):
+        with pytest.raises(ValidationError, match=f"{name} must be positive"):
+            make_config(**{name: value})
+
+    def test_underflowing_floor_is_named(self):
+        # sigma_min * wmin = 1e-200 * 1e-150 underflows to 0.
+        mesh = interval_mesh([0.0, 1e-150, 2e-150])
+        with pytest.raises(ValidationError, match="tmin_1d"):
+            ConstraintConfig.for_problem(mesh, ConstantField(1e-200))
 
 
 class TestCausalSegment:
@@ -276,7 +291,7 @@ def _reference_verdict(points, times, field, config, ids, element=None,
     times = np.asarray(times, dtype=np.float64)
     tmin = config.tmin_2d
     lo, mid, _ = sorted(range(3), key=lambda i: (times[i], ids[i]))
-    dts = np.linspace(0.0, tmin, config.dt_interior_samples + 2)
+    dts = np.linspace(0.0, tmin, INTERIOR_LIFTS + 2)
     n = len(dts)
     batch = np.tile(times, (2 * n, 1))
     batch[:n, lo] += dts
@@ -287,11 +302,11 @@ def _reference_verdict(points, times, field, config, ids, element=None,
     worst = None
     for k in range(n):
         v = causal_triangle(points, batch[k], min(float(sig[k]), sigma_cap),
-                            apex=lo, rel_tol=config.rel_tol)
+                            apex=lo)
         if worst is None or v.slack < worst.slack:
             worst = v
         v = progress_ok(points, batch[k], float(sig[n + k]), config.epsilon,
-                        ids, config.rel_tol)
+                        ids)
         if v.slack < worst.slack:
             worst = v
     return worst
@@ -334,7 +349,6 @@ def _field(data, n_elements):
         data.draw(st.sampled_from([-0.5, 0.0, 0.25]) | st.floats(-1.0, 1.0)),
         data.draw(slope), data.draw(slope),
         data.draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 3.0)),
-        kappa=data.draw(st.sampled_from([1.0, 0.9])),
     )
     return cone if kind == "cone" else CompositeMinField([cone, table])
 
@@ -347,7 +361,7 @@ def test_kernel_matches_scalar_reference_bit_for_bit(data):
     tmin = data.draw(st.sampled_from([0.125, 0.5]) | st.floats(0.01, 1.0))
     cfg = make_config(
         epsilon=data.draw(st.sampled_from([0.5, 0.25]) | st.floats(0.05, 0.5)),
-        tmin_2d=tmin, dt_interior_samples=data.draw(st.integers(0, 4)),
+        tmin_2d=tmin,
     )
     # Offsets within a few floors make ties and (time, id) flips under lifts.
     offset = st.sampled_from([0.0, 0.25 * tmin, 0.5 * tmin, tmin]) \
@@ -368,6 +382,23 @@ def test_kernel_matches_scalar_reference_bit_for_bit(data):
                                      ids=tuple(ids[0]), element=0,
                                      sigma_cap=cap)
     assert _bits(single) == _bits(got.verdict(0))
+
+
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 3.0])
+                          | st.floats(0.0, 1e6),
+                          st.integers(-4, 4)), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_margin_is_nonnegative_exactly_when_all_satisfied(facets):
+    # Slacks a few ulps either side of the tolerance edge -REL_TOL * scale,
+    # where the search's margin and the verdicts could disagree.
+    raw = np.array([scale for scale, _ in facets])
+    slack = -REL_TOL * np.maximum(1.0, raw)
+    for i, (_, ulps) in enumerate(facets):
+        for _ in range(abs(ulps)):
+            slack[i] = np.nextafter(slack[i], math.copysign(math.inf, ulps))
+    verdicts = FacetVerdicts.judge(slack, raw, BINDING_CAUSALITY)
+    assert (verdicts.margin() >= 0.0) == bool(verdicts.satisfied.all())
+    assert verdicts.satisfied.tolist() == [ulps >= 0 for _, ulps in facets]
 
 
 @pytest.mark.parametrize("ids, binding", [((5, 2, 9), BINDING_PROGRESS),

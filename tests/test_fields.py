@@ -33,11 +33,23 @@ class LinearInX(SlopeField):
 
     kind = "linear-test"
 
-    def __init__(self, kappa=1.0):
-        super().__init__(1.0, 2.0, kappa)
+    def __init__(self):
+        super().__init__(1.0, 2.0)
 
     def _values(self, xs, ts, elems):
         return 1.0 + xs[:, 0]
+
+
+class DipsBelowBound(SlopeField):
+    """sigma(x, t) = 0.5 + x[0], under a declared sigma_min of 1."""
+
+    kind = "dip-test"
+
+    def __init__(self):
+        super().__init__(1.0, 2.0)
+
+    def _values(self, xs, ts, elems):
+        return 0.5 + xs[:, 0]
 
 
 def ev(x, t):
@@ -151,40 +163,41 @@ class TestBuiltinFields:
 class TestMinSlopeOver:
     SEG = np.array([[0.0], [1.0]])
 
-    def test_constant_field_returns_constant_for_any_kappa(self):
-        f = ConstantField(1.7, kappa=0.5)
-        got = min_slope_over(f, self.SEG, np.array([0.0, 2.0]))
-        assert got.value == 1.7
+    def test_constant_field_returns_constant(self):
+        f = ConstantField(1.7)
+        assert min_slope_over(f, self.SEG, np.array([0.0, 2.0])) == 1.7
 
     def test_linear_field_min_at_vertex_sample(self):
         # sigma = 1 + x on [0, 1]: the x = 0 vertex is among the samples, so
         # the sampled minimum is exactly 1.
         f = LinearInX()
-        got = min_slope_over(f, self.SEG, np.array([0.0, 0.0]))
-        assert got.value == 1.0
+        assert min_slope_over(f, self.SEG, np.array([0.0, 0.0])) == 1.0
 
-    def test_kappa_scales_but_clamps_at_sigma_min(self):
-        f = LinearInX(kappa=0.95)
-        seg = np.array([[0.5], [1.0]])
-        got = min_slope_over(f, seg, np.array([0.0, 0.0]))
-        assert got.value == pytest.approx(1.5 * 0.95, rel=1e-15)
-        # Near x = 0 the scaled value would dip below sigma_min and is clamped.
-        got2 = min_slope_over(f, self.SEG, np.array([0.0, 0.0]))
-        assert got2.value == 1.0
+    def test_samples_below_sigma_min_are_clamped(self):
+        # On [0, 1] the vertex x = 0 samples 0.5, below the declared floor;
+        # on [0.75, 1] every sample sits above it and passes through.
+        f = DipsBelowBound()
+        times = np.zeros((1, 2))
+        assert sampled_min_values(f, self.SEG, times).tolist() == [1.0]
+        assert sampled_min_values(f, np.array([[0.75], [1.0]]), times).tolist() \
+            == [1.25]
+        segs = np.array([self.SEG, [[0.75], [1.0]]])
+        assert sampled_min_simplices(f, segs, np.zeros((2, 2))).tolist() \
+            == [1.0, 1.25]
 
     def test_time_variation_is_sampled_through_lifts(self):
         f = TimeStepField([1.0], [2.0, 0.5])
         flat = min_slope_over(f, self.SEG, np.array([0.0, 0.0]))
         lifted = min_slope_over(f, self.SEG, np.array([2.0, 0.0]))
-        assert flat.value == 2.0
-        assert lifted.value == 0.5  # one vertex sits past the drop
+        assert flat == 2.0
+        assert lifted == 0.5  # one vertex sits past the drop
 
     def test_batch_matches_single(self):
         f = SpatialConeField([0.5], 0.0, 2.0, 1.0, 1.0)
         tri = np.array([[0.0], [1.0]])
         batch_times = np.array([[0.0, 0.0], [1.0, 0.5], [3.0, 3.0]])
         batch = sampled_min_values(f, tri, batch_times)
-        singles = [min_slope_over(f, tri, t).value for t in batch_times]
+        singles = [min_slope_over(f, tri, t) for t in batch_times]
         assert batch.tolist() == singles
 
     def test_many_simplices_sample_the_batch_points(self):
@@ -231,15 +244,15 @@ class TestMinSlopeOver:
         f = Pocket()
         coarse = min_slope_over(f, self.SEG, np.zeros(2), samples=0)
         fine = min_slope_over(f, self.SEG, np.zeros(2), samples=400)
-        assert coarse.value == 1.0
-        assert fine.value == pytest.approx(0.1)
+        assert coarse == 1.0
+        assert fine == pytest.approx(0.1)
 
     def test_sampling_is_deterministic(self):
         f = SpatialConeField([0.3, 0.3], 0.0, 2.0, 0.7, 3.0)
         tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         a = min_slope_over(f, tri, np.array([0.1, 0.2, 0.3]))
         b = min_slope_over(f, tri, np.array([0.1, 0.2, 0.3]))
-        assert a.value == b.value
+        assert a == b
 
 
 class TestConeMonotonicity:
@@ -329,5 +342,4 @@ def test_sampled_min_never_below_sigma_min(samples):
     f = SpatialConeField([0.25, 0.25], 0.0, 0.3, 1.0, 2.0)
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     got = min_slope_over(f, tri, np.array([5.0, 0.0, 0.0]), samples=samples)
-    assert got.value >= f.sigma_min
-    assert got.value <= f.sigma_max
+    assert f.sigma_min <= got <= f.sigma_max
