@@ -69,6 +69,7 @@ and the progressive notions degenerate to causality.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -280,6 +281,14 @@ class FacetVerdicts(NamedTuple):
                                  str(self.binding[i]), float(self.scale[i]))
 
 
+@functools.lru_cache(maxsize=4)
+def _lift_samples(tmin: float) -> np.ndarray:
+    """The lifts ``progressive_verdicts`` samples, 0 to ``tmin``; read-only."""
+    dts = np.linspace(0.0, tmin, INTERIOR_LIFTS + 2)
+    dts.setflags(write=False)
+    return dts
+
+
 def progressive_verdicts(points: np.ndarray, times: np.ndarray,
                          ids: np.ndarray, geometry: ApexGeometry,
                          field: SlopeField, config: ConstraintConfig,
@@ -295,7 +304,7 @@ def progressive_verdicts(points: np.ndarray, times: np.ndarray,
     """
     F = times.shape[0]
     tmin = config.tmin_2d
-    dts = np.linspace(0.0, tmin, INTERIOR_LIFTS + 2)
+    dts = _lift_samples(tmin)
     n = len(dts)
     f = np.arange(F)
     order = np.lexsort((ids, times))

@@ -15,10 +15,13 @@ Two interchangeable index structures answer those queries:
   subtree; ``node_tmin + node_slope * dist(x, bbox)`` then lower-bounds every
   entry time in the subtree, which prunes traversal.
 
-Both structures run the same entry-time kernel, and min / lexicographic-min
-combinators are order independent, so their answers agree bit for bit; the
-tree only changes how much work is done (see the visit counters in
-:class:`ConeStats`).
+The scan evaluates its facets with the vectorized kernel
+:func:`entry_times`; the tree evaluates one leaf at a time with its scalar
+twin :func:`leaf_entry_time`, which repeats the kernel's IEEE operations in
+the same order on Python floats (the tests compare the two by
+``float.hex``).  With order-independent min / lexicographic-min combinators
+the two structures' answers agree bit for bit; the tree only changes how
+much work is done (see the visit counters in :class:`ConeStats`).
 
 Tree layout.  Nodes are numbered in preorder over ranges of ``order``, the
 sorted facet ids: the node of [lo, hi) splits at ``mid = (lo + hi) // 2``,
@@ -116,11 +119,67 @@ def entry_times(mesh: SpaceMesh, times: np.ndarray, slopes: np.ndarray,
     return best
 
 
+def leaf_entry_time(mesh: SpaceMesh, times: np.ndarray, slopes: np.ndarray,
+                    x: list[float], fid: int) -> float:
+    """:func:`entry_times` of one facet, on Python floats, bit for bit.
+
+    ``x`` is the query point as a list.  Every sum, product and branch
+    repeats the kernel's operation in the kernel's order, and the branches
+    that stand for ``np.maximum`` and ``np.minimum`` keep their results,
+    signed zeros included; only the facet's own corners, times and slope are
+    read.
+    """
+    sqrt, inf = math.sqrt, math.inf
+    sig = slopes.item(fid)
+    verts = mesh.vertices
+    corners = [(*verts[v].tolist(), times.item(v))
+               for v in mesh.simplices[fid].tolist()]
+    best = inf
+    if mesh.dim == 1:
+        (x0,) = x
+        for a, t in corners:
+            d = a - x0
+            val = t + sig * sqrt(d * d)
+            if val < best:
+                best = val
+        return best
+
+    x0, x1 = x
+    for a0, a1, t in corners:
+        d0, d1 = a0 - x0, a1 - x1
+        val = t + sig * sqrt(d0 * d0 + d1 * d1)
+        if val < best:
+            best = val
+    c0, c1, c2 = corners
+    for (a0, a1, tA), (b0, b1, tB) in ((c0, c1), (c0, c2), (c1, c2)):
+        e0, e1 = b0 - a0, b1 - a1
+        L2 = e0 * e0 + e1 * e1
+        w0, w1 = x0 - a0, x1 - a1
+        u = (w0 * e0 + w1 * e1) / L2
+        dperp2 = (w0 * w0 + w1 * w1) - u * u * L2
+        dt = tB - tA
+        disc = sig * sig * L2 - dt * dt
+        if disc > 0.0:
+            v = dt * sqrt(dperp2 if dperp2 > 0.0 else 0.0) / sqrt(L2 * disc)
+        else:
+            v = inf if dt > 0.0 else -inf
+        s = u - v
+        if s < 0.0:
+            s = 0.0
+        elif s > 1.0:
+            s = 1.0
+        y0, y1 = x0 - (a0 + s * e0), x1 - (a1 + s * e1)
+        val = tA + s * dt + sig * sqrt(y0 * y0 + y1 * y1)
+        if val < best:
+            best = val
+    return best
+
+
 class _ConesBase:
     """Shared state: the mutable slope store, the current front, counters.
 
     The store is the index's own copy of ``slopes``, one positive finite
-    slope per facet; :meth:`update_leaf` writes only that copy.
+    slope per facet; :meth:`update_star` writes only that copy.
     """
 
     def __init__(self, mesh: SpaceMesh, front, slopes: np.ndarray):
@@ -138,23 +197,44 @@ class _ConesBase:
         self.stats = ConeStats()
 
     def set_front(self, front) -> None:
-        """Rebind the front; then :meth:`update_leaf` every facet that moved."""
+        """Rebind the front; then :meth:`update_star` the facets that moved."""
         self.front = front
-
-    def _check_fid(self, fid: int) -> None:
-        if not 0 <= fid < self.mesh.n_simplices:
-            raise NotFound(f"facet {fid} does not exist")
 
     def _check_vertex(self, p: int) -> None:
         if not 0 <= p < self.mesh.n_vertices:
             raise NotFound(f"vertex {p} does not exist")
 
+    def _store(self, sids, slopes) -> list[int]:
+        """Check every (facet, slope) pair, then write them; return the ids."""
+        ids = np.asarray(sids, dtype=np.int64)
+        vals = np.asarray(slopes, dtype=np.float64)
+        if ids.ndim != 1 or vals.shape != ids.shape:
+            raise InvalidArgument(f"expected one slope per facet, got shapes "
+                                  f"{ids.shape} and {vals.shape}")
+        ids, vals = ids.tolist(), vals.tolist()
+        m = self.mesh.n_simplices
+        for fid in ids:
+            if not 0 <= fid < m:
+                raise NotFound(f"facet {fid} does not exist")
+        for fid, s in zip(ids, vals):
+            if not 0.0 < s < math.inf:
+                raise InvalidArgument(f"slope must be positive and finite, "
+                                      f"got {s} at facet {fid}")
+        for fid, s in zip(ids, vals):
+            self.slopes[fid] = s
+        return ids
+
+    def update_star(self, sids, slopes) -> None:
+        """Store the cone slopes of facets ``sids``, each positive and finite.
+
+        All pairs are checked before any is written, so a rejected call
+        leaves the index as it was.
+        """
+        self._store(sids, slopes)
+
     def update_leaf(self, fid: int, slope: float) -> None:
-        """Store facet ``fid``'s cone slope, which must be positive and finite."""
-        self._check_fid(fid)
-        if not 0.0 < slope < math.inf:
-            raise InvalidArgument(f"slope must be positive and finite, got {slope}")
-        self.slopes[fid] = slope
+        """:meth:`update_star` of the one facet ``fid``."""
+        self.update_star([fid], [slope])
 
     def _check_slope_query(self, p: int, t_top: float) -> None:
         self._check_vertex(p)
@@ -269,58 +349,57 @@ class ConeHierarchy(_ConesBase):
         self.node_lo = [col.tolist() for col in node_min[:, 2:].T]
         self.node_hi = [col.tolist() for col in node_max.T]
 
-    def update_leaf(self, fid: int, slope: float) -> None:
-        """Refresh one facet's slope and time bound, repairing the root path."""
-        super().update_leaf(fid, slope)
-        r = int(self.rank[fid])
-        path: list[tuple[int, int, int]] = []   # (node, left, right)
-        node, lo, hi = 0, 0, self.mesh.n_simplices
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            left, right = node + 1, node + 2 * (mid - lo)
-            path.append((node, left, right))
-            if r < mid:
-                node, hi = left, mid
-            else:
-                node, lo = right, mid
-        tmin, smin = self.node_tmin, self.node_smin
-        tmin[node] = float(self.front.times[self.mesh.simplices[fid]].min())
-        smin[node] = float(self.slopes[fid])
-        for node, a, b in reversed(path):
+    def update_star(self, sids, slopes) -> None:
+        """Refresh the facets' slopes and time bounds, then their root paths.
+
+        Each shared ancestor is repaired once, children before parents: a
+        node's preorder index is below every node of its subtree.
+        """
+        ids = self._store(sids, slopes)
+        tmin, smin, rank = self.node_tmin, self.node_smin, self.rank
+        leaf_t = self.front.times[self.mesh.simplices[ids]].min(axis=1)
+        kids: dict[int, tuple[int, int]] = {}   # ancestor -> (left, right)
+        for fid, t in zip(ids, leaf_t.tolist()):
+            r = rank.item(fid)
+            node, lo, hi = 0, 0, self.mesh.n_simplices
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                left, right = node + 1, node + 2 * (mid - lo)
+                kids[node] = (left, right)
+                if r < mid:
+                    node, hi = left, mid
+                else:
+                    node, lo = right, mid
+            tmin[node] = t
+            smin[node] = self.slopes.item(fid)
+        for node in sorted(kids, reverse=True):
+            a, b = kids[node]
             tmin[node] = min(tmin[a], tmin[b])
             smin[node] = min(smin[a], smin[b])
-
-    def _node_lb(self, node: int, x: list[float]) -> float:
-        sq = 0.0
-        for xi, lo, hi in zip(x, self.node_lo, self.node_hi):
-            gap = max(0.0, lo[node] - xi, xi - hi[node])
-            sq += gap * gap
-        return self.node_tmin[node] + self.node_smin[node] * math.sqrt(sq)
-
-    def _entry_time(self, x: np.ndarray, fid: int) -> float:
-        return float(entry_times(self.mesh, self.front.times, self.slopes,
-                                 x, [fid])[0])
 
     def ray_shoot(self, p: int) -> tuple[float, int | None]:
         """Same contract as :meth:`ExhaustiveCones.ray_shoot`."""
         self._check_vertex(p)
         self.stats.entry_queries += 1
-        x = self.mesh.vertices[p]
-        xl = x.tolist()
-        star = self.mesh.stars[p].tolist()
-        order, lb_of = self.order, self._node_lb
+        mesh, times, slopes = self.mesh, self.front.times, self.slopes
+        xl = mesh.vertices[p].tolist()
+        star = mesh.stars[p].tolist()
+        order, tmin, smin = self.order, self.node_tmin, self.node_smin
+        boxes = list(zip(xl, self.node_lo, self.node_hi))
+        sqrt, push, pop = math.sqrt, heapq.heappush, heapq.heappop
+        visited = leaves = 0
         best_T = math.inf
         best_fid: int | None = None
-        heap = [(lb_of(0, xl), 0, 0, self.mesh.n_simplices)]
+        heap = [(-math.inf, 0, 0, mesh.n_simplices)]  # the root is always expanded
         while heap and heap[0][0] <= best_T:
-            _, node, lo, hi = heapq.heappop(heap)
-            self.stats.nodes_visited += 1
+            _, node, lo, hi = pop(heap)
+            visited += 1
             if hi - lo == 1:
                 fid = order[lo]
                 if fid in star:
                     continue
-                self.stats.leaves_evaluated += 1
-                T = self._entry_time(x, fid)
+                leaves += 1
+                T = leaf_entry_time(mesh, times, slopes, xl, fid)
                 if T < best_T or (T == best_T and
                                   (best_fid is None or fid < best_fid)):
                     best_T, best_fid = T, fid
@@ -328,40 +407,61 @@ class ConeHierarchy(_ConesBase):
                 mid = (lo + hi) // 2
                 for child, clo, chi in ((node + 1, lo, mid),
                                         (node + 2 * (mid - lo), mid, hi)):
-                    clb = lb_of(child, xl)
+                    sq = 0.0  # squared distance from x to the node's box
+                    for xi, blo, bhi in boxes:
+                        gap = blo[child] - xi
+                        if gap <= 0.0:
+                            gap = xi - bhi[child]
+                        if gap > 0.0:
+                            sq += gap * gap
+                    clb = tmin[child] + smin[child] * sqrt(sq)
                     if clb <= best_T:
-                        heapq.heappush(heap, (clb, child, clo, chi))
+                        push(heap, (clb, child, clo, chi))
+        self.stats.nodes_visited += visited
+        self.stats.leaves_evaluated += leaves
         return best_T, best_fid
 
     def min_slope_intersecting(self, p: int, t_top: float) -> float:
         """Same contract as :meth:`ExhaustiveCones.min_slope_intersecting`."""
         self._check_slope_query(p, t_top)
         self.stats.slope_queries += 1
-        x = self.mesh.vertices[p]
-        xl = x.tolist()
-        star = self.mesh.stars[p].tolist()
-        order, smin, lb_of = self.order, self.node_smin, self._node_lb
+        mesh, times, slopes = self.mesh, self.front.times, self.slopes
+        xl = mesh.vertices[p].tolist()
+        star = mesh.stars[p].tolist()
+        order, tmin, smin = self.order, self.node_tmin, self.node_smin
+        boxes = list(zip(xl, self.node_lo, self.node_hi))
+        sqrt = math.sqrt
+        visited = leaves = 0
         best = math.inf
-        stack = [(0, 0, self.mesh.n_simplices)]
+        stack = [(0, 0, mesh.n_simplices)]
         while stack:
             node, lo, hi = stack.pop()
-            self.stats.nodes_visited += 1
+            visited += 1
             if smin[node] >= best:
                 continue  # nothing below can lower the running minimum
-            if lb_of(node, xl) > t_top:
+            sq = 0.0  # squared distance from x to the node's box
+            for xi, blo, bhi in boxes:
+                gap = blo[node] - xi
+                if gap <= 0.0:
+                    gap = xi - bhi[node]
+                if gap > 0.0:
+                    sq += gap * gap
+            if tmin[node] + smin[node] * sqrt(sq) > t_top:
                 continue  # no cone in this subtree reaches the tentpole
             if hi - lo == 1:
                 fid = order[lo]
                 if fid in star:
                     continue
-                self.stats.leaves_evaluated += 1
-                if self._entry_time(x, fid) <= t_top:
-                    best = min(best, float(self.slopes[fid]))
+                leaves += 1
+                if leaf_entry_time(mesh, times, slopes, xl, fid) <= t_top:
+                    best = min(best, slopes.item(fid))
             else:
                 mid = (lo + hi) // 2
                 # Left subtree on top of the stack so it is explored first.
                 stack.append((node + 2 * (mid - lo), mid, hi))
                 stack.append((node + 1, lo, mid))
+        self.stats.nodes_visited += visited
+        self.stats.leaves_evaluated += leaves
         return best
 
 
@@ -372,7 +472,7 @@ def build(mesh: SpaceMesh, front, field: SlopeField,
 
     Initial slopes are the conservative sampled minima over each facet at the
     front's current times; thereafter the driver refreshes them through
-    :meth:`update_leaf` with the solver's outflow values, so both index
+    :meth:`update_star` with the solver's outflow values, so both index
     flavors always read the same store.
     """
     if config is None:

@@ -4,7 +4,8 @@ A mesh is a set of vertices plus segments (1D) or triangles (2D).  Simplices
 are stored with their vertex ids sorted ascending, whatever their orientation
 in the input, so identical inputs always produce identical in-memory
 structures and output files.  The mesh owns its arrays: ``build_mesh`` copies
-the caller's vertices and freezes its copies.
+the caller's vertices and freezes its copies (``load_mesh`` hands over the
+array its parser made, uncopied).
 
 The text format is line based::
 
@@ -201,7 +202,15 @@ def build_mesh(vertices, simplices) -> SpaceMesh:
     Raises :class:`ValidationError` describing the first problem found, in
     the order given in the module docstring.
     """
-    verts = np.array(vertices, dtype=np.float64)
+    return _build_owned(np.array(vertices, dtype=np.float64), simplices)
+
+
+def _build_owned(verts: np.ndarray, simplices) -> SpaceMesh:
+    """:func:`build_mesh` of a float64 vertex array nobody else holds.
+
+    The mesh takes ``verts`` as it is and freezes it; only :func:`load_mesh`,
+    whose parser made the array, calls this.
+    """
     if verts.ndim == 1:
         verts = verts[:, None]
     if verts.ndim != 2 or verts.shape[1] not in (1, 2):
@@ -445,7 +454,7 @@ def load_mesh(path) -> SpaceMesh:
     """Parse a mesh document; raise :class:`ValidationError` with the offending line."""
     verts, simps = _parse_mesh(path)
     try:
-        return build_mesh(verts, simps)
+        return _build_owned(verts, simps)
     except ValidationError as exc:
         # Structural errors name a simplex, vertex or edge, not a line.
         where = str(path) if exc.location is None else f"{exc.location} of {path}"

@@ -583,8 +583,7 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
         )
         stats["script_rows_fired"] += len(fired)
         cones.set_front(new_front)
-        for sid, s in zip(sids, slopes):
-            cones.update_leaf(int(sid), float(s))
+        cones.update_star(sids, slopes)
         front = new_front
         heights.append(height)
         if assert_invariants:

@@ -37,6 +37,7 @@ from tentmesh.constraints import (
     is_progressive_triangle,
     progress_ok,
     progressive_verdicts,
+    _lift_samples,
 )
 from tentmesh.errors import ValidationError
 from tentmesh.fields import (
@@ -382,6 +383,16 @@ def test_kernel_matches_scalar_reference_bit_for_bit(data):
                                      ids=tuple(ids[0]), element=0,
                                      sigma_cap=cap)
     assert _bits(single) == _bits(got.verdict(0))
+
+
+@pytest.mark.parametrize("tmin", [0.125, 0.03, 1.0 / 3.0])
+def test_lift_samples_made_once_per_floor_and_read_only(tmin):
+    # Every star probe reads the same cached samples; nobody may write them.
+    dts = _lift_samples(tmin)
+    assert dts is _lift_samples(tmin)
+    assert dts.tobytes() == np.linspace(0.0, tmin, INTERIOR_LIFTS + 2).tobytes()
+    with pytest.raises(ValueError):
+        dts[1] = 0.0
 
 
 @given(st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 3.0])

@@ -15,6 +15,7 @@ from tentmesh.hierarchy import (
     ExhaustiveCones,
     build,
     entry_times,
+    leaf_entry_time,
     min_slope_intersecting,
     ray_shoot,
     update_leaf,
@@ -217,6 +218,35 @@ def test_entry_triangle_stacked_edges_match_per_edge_reference(data):
     for fid in range(F):   # one facet at a time, as the tree's leaves ask
         got = entry_times(mesh, t, sigma, x, np.array([fid]))
         assert got.tobytes() == want[fid:fid + 1].tobytes()
+        # The tree's scalar twin, on Python floats.
+        leaf = leaf_entry_time(mesh, t, sigma, x.tolist(), fid)
+        assert leaf.hex() == float(got[0]).hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_entry_segment_scalar_twin_matches_kernel_bitwise(data):
+    # The scalar leaf kernel repeats entry_times' operations on segments: at
+    # a vertex, inside a segment and off the mesh, with any vertex times.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = data.draw(st.integers(2, 8))
+    xs = np.cumsum(rng.uniform(0.01, 3.0, size=n)) - 4.0
+    mesh = interval_mesh(xs)
+    times = rng.uniform(0.0, data.draw(st.sampled_from([0.1, 1.0, 10.0])),
+                        size=n)
+    slopes = rng.uniform(0.2, 2.0, size=n - 1)
+    where = data.draw(st.sampled_from(["free", "vertex", "segment"]))
+    i = data.draw(st.integers(0, n - 2))
+    if where == "vertex":
+        x = np.array([xs[i]])
+    elif where == "segment":
+        x = np.array([xs[i] + float(rng.uniform(0.0, 1.0)) * (xs[i + 1] - xs[i])])
+    else:
+        x = rng.uniform(-8.0, 8.0, size=1)
+    want = entry_times(mesh, times, slopes, x, np.arange(n - 1))
+    for fid in range(n - 1):
+        got = leaf_entry_time(mesh, times, slopes, x.tolist(), fid)
+        assert got.hex() == float(want[fid]).hex()
 
 
 # -- ray shooting and slope queries, frozen fixture --------------------------
@@ -487,6 +517,75 @@ def test_update_leaf_matches_rebuild():
             assert [c[node] for c in tree.node_hi] == pts.max(axis=0).tolist()
             if hi - lo == 1:
                 assert int(tree.rank[fids[0]]) == lo
+
+
+def _star_updates(rng, mesh, times, slopes, steps):
+    """Random star refreshes: (times, star facets, new slopes, all slopes)."""
+    times, slopes = times.copy(), slopes.copy()
+    for _ in range(steps):
+        p = int(rng.integers(0, mesh.n_vertices))
+        times[p] += float(rng.uniform(0.0, 0.5))
+        sids = mesh.stars[p]
+        new = rng.uniform(0.05, 3.0, size=len(sids))
+        slopes[sids] = new
+        yield times.copy(), sids, new, slopes
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_update_star_matches_update_leaf_and_rebuild(dim):
+    # One batched root-path repair per star leaves the same node bounds as
+    # the same slopes stored one update_leaf at a time, and as a rebuild.
+    rng = np.random.default_rng(41 + dim)
+    for _ in range(12):
+        mesh, times, slopes = _random_instance(rng, dim)
+        star = _cones(mesh, times, slopes, True)
+        leafwise = _cones(mesh, times, slopes, True)
+        for t, sids, new, now in _star_updates(rng, mesh, times, slopes, 10):
+            star.set_front(Front(mesh, t))
+            star.update_star(sids, new)
+            leafwise.set_front(Front(mesh, t))
+            for fid, s in zip(sids, new):
+                update_leaf(leafwise, int(fid), float(s))
+            assert star.node_tmin == leafwise.node_tmin
+            assert star.node_smin == leafwise.node_smin
+            assert star.slopes.tolist() == leafwise.slopes.tolist()
+        fresh = _cones(mesh, t, now, True)
+        assert star.node_tmin == fresh.node_tmin
+        assert star.node_smin == fresh.node_smin
+        assert star.slopes.tolist() == fresh.slopes.tolist()
+
+
+@pytest.mark.parametrize("use_hierarchy", [False, True])
+@pytest.mark.parametrize("bad_fid, bad_slope, error", [
+    (None, math.nan, InvalidArgument),
+    (None, 0.0, InvalidArgument),
+    (None, math.inf, InvalidArgument),
+    (99, 1.0, NotFound),
+    (-1, 1.0, NotFound),
+])
+def test_update_star_is_atomic(use_hierarchy, bad_fid, bad_slope, error):
+    # A bad pair in the middle of a star leaves the store and the node
+    # bounds as they were, even after the front moved.
+    rng = np.random.default_rng(5)
+    mesh = grid_mesh(3, 3, skew=0.1)
+    times = rng.uniform(0.0, 1.0, mesh.n_vertices)
+    cones = _cones(mesh, times, np.ones(mesh.n_simplices), use_hierarchy)
+    before = cones.slopes.copy()
+    bounds = (list(getattr(cones, "node_tmin", [])),
+              list(getattr(cones, "node_smin", [])))
+    sids = mesh.stars[4].copy()
+    slopes = np.full(len(sids), 0.5)
+    if bad_fid is not None:
+        sids[len(sids) // 2] = bad_fid
+    slopes[len(sids) // 2] = bad_slope
+    lifted = times.copy()
+    lifted[4] += 0.5
+    cones.set_front(Front(mesh, lifted))
+    with pytest.raises(error):
+        cones.update_star(sids, slopes)
+    assert cones.slopes.tobytes() == before.tobytes()
+    assert (list(getattr(cones, "node_tmin", [])),
+            list(getattr(cones, "node_smin", []))) == bounds
 
 
 def test_tree_counters_pinned():

@@ -154,6 +154,18 @@ class TestTextFormat:
         save_mesh(again, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_loaded_vertices_are_read_only_float64(self, tmp_path):
+        # The loader hands its parsed array to the mesh uncopied; the mesh
+        # still freezes it like every other vertex array it owns.
+        path = tmp_path / "m.mesh"
+        path.write_text("dim 2\nv 0 0\nv 1 0\nv 0 1\ns 2 0 1\n")
+        mesh = load_mesh(path)
+        assert mesh.vertices.dtype == np.float64
+        assert mesh.vertices.shape == (3, 2)
+        assert not mesh.vertices.flags.writeable
+        with pytest.raises(ValueError):
+            mesh.vertices[0, 0] = 5.0
+
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "m.mesh"
         path.write_text("# header\ndim 1\n\nv 0.0 # origin\nv 1.0\ns 0 1\n")
