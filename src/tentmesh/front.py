@@ -1,10 +1,13 @@
 """The advancing front: a piecewise-linear time function over mesh vertices.
 
 A front assigns one time to every vertex; each mesh simplex lifted to those
-times is a facet of the evolving spacetime terrain.  Fronts are persistent
-values: :func:`advance` returns a new front and never mutates its input, so
-the pitching driver can keep hierarchy state and front snapshots consistent
-without defensive copies.
+times is a facet of the evolving spacetime terrain.  A :class:`Front` is a
+value: :func:`advance` returns a new front and never mutates its input.  The
+pitching driver does not copy a front per patch; a run owns one mutable time
+array, a :class:`BlockedTimes`, lifts it in place and reads its lowest vertex
+from a blocked minimum.  The run's own front and the cone index read that
+array through a read-only view, and the fronts a run hands out (snapshots,
+the final front) are frozen copies.
 
 Fronts start at time zero everywhere (or at caller-provided times, which are
 validated for causality against the field before being accepted).
@@ -39,6 +42,20 @@ class Front:
         return int(np.argmin(self.times))
 
 
+def check_times(mesh: SpaceMesh, times: np.ndarray) -> None:
+    """Raise :class:`ValidationError` unless ``times`` are one finite,
+    nonnegative time per vertex of ``mesh``."""
+    if times.shape != (mesh.n_vertices,):
+        raise ValidationError(
+            f"need {mesh.n_vertices} vertex times, got shape {times.shape}"
+        )
+    bad = np.flatnonzero(~((times >= 0.0) & (times < math.inf)))
+    if bad.size:
+        v = int(bad[0])
+        raise ValidationError(f"vertex times must be finite and >= 0, got "
+                              f"{float(times[v])!r} at vertex {v}")
+
+
 def initial_front(mesh: SpaceMesh, times=None, field: SlopeField | None = None,
                   config: ConstraintConfig | None = None) -> Front:
     """Front at the initial times (zero by default).
@@ -51,12 +68,7 @@ def initial_front(mesh: SpaceMesh, times=None, field: SlopeField | None = None,
         t = np.zeros(mesh.n_vertices)
     else:
         t = np.asarray(times, dtype=np.float64).copy()
-        if t.shape != (mesh.n_vertices,):
-            raise ValidationError(
-                f"need {mesh.n_vertices} vertex times, got shape {t.shape}"
-            )
-        if t.min() < 0.0:
-            raise ValidationError(f"vertex times must be >= 0, got {t.min()}")
+        check_times(mesh, t)
         if field is None:
             raise InvalidArgument("validating explicit start times requires a field")
         if config is None:
@@ -94,6 +106,43 @@ def advance(front: Front, p: int, dt: float) -> Front:
     t[p] += dt
     t.setflags(write=False)
     return Front(mesh=front.mesh, times=t)
+
+
+class BlockedTimes:
+    """One mutable time array with a blocked minimum, owned by a run.
+
+    The n times live in a ``(nb, B)`` block array, ``B = isqrt(n)``, padded
+    with ``+inf``; ``bmin`` holds each block's minimum.  ``times`` is a
+    read-only view of the first n entries, so readers see every lift.  A
+    lift rescans one block and :meth:`lowest` scans ``bmin`` and one block:
+    O(sqrt n) numpy work per patch.  The times must be finite (see
+    :func:`check_times`).
+    """
+
+    def __init__(self, times: np.ndarray):
+        n = len(times)
+        self.B = max(1, math.isqrt(n))
+        self.blocks = np.full((-(-n // self.B), self.B), math.inf)
+        self._flat = self.blocks.reshape(-1)
+        self._flat[:n] = times
+        self.times = self._flat[:n]
+        self.times.flags.writeable = False
+        self.bmin = self.blocks.min(axis=1)
+
+    def lift(self, p: int, dt: float) -> None:
+        """Raise vertex ``p`` by ``dt >= 0`` (``times[p] += dt``)."""
+        b = p // self.B
+        old = self._flat[p]
+        self._flat[p] += dt
+        if old == self.bmin[b]:
+            self.bmin[b] = self.blocks[b].min()
+
+    def lowest(self) -> tuple[float, int]:
+        """(time, vertex) of the earliest vertex; ties go to the smallest id,
+        as with ``np.argmin(times)``."""
+        b = int(np.argmin(self.bmin))
+        j = int(np.argmin(self.blocks[b]))
+        return float(self.bmin[b]), b * self.B + j
 
 
 def export_snapshot(front: Front, path) -> None:

@@ -38,14 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintConfig, facet_verdicts, is_progressive_front
+from .constraints import ConstraintConfig, facet_causality, facet_verdicts, \
+    is_progressive_front
 from .errors import ContractViolation, InvalidArgument, ValidationError
 from .fields import SlopeField
-from .front import Front, advance, initial_front, local_minima
+from .front import BlockedTimes, Front, check_times, initial_front, local_minima
 from .geometry import APEX_OTHERS
 from .hierarchy import build as build_cones
 from .mesh import SpaceMesh
-from .solver import SlopeScript, bind_run, seal_run, solve_patch
+from .solver import SlopeScript, bind_run, fire_rows, seal_run, solve_patch
 
 HEURISTICS = ("lowest", "min-slope", "round-robin")
 
@@ -219,24 +220,31 @@ def local_cap(mesh: SpaceMesh, times: np.ndarray, p: int,
 
 def star_feasible(mesh: SpaceMesh, times: np.ndarray, p: int, c: float,
                   field: SlopeField, config: ConstraintConfig,
-                  cones=None, *, margin: list | None = None) -> bool:
+                  cones=None, *, margin: list | None = None,
+                  sampled: list | None = None) -> bool:
     """Whether topping p at time c leaves its star acceptable.
 
     1D: each lifted segment causal against the field sampled over it, the
-    slopes :func:`~tentmesh.solver.solve_patch` stores for the same star.
-    2D: each lifted triangle progressive, with the smallest intersecting
-    remote cone slope capping the causality half.  When ``margin`` is a
-    list, the star's :meth:`~tentmesh.constraints.FacetVerdicts.margin` from
-    the same evaluation is appended to it (>= 0 exactly when feasible).
+    slopes :func:`~tentmesh.solver.solve_patch` stores for the same star;
+    when ``sampled`` is a list, those slopes are appended to it.  2D: each
+    lifted triangle progressive, with the smallest intersecting remote cone
+    slope capping the causality half.  When ``margin`` is a list, the star's
+    :meth:`~tentmesh.constraints.FacetVerdicts.margin` from the same
+    evaluation is appended to it (>= 0 exactly when feasible).
     """
     sids = mesh.stars[p]
     rows = mesh.simplices[sids]
     lifted = times[rows]
     lifted[rows == p] = c
-    sigma_rem = math.inf  # 1D tentpoles stay below remote cones outright
-    if mesh.dim == 2 and cones is not None:
-        sigma_rem = cones.min_slope_intersecting(p, c)
-    verdicts = facet_verdicts(mesh, sids, lifted, field, config, sigma_rem)
+    if mesh.dim == 1:  # tentpoles stay below remote cones outright
+        verdicts, sigma = facet_causality(mesh, sids, lifted, field, config)
+        if sampled is not None:
+            sampled.append(sigma)
+    else:
+        sigma_rem = math.inf
+        if cones is not None:
+            sigma_rem = cones.min_slope_intersecting(p, c)
+        verdicts = facet_verdicts(mesh, sids, lifted, field, config, sigma_rem)
     if margin is not None:
         margin.append(verdicts.margin())
     return bool(verdicts.satisfied.all())
@@ -334,7 +342,8 @@ def _rescue_foothold(probe, lo: float, hi: float,
 
 def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
                   config: ConstraintConfig, cones, p: int,
-                  stats: dict | None = None) -> float:
+                  stats: dict | None = None, *,
+                  slopes: list | None = None) -> float:
     """Height for pitching p: floor-bounded, verified against the field.
 
     Accepts the closed-form cap when it verifies directly; otherwise
@@ -347,21 +356,34 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
     and the same search narrows from there, before declaring the run
     wedged.  Every returned height h was probed and accepted as the top
     ``t_p + h``, and none is below the floor.  ``stats["bisection_steps"]``
-    counts the search's probes.
+    counts the search's probes.  In 1D, when ``slopes`` is a list, the
+    field slopes the accepted probe sampled over the star are appended to
+    it: the slopes :func:`~tentmesh.solver.solve_patch` would sample over
+    the star lifted to ``t_p + h``.
     """
     times = front.times
     t_p = float(times[p])
     floor_top, cap = pitch_bracket(mesh, front, field, config, cones, p)
     tmin = config.tmin(mesh.dim)
     tol = config.eta / 8.0
+    keep = slopes is not None and mesh.dim == 1
+    sampled_at: dict[float, np.ndarray] = {}  # feasible probe -> its slopes
 
     # The search runs over heights, so every returned height h is exactly
     # the height of a probed top t_p + h.
     def probe(h: float) -> tuple[bool, float]:
         out: list[float] = []
+        got = [] if keep else None
         ok = star_feasible(mesh, times, p, t_p + h, field, config, cones,
-                           margin=out)
+                           margin=out, sampled=got)
+        if ok and keep:
+            sampled_at[h] = got[0]
         return ok, out[0]
+
+    def done(h: float) -> float:
+        if keep:
+            slopes.append(sampled_at[h])
+        return h
 
     def count(key: str, n: int = 1) -> None:
         if stats is not None:
@@ -383,15 +405,15 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
         cap_ok, m_cap = probe(h_cap)
         if cap_ok:
             count("cap_hits")
-            return h_cap
+            return done(h_cap)
     floor_ok, m_floor = probe(tmin)
     if floor_ok:
         if cap <= floor_top:
             count("floor_hits")
-            return tmin
+            return done(tmin)
         h, _, steps = search_top(probe, tmin, m_floor, h_cap, m_cap, tol)
         count("bisection_steps", steps)
-        return h
+        return done(h)
     # The floor itself failed: a slope drop outpaced the front, shrinking a
     # progress budget that was filled under the older, larger slope.  The
     # closed-form cap shares that collapsed slope, so the catch-up height
@@ -406,14 +428,14 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
     ok_r, m_r = probe(h_r)
     if ok_r:
         count("floor_rescues")
-        return h_r
+        return done(h_r)
     foothold = _rescue_foothold(probe, tmin, h_r)
     if foothold is None:
         raise wedge()
     count("floor_rescues")
     h, _, steps = search_top(probe, *foothold, h_r, m_r, tol)
     count("bisection_steps", steps)
-    return h
+    return done(h)
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +444,18 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
 
 
 def _select_vertex(heuristic: str, front: Front, cones, last: int,
-                   target_time: float) -> int:
-    if heuristic == "lowest":
-        return front.argmin_vertex()
+                   target_time: float, lowest: int) -> int:
+    """The vertex ``min-slope`` or ``round-robin`` pitches next.
+
+    ``lowest`` is the earliest vertex, the pick when no local minimum lies
+    below the target.
+    """
     minima = local_minima(front)
     # Vertices already at the target need no further lifting; without this
     # filter a plateau at the top could starve the global minimum.
     minima = minima[front.times[minima] < target_time]
     if minima.size == 0:
-        return front.argmin_vertex()
+        return lowest
     if heuristic == "min-slope":
         best = None
         for v in minima:
@@ -459,6 +484,13 @@ class TentRun:
     initial_times: np.ndarray
     heights: np.ndarray
     stats: dict
+
+
+def _frozen(mesh: SpaceMesh, times: np.ndarray) -> Front:
+    """A front over a read-only copy of the run's live ``times``."""
+    t = times.copy()
+    t.setflags(write=False)
+    return Front(mesh, t)
 
 
 def _patch_guard(mesh: SpaceMesh, config: ConstraintConfig,
@@ -523,6 +555,15 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
     ``field`` and ``script``, and nothing the caller passed in is written:
     the returned :class:`TentRun` carries the run's own field, with any
     scripted table rewrites applied and its table read-only.
+
+    A given ``front`` must lie over ``mesh`` (same vertices and simplices)
+    and hold finite, nonnegative times, or :class:`ValidationError` is
+    raised before any work.  The run copies its times once into a
+    :class:`~tentmesh.front.BlockedTimes` and lifts that array in place;
+    the cone index and the run's checks read it through a read-only view.
+    The fronts passed to ``snapshot_cb`` and the returned
+    :attr:`TentRun.front` are read-only copies, which later patches leave
+    unchanged.
     """
     if heuristic not in HEURISTICS:
         raise InvalidArgument(
@@ -530,6 +571,16 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
         )
     if math.isnan(target_time):
         raise ValidationError("target time must be a number, got nan")
+    if front is not None:
+        if front.mesh is not mesh and not (
+                np.array_equal(front.mesh.vertices, mesh.vertices)
+                and np.array_equal(front.mesh.simplices, mesh.simplices)):
+            raise ValidationError(
+                f"the front lies over another mesh ({front.mesh.n_vertices} "
+                f"vertices, {front.mesh.n_simplices} simplices; the run's "
+                f"has {mesh.n_vertices} and {mesh.n_simplices})"
+            )
+        check_times(mesh, np.asarray(front.times))
     # Script rows rewrite the run's own table; the bound field's bounds
     # already cover them, so the config derived from it holds throughout.
     field = bind_run(mesh, field, script)
@@ -542,6 +593,10 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
         raise InvalidArgument("an infinite target time needs max_patches")
 
     initial_times = front.times.copy()
+    # The run's one time array; ``front`` reads it through a read-only view.
+    index = BlockedTimes(initial_times)
+    times = index.times
+    front = Front(mesh, times)
     cones = build_cones(mesh, front, field, config, use_hierarchy)
     stmesh = SpacetimeMesh(mesh)
     heights: list[float] = []
@@ -552,7 +607,8 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
         "floor_rescues": 0,
         "script_rows_fired": 0,
     }
-    span = target_time - front.min_time()
+    t_low, v_low = index.lowest()
+    span = target_time - t_low
     guard = math.inf
     if max_patches is not None:
         guard = max_patches
@@ -560,7 +616,8 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
         guard = _patch_guard(mesh, config, target_time, span)
 
     last_rr = -1
-    while front.min_time() < target_time:
+    kept: list[np.ndarray] = []  # 1D: the star slopes of the accepted top
+    while t_low < target_time:
         if len(stmesh.patches) >= guard:
             if max_patches is not None:
                 break
@@ -568,29 +625,36 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
                 f"exceeded {guard} patches without reaching time {target_time}; "
                 "the progress guarantee is broken"
             )
-        p = _select_vertex(heuristic, front, cones, last_rr, target_time)
+        p = v_low
+        if heuristic != "lowest":
+            p = _select_vertex(heuristic, front, cones, last_rr, target_time,
+                               v_low)
         last_rr = p
-        t_p = float(front.times[p])
-        height = greedy_height(mesh, front, field, config, cones, p, stats)
+        t_p = float(times[p])
+        height = greedy_height(mesh, front, field, config, cones, p, stats,
+                               slopes=kept)
         top = t_p + height
         sids = mesh.stars[p]
-        new_front = advance(front, p, height)
-        patch = stmesh.add_patch(p, t_p, top, height, sids, front.times)
-        rows = mesh.simplices[sids]
-        slopes, fired = solve_patch(
-            field, config, mesh.vertices[rows], new_front.times[rows],
-            sids, top, pending,
-        )
+        patch = stmesh.add_patch(p, t_p, top, height, sids, times)
+        index.lift(p, height)
+        if mesh.dim == 1:
+            # The accepted probe sampled the star at exactly these times
+            # (times[p] is now t_p + height), and no row has fired since.
+            slopes = kept.pop()
+            fired = fire_rows(field, top, pending)
+        else:
+            rows = mesh.simplices[sids]
+            slopes, fired = solve_patch(field, config, mesh.vertices[rows],
+                                        times[rows], sids, top, pending)
         stats["script_rows_fired"] += len(fired)
-        cones.set_front(new_front)
         cones.update_star(sids, slopes)
-        front = new_front
         heights.append(height)
         if assert_invariants:
             _assert_front_ok(mesh, front, field, config, patch, height)
         if snapshot_cb is not None and snapshot_every > 0 \
                 and len(stmesh.patches) % snapshot_every == 0:
-            snapshot_cb(len(stmesh.patches), front)
+            snapshot_cb(len(stmesh.patches), _frozen(mesh, times))
+        t_low, v_low = index.lowest()
 
     seal_run(field)
     harr = np.asarray(heights)
@@ -599,14 +663,14 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
         "elements": stmesh.n_elements,
         "events": stmesh.n_events,
         "target_time": float(target_time) if math.isfinite(target_time) else -1.0,
-        "target_reached": bool(front.min_time() >= target_time),
-        "front_min_time": front.min_time(),
-        "front_max_time": front.max_time(),
+        "target_reached": bool(t_low >= target_time),
+        "front_min_time": t_low,
+        "front_max_time": float(times.max()),
         "min_height": float(harr.min()) if harr.size else 0.0,
         "mean_height": float(harr.mean()) if harr.size else 0.0,
         "heuristic": heuristic,
         "hierarchy": use_hierarchy,
     })
     stats.update(cones.stats.as_dict())
-    return TentRun(mesh, field, config, stmesh, front, initial_times,
-                   harr, stats)
+    return TentRun(mesh, field, config, stmesh, _frozen(mesh, times),
+                   initial_times, harr, stats)

@@ -9,6 +9,8 @@ stand-in for solution-driven wavespeed changes: rows ``<element> <trigger>
 :func:`bind_run` gives the run a table of its own, and :func:`solve_patch`
 fires rows into it in (trigger, element) order, after the triggering
 patch's own slopes are sampled, so a patch never sees updates it caused.
+:func:`fire_rows` is that firing step alone, for a caller that already
+holds the patch's slopes.
 """
 
 from __future__ import annotations
@@ -181,6 +183,13 @@ def solve_patch(field: SlopeField, config: ConstraintConfig,
     """
     slopes = sampled_min_simplices(field, positions, times,
                                    config.slope_samples, elements=elements)
+    return slopes, fire_rows(field, t_top, pending)
+
+
+def fire_rows(field: SlopeField, t_top: float,
+              pending: deque[ScriptRow] | None) -> list[ScriptRow]:
+    """The script half of :func:`solve_patch`: pop and write the rows of
+    ``pending`` with trigger <= ``t_top``; returns them in firing order."""
     fired = []
     if pending and pending[0].trigger <= t_top:
         table = _find_table(field)
@@ -190,4 +199,4 @@ def solve_patch(field: SlopeField, config: ConstraintConfig,
             row = pending.popleft()
             table.table[row.element] = row.sigma
             fired.append(row)
-    return slopes, fired
+    return fired

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from tentmesh.errors import InvalidArgument, NotFound, ValidationError
 from tentmesh.fields import ConstantField
 from tentmesh.front import (
+    BlockedTimes,
     advance,
     export_snapshot,
     export_terrain,
@@ -51,6 +53,18 @@ class TestInitialFront:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValidationError, match="4 vertex times"):
             initial_front(SQUARE, times=[0.0], field=ConstantField(1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_rejected_before_the_causality_check(self, bad):
+        # NaN used to pass the ">= 0" test and reach the causality report,
+        # which called it "not causal: slack nan" with a RuntimeWarning.
+        mesh = interval_mesh(np.arange(3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError,
+                               match=rf"finite and >= 0, got {bad!r} at vertex 0"):
+                initial_front(mesh, times=[bad, 0.0, 0.0],
+                              field=ConstantField(1.0))
 
 
 class TestLocalMinima:
@@ -155,3 +169,41 @@ def test_local_minima_nonempty_and_correct(times):
         neigh = mesh.neighbor_matrix[v][mesh.neighbor_matrix[v] >= 0]
         is_min = bool((t[v] <= t[neigh]).all())
         assert (v in mins) == is_min
+
+
+# n = 1, 2, B*B - 1, B*B, B*B + 1 for a block size B, or any size.
+_SIZES = (st.sampled_from([1, 2])
+          | st.integers(2, 12).flatmap(
+              lambda b: st.sampled_from([b * b - 1, b * b, b * b + 1]))
+          | st.integers(1, 300))
+
+
+@st.composite
+def _lift_cases(draw):
+    """(start times, lifts): all tied or random starts, (vertex, dt) lifts."""
+    n = draw(_SIZES)
+    if draw(st.booleans()):
+        start = [0.0] * n
+    else:
+        start = draw(st.lists(st.floats(0.0, 4.0), min_size=n, max_size=n))
+    lifts = draw(st.lists(
+        st.tuples(st.integers(0, n - 1),
+                  st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 2.0)),
+        max_size=60,
+    ))
+    return start, lifts
+
+
+@given(_lift_cases())
+@settings(max_examples=200, deadline=None)
+def test_blocked_times_lowest_matches_argmin(case):
+    start, lifts = case
+    index = BlockedTimes(np.array(start))
+    ref = np.array(start)
+    assert not index.times.flags.writeable
+    assert index.lowest() == (ref.min(), int(np.argmin(ref)))
+    for p, dt in lifts:
+        index.lift(p, dt)
+        ref[p] += dt
+        assert index.times.tobytes() == ref.tobytes()
+        assert index.lowest() == (ref.min(), int(np.argmin(ref)))

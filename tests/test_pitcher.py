@@ -29,7 +29,7 @@ from tentmesh.fields import (
     TimeStepField,
 )
 from tentmesh.front import Front, initial_front
-from tentmesh.hierarchy import build as build_cones
+from tentmesh.hierarchy import ConeHierarchy, build as build_cones
 from tentmesh.mesh import build_mesh, grid_mesh, interval_mesh, strip_mesh
 from tentmesh import pitcher
 from tentmesh.pitcher import (
@@ -290,6 +290,36 @@ def test_star_check_1d_samples_what_solve_patch_stores():
         assert checked == field.take()
 
 
+def test_run_1d_stores_the_slopes_solve_patch_would_sample(monkeypatch):
+    # A 1D run keeps the slopes its accepted probe sampled instead of
+    # sampling the lifted star again.  Each stored star must equal a fresh
+    # solve_patch sample at the run's lifted times, bit for bit, and those
+    # times must be ones a probe of this patch sampled.  The cone sweeps
+    # the graded interval, so caps and bisections both occur.
+    mesh = interval_mesh(np.linspace(0.0, 1.0, 41) ** 1.3)
+    field = _RecordingCone([0.4], 0.0, 0.5, 1.0, 0.5)
+    cfg = ConstraintConfig.for_problem(mesh, field)
+    real_update = ConeHierarchy.update_star
+    patches = [0]
+
+    def update_star(cones, sids, slopes):
+        probed = field.take()[1]
+        rows = mesh.simplices[sids]
+        # No script rows are pending, so the top time is never read.
+        fresh, _ = solve_patch(field, cfg, mesh.vertices[rows],
+                               cones.front.times[rows], sids, math.inf)
+        assert field.take()[1] in probed
+        assert [float(s).hex() for s in slopes] == \
+            [float(s).hex() for s in fresh]
+        patches[0] += 1
+        real_update(cones, sids, slopes)
+
+    monkeypatch.setattr(ConeHierarchy, "update_star", update_star)
+    run = advance_until(mesh, field, 0.8, config=cfg)
+    assert patches[0] == run.stats["patches"] > 40
+    assert run.stats["bisection_steps"] > 0 and run.stats["cap_hits"] > 0
+
+
 def test_greedy_2d_single_triangle_cap():
     # The progress cap 0.5 from test_local_cap_2d_progress_binds verifies
     # against the constant field, so the height is the cap itself.
@@ -439,9 +469,9 @@ def _check_heights(mp) -> list[int]:
             accepted.append(c)
         return ok
 
-    def height(mesh, front, field, config, cones, p, stats=None):
+    def height(mesh, front, field, config, cones, p, stats=None, **kw):
         accepted.clear()
-        h = real_height(mesh, front, field, config, cones, p, stats)
+        h = real_height(mesh, front, field, config, cones, p, stats, **kw)
         top = float(front.times[p]) + h
         assert h >= config.tmin(mesh.dim)
         assert top in accepted
@@ -800,6 +830,77 @@ def test_run_snapshot_callback():
                   snapshot_cb=lambda k, front: seen.append((k, front.min_time())))
     assert [k for k, _ in seen] == [2, 4, 6]
     assert all(t >= 0.0 for _, t in seen)
+
+
+@pytest.mark.parametrize("make", [
+    lambda mesh: initial_front(interval_mesh([0.0, 1.0, 2.0, 3.0])),
+    lambda mesh: Front(mesh, np.zeros(mesh.n_vertices + 1)),
+    lambda mesh: Front(mesh, np.array([0.0, math.nan, 0.0])),
+    lambda mesh: Front(mesh, np.array([0.0, math.inf, 0.0])),
+    lambda mesh: Front(mesh, np.array([0.0, -0.5, 0.0])),
+], ids=["other-mesh", "vertex-count", "nan", "inf", "negative"])
+def test_run_rejects_a_front_it_cannot_start_from(make):
+    # These used to raise IndexError (another mesh) or, with NaN, return
+    # at once with 0 patches and no error.
+    mesh = interval_mesh([0.0, 1.0, 2.0])
+    with pytest.raises(ValidationError,
+                       match="another mesh|vertex times|finite and >= 0"):
+        advance_until(mesh, ConstantField(1.0), 1.0, front=make(mesh))
+
+
+def test_run_accepts_a_front_over_an_equal_mesh():
+    front = initial_front(interval_mesh([0.0, 1.0, 2.0]))
+    run = advance_until(interval_mesh([0.0, 1.0, 2.0]), ConstantField(1.0),
+                        1.0, front=front)
+    assert run.stats["target_reached"]
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_no_live_view_escapes_a_run(heuristic, monkeypatch):
+    # The run lifts one array in place; the caller's front, the snapshot
+    # fronts and the returned front must all be frozen values.
+    indexes = []
+
+    class Recorded(pitcher.BlockedTimes):
+        def __init__(self, times):
+            super().__init__(times)
+            indexes.append(self)
+
+    monkeypatch.setattr(pitcher, "BlockedTimes", Recorded)
+    mesh, field = strip_mesh(4), ConstantField(1.0)
+    start = random_front(mesh, ConstraintConfig.for_problem(mesh, field),
+                         np.random.default_rng(3), pitches=4)
+    before = start.times.tobytes()
+    snaps = []
+    run = advance_until(mesh, field, 0.5, front=start, heuristic=heuristic,
+                        snapshot_every=3,
+                        snapshot_cb=lambda k, fr: snaps.append(
+                            (fr, fr.times.tobytes())))
+    assert start.times.tobytes() == before
+    assert len(snaps) == run.stats["patches"] // 3 > 2
+    for fr, seen in snaps:
+        assert fr.times.tobytes() == seen
+        assert not fr.times.flags.writeable
+    assert snaps[0][1] != snaps[-1][1]
+    (index,) = indexes
+    assert index.times.tobytes() == run.front.times.tobytes()
+    assert not run.front.times.flags.writeable
+    for fr in [run.front] + [fr for fr, _ in snaps]:
+        assert not np.shares_memory(fr.times, index.blocks)
+
+
+def test_run_makes_no_whole_front_copy_or_scan_per_patch(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("O(n) front call inside the patch loop")
+
+    for name in ("argmin_vertex", "min_time"):
+        monkeypatch.setattr(Front, name, forbidden)
+    monkeypatch.setattr(ConeHierarchy, "set_front", forbidden)
+    for heuristic in HEURISTICS:
+        for mesh in (interval_mesh(np.linspace(0.0, 1.0, 9)), strip_mesh(3)):
+            run = advance_until(mesh, ConstantField(1.0), 0.4,
+                                heuristic=heuristic)
+            assert run.stats["target_reached"]
 
 
 def test_run_stats_counters_present():
