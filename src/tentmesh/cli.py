@@ -61,9 +61,9 @@ def export_spacetime_mesh(stmesh: SpacetimeMesh, path) -> None:
 def load_spacetime_mesh(path):
     """Read the text format back; returns a dict of arrays.
 
-    Raises :class:`ValidationError` on malformed input and on a file cut
-    short: the counts must match the records, and the last record must end
-    with the newline the writer puts there.
+    Raises :class:`ValidationError` on malformed input, on a file cut short
+    (the counts must match the records, and the last record must end with
+    the newline the writer puts there) and on an event id with no event.
     """
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         text = fh.read()
@@ -91,11 +91,15 @@ def load_spacetime_mesh(path):
                               location=str(path))
     events = take("v", int(take("events", 1, 1, int)[0, 0]), stdim, float)
     elems = take("e", int(take("elements", 1, 1, int)[0, 0]), stdim + 3, int)
+    ids = elems[:, :-2]
+    if ((ids < 0) | (ids >= len(events))).any():
+        raise ValidationError(f"element event ids must lie in [0, {len(events)})",
+                              location=str(path))
     return {
         "stdim": stdim,
         "points": events[:, :-1],
         "times": events[:, -1],
-        "elements": elems[:, :-2],
+        "elements": ids,
         "space_simplex": elems[:, -2],
         "patch": elems[:, -1],
     }
@@ -261,8 +265,10 @@ def run(args) -> int:
     stats["tmin"] = config.tmin(mesh.dim)
 
     if args.compare_global_min:
+        # The config reads only the field's sigma_min, which the rerun shares.
         uniform = advance_until(
             mesh, ConstantField(field.sigma_min), args.target_time,
+            config=config,
             heuristic=args.heuristic,
             use_hierarchy=not args.no_hierarchy,
             max_patches=args.max_patches,

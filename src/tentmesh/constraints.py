@@ -39,7 +39,8 @@ and :func:`is_progressive_triangle` (F = 1) all call it.  Per triangle it
 * builds 2n rows of times for the n lift samples dt: rows k < n lift lo by
   dt_k, and row n + k is that lift's companion, with mid also raised by the
   full floor.  One :func:`~tentmesh.fields.sampled_min_simplices` call
-  samples the slope over all F * 2n rows;
+  samples the slope over all F * 2n rows, and row 0 (dt = 0, the triangle
+  at its own times) is returned with the verdicts;
 * checks causality of row k at apex lo (q and r in local-index order)
   against ``min(slope of row k, sigma_cap)``, and progress of row k, with
   its vertices re-ordered by (time, id), against the slope of row n + k.
@@ -292,15 +293,16 @@ def _lift_samples(tmin: float) -> np.ndarray:
 def progressive_verdicts(points: np.ndarray, times: np.ndarray,
                          ids: np.ndarray, geometry: ApexGeometry,
                          field: SlopeField, config: ConstraintConfig,
-                         elements=None,
-                         sigma_cap: float = math.inf) -> FacetVerdicts:
+                         elements=None, sigma_cap: float = math.inf,
+                         ) -> tuple[FacetVerdicts, np.ndarray]:
     """Batched progressive-triangle check; see the module docstring.
 
     ``points`` is (F, 3, 2), ``times`` and ``ids`` are (F, 3), ``geometry``
     is the triangles' :class:`ApexGeometry` and ``elements`` their (F,) mesh
     ids (required by table-backed fields).  ``sigma_cap`` further limits
     the slope used for the causality half; progress always uses the field's
-    own sampled slope.
+    own sampled slope.  Returns the verdicts and row 0's (F,) slopes (dt =
+    0, each triangle at its own times), before the ``sigma_cap`` minimum.
     """
     F = times.shape[0]
     tmin = config.tmin_2d
@@ -356,7 +358,7 @@ def progressive_verdicts(points: np.ndarray, times: np.ndarray,
     return FacetVerdicts.judge(
         slack[f, k], scale.reshape(F, 2 * n)[f, k],
         np.where(k % 2 == 1, BINDING_PROGRESS, BINDING_CAUSALITY),
-    )
+    ), sig[:, 0]
 
 
 def is_progressive_triangle(points, times, field: SlopeField,
@@ -375,7 +377,7 @@ def is_progressive_triangle(points, times, field: SlopeField,
         np.asarray(ids)[None], apex_geometry(points), field, config,
         elements=None if element is None else np.array([element]),
         sigma_cap=sigma_cap,
-    ).verdict(0)
+    )[0].verdict(0)
 
 
 def is_progressive_front(front, field: SlopeField,
@@ -387,8 +389,8 @@ def is_progressive_front(front, field: SlopeField,
     causality only.
     """
     mesh: SpaceMesh = front.mesh
-    verdicts = facet_verdicts(mesh, np.arange(mesh.n_simplices),
-                              front.times[mesh.simplices], field, config)
+    verdicts, _ = facet_verdicts(mesh, np.arange(mesh.n_simplices),
+                                 front.times[mesh.simplices], field, config)
     violations = [(int(sid), verdicts.verdict(sid))
                   for sid in np.flatnonzero(~verdicts.satisfied)[:limit]]
     return len(violations) == 0, violations
@@ -406,9 +408,8 @@ def facet_causality(mesh: SpaceMesh, sids: np.ndarray, T: np.ndarray,
 
     Row i of ``T`` holds the times of simplex ``sids[i]``'s vertices in id
     order.  The rows share one :func:`sampled_min_simplices` call, as in
-    :func:`~tentmesh.solver.solve_patch`, so a star sees the slopes the cone
-    store takes for it.  Triangles are checked at their latest vertex (ties
-    to the larger id).
+    :func:`~tentmesh.solver.solve_patch`.  Triangles are checked at their
+    latest vertex (ties to the larger id).
     """
     rows = mesh.simplices[sids]
     sigma = sampled_min_simplices(field, mesh.vertices[rows], T,
@@ -432,16 +433,17 @@ def facet_causality(mesh: SpaceMesh, sids: np.ndarray, T: np.ndarray,
 
 def facet_verdicts(mesh: SpaceMesh, sids: np.ndarray, T: np.ndarray,
                    field: SlopeField, config: ConstraintConfig,
-                   sigma_cap: float = math.inf) -> FacetVerdicts:
+                   sigma_cap: float = math.inf) -> tuple[FacetVerdicts, np.ndarray]:
     """The acceptance check of facets ``sids`` at times ``T``, per dimension.
 
     Row i of ``T`` holds the times of simplex ``sids[i]``'s vertices in id
-    order.  1D: :func:`facet_causality`.  2D: :func:`progressive_verdicts`,
-    with ``sigma_cap`` (a remote cone slope) capping the causality half; 1D
+    order; returns the verdicts and each facet's slope sampled at ``T``.
+    1D: :func:`facet_causality`.  2D: :func:`progressive_verdicts`, with
+    ``sigma_cap`` (a remote cone slope) capping the causality half; 1D
     ignores it, as tentpoles there stay below remote cones outright.
     """
     if mesh.dim == 1:
-        return facet_causality(mesh, sids, T, field, config)[0]
+        return facet_causality(mesh, sids, T, field, config)
     rows = mesh.simplices[sids]
     return progressive_verdicts(
         mesh.vertices[rows], T, rows, mesh.apex_geometry.take(sids), field,

@@ -351,9 +351,10 @@ def sampled_min_simplices(field: SlopeField, positions: np.ndarray,
 
     ``positions`` is (m, k, dim), ``times`` is (m, k), ``elements`` an
     optional (m,) id array.  Returns (m,) values with the sample points and
-    clamp of :func:`min_slope_over`, but a row's sample times can differ
-    in the last bit with the number of rows (numpy's product takes another
-    path), so checks that must agree on a slope sample the same rows.
+    clamp of :func:`min_slope_over`, but a one-row call can round a row's
+    sample times differently in the last bit from a call of two or more
+    rows (numpy takes its matrix-vector path for one row), so two checks
+    that must agree on a slope should keep the slope one of them sampled.
     """
     positions = np.asarray(positions, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)

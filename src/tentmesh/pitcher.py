@@ -38,15 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintConfig, facet_causality, facet_verdicts, \
-    is_progressive_front
+from .constraints import ConstraintConfig, facet_verdicts, is_progressive_front
 from .errors import ContractViolation, InvalidArgument, ValidationError
 from .fields import SlopeField
 from .front import BlockedTimes, Front, check_times, initial_front, local_minima
 from .geometry import APEX_OTHERS
 from .hierarchy import build as build_cones
 from .mesh import SpaceMesh
-from .solver import SlopeScript, bind_run, fire_rows, seal_run, solve_patch
+from .solver import SlopeScript, bind_run, fire_rows, seal_run
 
 HEURISTICS = ("lowest", "min-slope", "round-robin")
 
@@ -224,27 +223,25 @@ def star_feasible(mesh: SpaceMesh, times: np.ndarray, p: int, c: float,
                   sampled: list | None = None) -> bool:
     """Whether topping p at time c leaves its star acceptable.
 
-    1D: each lifted segment causal against the field sampled over it, the
-    slopes :func:`~tentmesh.solver.solve_patch` stores for the same star;
-    when ``sampled`` is a list, those slopes are appended to it.  2D: each
-    lifted triangle progressive, with the smallest intersecting remote cone
-    slope capping the causality half.  When ``margin`` is a list, the star's
-    :meth:`~tentmesh.constraints.FacetVerdicts.margin` from the same
-    evaluation is appended to it (>= 0 exactly when feasible).
+    1D: each lifted segment causal against the field sampled over it.  2D:
+    each lifted triangle progressive, with the smallest intersecting remote
+    cone slope capping the causality half.  When ``sampled`` is a list, the
+    field slopes sampled over the lifted star (before that cap), which a run
+    stores for an accepted top, are appended to it; when ``margin`` is a
+    list, the star's :meth:`~tentmesh.constraints.FacetVerdicts.margin`
+    from the same evaluation is appended to it (>= 0 exactly when feasible).
     """
     sids = mesh.stars[p]
     rows = mesh.simplices[sids]
     lifted = times[rows]
     lifted[rows == p] = c
-    if mesh.dim == 1:  # tentpoles stay below remote cones outright
-        verdicts, sigma = facet_causality(mesh, sids, lifted, field, config)
-        if sampled is not None:
-            sampled.append(sigma)
-    else:
-        sigma_rem = math.inf
-        if cones is not None:
-            sigma_rem = cones.min_slope_intersecting(p, c)
-        verdicts = facet_verdicts(mesh, sids, lifted, field, config, sigma_rem)
+    sigma_rem = math.inf  # 1D tentpoles stay below remote cones outright
+    if mesh.dim == 2 and cones is not None:
+        sigma_rem = cones.min_slope_intersecting(p, c)
+    verdicts, sigma = facet_verdicts(mesh, sids, lifted, field, config,
+                                     sigma_rem)
+    if sampled is not None:
+        sampled.append(sigma)
     if margin is not None:
         margin.append(verdicts.margin())
     return bool(verdicts.satisfied.all())
@@ -356,17 +353,16 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
     and the same search narrows from there, before declaring the run
     wedged.  Every returned height h was probed and accepted as the top
     ``t_p + h``, and none is below the floor.  ``stats["bisection_steps"]``
-    counts the search's probes.  In 1D, when ``slopes`` is a list, the
-    field slopes the accepted probe sampled over the star are appended to
-    it: the slopes :func:`~tentmesh.solver.solve_patch` would sample over
-    the star lifted to ``t_p + h``.
+    counts the search's probes.  When ``slopes`` is a list, the field
+    slopes the accepted probe sampled over the star lifted to ``t_p + h``
+    are appended to it: the slopes its verdict was judged against.
     """
     times = front.times
     t_p = float(times[p])
     floor_top, cap = pitch_bracket(mesh, front, field, config, cones, p)
     tmin = config.tmin(mesh.dim)
     tol = config.eta / 8.0
-    keep = slopes is not None and mesh.dim == 1
+    keep = slopes is not None
     sampled_at: dict[float, np.ndarray] = {}  # feasible probe -> its slopes
 
     # The search runs over heights, so every returned height h is exactly
@@ -616,7 +612,7 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
         guard = _patch_guard(mesh, config, target_time, span)
 
     last_rr = -1
-    kept: list[np.ndarray] = []  # 1D: the star slopes of the accepted top
+    kept: list[np.ndarray] = []  # the star slopes of the accepted top
     while t_low < target_time:
         if len(stmesh.patches) >= guard:
             if max_patches is not None:
@@ -637,17 +633,10 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
         sids = mesh.stars[p]
         patch = stmesh.add_patch(p, t_p, top, height, sids, times)
         index.lift(p, height)
-        if mesh.dim == 1:
-            # The accepted probe sampled the star at exactly these times
-            # (times[p] is now t_p + height), and no row has fired since.
-            slopes = kept.pop()
-            fired = fire_rows(field, top, pending)
-        else:
-            rows = mesh.simplices[sids]
-            slopes, fired = solve_patch(field, config, mesh.vertices[rows],
-                                        times[rows], sids, top, pending)
-        stats["script_rows_fired"] += len(fired)
-        cones.update_star(sids, slopes)
+        # The accepted probe sampled the star at exactly these times
+        # (times[p] is now t_p + height), and no row has fired since.
+        cones.update_star(sids, kept.pop())
+        stats["script_rows_fired"] += len(fire_rows(field, top, pending))
         heights.append(height)
         if assert_invariants:
             _assert_front_ok(mesh, front, field, config, patch, height)

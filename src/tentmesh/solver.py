@@ -6,11 +6,11 @@ possibly new wavespeeds, so the slopes a run sees depend on its own history.
 That history belongs to the run.  :class:`SlopeScript` is an immutable
 stand-in for solution-driven wavespeed changes: rows ``<element> <trigger>
 <sigma>`` rewrite a slope table entry once a patch top reaches the trigger.
-:func:`bind_run` gives the run a table of its own, and :func:`solve_patch`
+:func:`bind_run` gives the run a table of its own, and :func:`fire_rows`
 fires rows into it in (trigger, element) order, after the triggering
-patch's own slopes are sampled, so a patch never sees updates it caused.
-:func:`fire_rows` is that firing step alone, for a caller that already
-holds the patch's slopes.
+patch's own slopes are sampled (by the star check that accepted it), so a
+patch never sees updates it caused.  :func:`solve_patch`, sample then fire,
+is library API and the reference the tests hold the run's slopes to.
 """
 
 from __future__ import annotations
@@ -180,6 +180,7 @@ def solve_patch(field: SlopeField, config: ConstraintConfig,
     are the rows at the head of ``pending`` (the run's unfired rows, in
     firing order) with trigger <= ``t_top`` popped and written into the
     table of ``field``, which must be the run's own from :func:`bind_run`.
+    The driver keeps its star check's samples and calls :func:`fire_rows`.
     """
     slopes = sampled_min_simplices(field, positions, times,
                                    config.slope_samples, elements=elements)

@@ -9,6 +9,7 @@ from tentmesh.cli import (
     main,
     simplex_volumes,
 )
+from tentmesh.constraints import ConstraintConfig
 from tentmesh.errors import ValidationError
 from tentmesh.fields import ConstantField
 from tentmesh.mesh import grid_mesh, interval_mesh, save_mesh, strip_mesh
@@ -107,6 +108,17 @@ def test_load_spacetime_rejects_truncated_file(tmp_path, cut):
         load_spacetime_mesh(path)
 
 
+@pytest.mark.parametrize("event", ["99", "-1"])
+def test_load_spacetime_rejects_event_id_out_of_range(tmp_path, event):
+    # 99 would index past the 3 events; -1 would wrap to the last one.
+    path = tmp_path / "st.txt"
+    path.write_text("stdim 2\nevents 3\nv 0.0 0.0\nv 0.0 1.0\nv 1.0 0.0\n"
+                    f"elements 1\ne 0 1 {event} 0 0\n")
+    with pytest.raises(ValidationError, match=r"\[0, 3\)") as info:
+        load_spacetime_mesh(path)
+    assert str(path) in str(info.value)
+
+
 # -- the command ------------------------------------------------------------
 
 
@@ -184,6 +196,26 @@ def test_cli_compare_global_min(case_2d):
     # The field starts at slope 1.0 > sigma_min 0.5: exploiting the early
     # fast band must beat the uniform worst case.
     assert 0.0 < ratio < 1.0
+
+
+def test_cli_compare_global_min_keeps_epsilon_and_eta(tmp_path):
+    # The uniform rerun must use the run's --epsilon and --eta: its count is
+    # that of advance_until with the same config, not the epsilon 0.5 one.
+    mesh = grid_mesh(6, 6, skew=0.1)
+    save_mesh(mesh, tmp_path / "mesh.txt")
+    (tmp_path / "field.txt").write_text("timestep 0.3 1.0 0.5\n")
+    stats = tmp_path / "stats.txt"
+    code = main(["--mesh", str(tmp_path / "mesh.txt"),
+                 "--field", str(tmp_path / "field.txt"), "--target-time", "0.6",
+                 "--epsilon", "0.25", "--eta", "1e-6", "--compare-global-min",
+                 "--stats", str(stats)])
+    assert code == 0
+    got = dict(ln.split(None, 1) for ln in stats.read_text().splitlines())
+    uniform = ConstantField(0.5)
+    want = advance_until(mesh, uniform, 0.6, config=ConstraintConfig.for_problem(
+        mesh, uniform, epsilon=0.25, eta=1e-6)).stats["elements"]
+    default = advance_until(mesh, uniform, 0.6).stats["elements"]
+    assert int(got["uniform_elements"]) == want != default
 
 
 def test_cli_assert_invariants_ok(case_2d):

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from tentmesh.constraints import (
     ConstraintConfig,
     causal_triangle,
+    facet_verdicts,
     front_causality_report,
     is_progressive_front,
     progress_ok,
@@ -316,6 +317,75 @@ def test_run_1d_stores_the_slopes_solve_patch_would_sample(monkeypatch):
 
     monkeypatch.setattr(ConeHierarchy, "update_star", update_star)
     run = advance_until(mesh, field, 0.8, config=cfg)
+    assert patches[0] == run.stats["patches"] > 40
+    assert run.stats["bisection_steps"] > 0 and run.stats["cap_hits"] > 0
+
+
+def test_star_check_2d_keeps_the_slope_it_verified():
+    # The speed-up cone's apex time sits on the triangle's centre sample,
+    # so the last bit of that sample's time decides inside (0.5) or outside
+    # (1.0).  The star check samples 10 rows per triangle and rounds it
+    # inside; solve_patch's one-row call rounds it outside.  That is why the
+    # driver stores the check's own row-0 sample, not solve_patch's: storing
+    # 1.0 would keep a cone slope above the one the triangle was verified at.
+    mesh = build_mesh(
+        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        np.array([[0, 1, 2]]),
+    )
+    times = np.array([float.fromhex("0x1.aa6348a432ee3p-11"),
+                      float.fromhex("0x1.de8bfad446251p-11"),
+                      float.fromhex("0x1.3e0d468a3f577p-11")])
+    field = SpatialConeField([0.6095125613421898, 0.0785416484864699],
+                             float.fromhex("0x1.c1aba51eb00d8p-11"),
+                             0.5, 1.0, 1e6)
+    cfg = ConstraintConfig.for_problem(mesh, field)
+    rows = mesh.simplices
+    for p in range(3):
+        got = []
+        star_feasible(mesh, times, p, float(times[p]), field, cfg, sampled=got)
+        assert got[0].tolist() == [0.5]
+        stored, _ = solve_patch(field, cfg, mesh.vertices[rows], times[rows],
+                                mesh.stars[p], float(times[p]))
+        assert stored.tolist() == [1.0]
+
+
+def test_run_2d_stores_the_slopes_its_accepted_probe_sampled(monkeypatch):
+    # A 2D run keeps the row-0 slopes (each triangle at its lifted times)
+    # of the star check that accepted the height.  Each stored star must
+    # be, by float.hex, the slopes of a feasible probe of that patch at the
+    # patch's top, and a fresh check at the lifted times must sample the
+    # bytes some probe of the patch sampled.  The slow-down cone sweeps the
+    # jittered grid, so caps and bisections both occur.
+    mesh = grid_mesh(6, 6, skew=0.1)
+    field = _RecordingCone([0.1, 0.1], 0.0, 2.0, 1.0, 0.05)
+    cfg = ConstraintConfig.for_problem(mesh, field)
+    real_check, real_update = pitcher.star_feasible, ConeHierarchy.update_star
+    accepted = {}   # (vertex, top) -> slopes of a feasible probe, as hex
+    patches = [0]
+
+    def star_feasible(mesh_, times, p, c, *args, sampled, **kw):
+        ok = real_check(mesh_, times, p, c, *args, sampled=sampled, **kw)
+        if ok:
+            accepted[p, c] = [s.hex() for s in sampled[-1].tolist()]
+        return ok
+
+    def update_star(cones, sids, slopes):
+        probed = field.take()[1]
+        (p,) = {v for v, _ in accepted}
+        times = cones.front.times
+        _, fresh = facet_verdicts(mesh, sids, times[mesh.simplices[sids]],
+                                  field, cfg)
+        assert field.take()[1] in probed
+        stored = [float(s).hex() for s in slopes]
+        assert stored == [s.hex() for s in fresh.tolist()]
+        assert stored == accepted[p, float(times[p])]
+        accepted.clear()
+        patches[0] += 1
+        real_update(cones, sids, slopes)
+
+    monkeypatch.setattr(pitcher, "star_feasible", star_feasible)
+    monkeypatch.setattr(ConeHierarchy, "update_star", update_star)
+    run = advance_until(mesh, field, 0.1, config=cfg)
     assert patches[0] == run.stats["patches"] > 40
     assert run.stats["bisection_steps"] > 0 and run.stats["cap_hits"] > 0
 

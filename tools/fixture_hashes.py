@@ -146,6 +146,12 @@ FIXTURES = {
          "field.txt": "cone 0.2 0.3 0.0 2.0 1.0 0.05\n"},
         ["--target-time", "0.08", "--heuristic", "min-slope"],
     ),
+    # The uniform rerun of --compare-global-min keeps the run's epsilon.
+    "timestep-2d-compare-eps": (
+        {"mesh.txt": _grid(6, 6, 0.1),
+         "field.txt": "timestep 0.3 1.0 0.5\n"},
+        ["--target-time", "0.6", "--compare-global-min", "--epsilon", "0.25"],
+    ),
 }
 
 ARTIFACTS = ("out", "vtk", "stats")
