@@ -33,15 +33,21 @@ document combine as the pointwise minimum.
 Fields that *drive* a run must not cut budgets the front has already spent:
 once the front has advanced somewhere, a later slope drop there can strand
 a vertex whose neighbors' time spreads were legitimately built under the
-older, larger slope.  Slope rises (slow-downs) of any shape are always
-safe.  Level-in-space drops (``timestep``) are safe too: the driver
-throttles every tent against the drop before crossing it, so fronts arrive
-flat and rebuild their spreads under the new slope.  A spatial speed-up
-``cone`` with ``cone_slope <= sigma_inside`` grows its region at
-``1 / cone_slope >= 1 / sigma_inside``, so the speed-up spreads at least
-as fast as its own wave; gate c01 draws its 1D speed-up cones in this
-range, and 1D runs drive through them, since a stranded vertex can always
-catch up to its neighbor.  In 2D even such a cone can leave a vertex
+older, larger slope.  Slope rises (slow-downs) are not always safe either:
+in 2D the progress half of the star check judges a lifted triangle against
+a slope sampled with its middle vertex raised by the floor, which a rising
+field over-estimates, and a front can wedge.  The slow-down cone run
+``advance_until(grid_mesh(20, 20, skew=0.1), SpatialConeField([0.1, 0.1],
+0.0, 2.0, 1.0, 0.05), 0.15)`` raises
+:class:`~tentmesh.errors.ContractViolation` at vertex 64; item 1 of
+ROADMAP.md tracks the fix.  Level-in-space drops (``timestep``) are safe:
+the driver throttles every tent against the drop before crossing it, so
+fronts arrive flat and rebuild their spreads under the new slope.  A
+spatial speed-up ``cone`` with ``cone_slope <= sigma_inside`` grows its
+region at ``1 / cone_slope >= 1 / sigma_inside``, so the speed-up spreads
+at least as fast as its own wave; gate c01 draws its 1D speed-up cones in
+this range, and 1D runs drive through them, since a stranded vertex can
+always catch up to its neighbor.  In 2D even such a cone can leave a vertex
 wedged between a facet spread that is suddenly too steep and a progress
 budget that is suddenly too small; the driver first looks for a verified
 catch-up pitch and raises :class:`~tentmesh.errors.ContractViolation` only
@@ -192,8 +198,9 @@ class SpatialConeField(SlopeField):
     least as fast as the sped-up wave.  Only drive 1D runs with a speed-up
     cone; in 2D it can wedge a front vertex between facet spreads committed
     under the outside slope and the shrunken inside budgets (see the module
-    docstring).  Slow-down cones
-    (``sigma_inside > sigma_outside``) are safe everywhere.
+    docstring).  Slow-down cones (``sigma_inside > sigma_outside``) can
+    wedge a 2D front too (see the module docstring and item 1 of
+    ROADMAP.md).
     """
 
     kind = "cone"

@@ -29,9 +29,11 @@ its left child is ``node + 1`` and its right child ``node + 2 * (mid - lo)``
 (the left subtree holds ``2 * (mid - lo) - 1`` nodes); a one-facet range is
 the leaf of ``order[lo]``.  Traversals carry ``(node, lo, hi)``, so no child,
 parent or leaf arrays exist.  The bounds are built one level of ranges at a
-time with numpy and kept as lists of Python floats, because queries read
-them one node at a time and float arithmetic on a list element costs far
-less than a numpy call on a one-element slice.
+time with numpy and kept, like ``order``, in typed Python arrays
+(``array('d')``, ``array('q')``): queries read them one node at a time, and
+indexing an ``array`` costs far less than a numpy call on a one-element
+slice while holding 8 bytes per entry where a list of Python floats holds
+32.
 
 Entry-time kernel.  The time at which facet f's cone reaches a point x is
 ``min_y (t_f(y) + sigma_f |x - y|)`` over the facet.  On segments the
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +57,9 @@ from .constraints import ConstraintConfig
 from .errors import InvalidArgument, NotFound
 from .fields import SlopeField, sampled_min_simplices
 from .mesh import SpaceMesh
+
+# Facets per sampling call when build takes the initial cone slopes.
+SLOPE_BLOCK = 4096
 
 # Triangle edges (0, 1), (0, 2), (1, 2) as start and end corner indices.
 _EDGE_A = np.array([0, 0, 1])
@@ -284,6 +290,13 @@ class ExhaustiveCones(_ConesBase):
         return float(self.slopes[remote[hit]].min())
 
 
+def _packed(typecode: str, values: np.ndarray) -> array:
+    """A 1D numpy array as a Python ``array`` of ``typecode``, one copy."""
+    out = array(typecode)
+    out.frombytes(np.ascontiguousarray(values).view(np.uint8))
+    return out
+
+
 def _morton_order(centroids: np.ndarray) -> np.ndarray:
     """Facet order along a Morton (Z-order) curve of the centroids."""
     lo = centroids.min(axis=0)
@@ -312,21 +325,22 @@ class ConeHierarchy(_ConesBase):
         else:
             order = _morton_order(mesh.centroids)
         m = mesh.n_simplices
-        self.order: list[int] = order.tolist()
+        self.order = _packed("q", order)
         self.rank = np.argsort(order)  # facet id -> position in order
 
-        # Per-facet columns in tree order, padded by one row so every range
-        # end, m included, is a valid reduceat index.
+        # Per-facet columns in tree order, one row per bound, padded by one
+        # column so every range end, m included, is a valid reduceat index.
         rows = mesh.simplices[order]
-        pts = mesh.vertices[rows]                       # (m, k, d)
-        mins = np.column_stack([front.times[rows].min(axis=1), self.slopes[order],
-                                pts.min(axis=1)])       # (m, 2 + d)
-        maxs = pts.max(axis=1)                          # (m, d)
-        mins = np.vstack([mins, mins[-1:]])
-        maxs = np.vstack([maxs, maxs[-1:]])
+        pts = mesh.vertices.T[:, rows]                  # (d, m, k)
+        mins = np.vstack([front.times[rows].min(axis=1), self.slopes[order],
+                          pts.min(axis=2)])             # (2 + d, m)
+        maxs = pts.max(axis=2)                          # (d, m)
+        del rows, pts  # the level build below needs neither; a lower peak
+        mins = np.hstack([mins, mins[:, -1:]])
+        maxs = np.hstack([maxs, maxs[:, -1:]])
 
-        node_min = np.empty((2 * m - 1, mins.shape[1]))
-        node_max = np.empty((2 * m - 1, maxs.shape[1]))
+        node_min = np.empty((mins.shape[0], 2 * m - 1))
+        node_max = np.empty((maxs.shape[0], 2 * m - 1))
         node = lo = np.zeros(1, dtype=np.int64)
         hi = np.full(1, m, dtype=np.int64)
         while node.size:
@@ -334,8 +348,8 @@ class ConeHierarchy(_ConesBase):
             # (lo, hi) interleaved the even slots reduce over [lo, hi) and
             # the odd slots over the gaps between ranges.
             cuts = np.column_stack([lo, hi]).ravel()
-            node_min[node] = np.minimum.reduceat(mins, cuts, axis=0)[::2]
-            node_max[node] = np.maximum.reduceat(maxs, cuts, axis=0)[::2]
+            node_min[:, node] = np.minimum.reduceat(mins, cuts, axis=1)[:, ::2]
+            node_max[:, node] = np.maximum.reduceat(maxs, cuts, axis=1)[:, ::2]
             inner = hi - lo > 1
             node, lo, hi = node[inner], lo[inner], hi[inner]
             mid = (lo + hi) // 2
@@ -343,11 +357,11 @@ class ConeHierarchy(_ConesBase):
             lo, hi = (np.column_stack([lo, mid]).ravel(),
                       np.column_stack([mid, hi]).ravel())
 
-        self.node_tmin: list[float] = node_min[:, 0].tolist()
-        self.node_smin: list[float] = node_min[:, 1].tolist()
-        # Per coordinate, one list over the nodes.
-        self.node_lo = [col.tolist() for col in node_min[:, 2:].T]
-        self.node_hi = [col.tolist() for col in node_max.T]
+        self.node_tmin = _packed("d", node_min[0])
+        self.node_smin = _packed("d", node_min[1])
+        # Per coordinate, one array over the nodes.
+        self.node_lo = [_packed("d", row) for row in node_min[2:]]
+        self.node_hi = [_packed("d", row) for row in node_max]
 
     def update_star(self, sids, slopes) -> None:
         """Refresh the facets' slopes and time bounds, then their root paths.
@@ -374,8 +388,10 @@ class ConeHierarchy(_ConesBase):
             smin[node] = self.slopes.item(fid)
         for node in sorted(kids, reverse=True):
             a, b = kids[node]
-            tmin[node] = min(tmin[a], tmin[b])
-            smin[node] = min(smin[a], smin[b])
+            # min(x, y), without the builtin's call overhead.
+            ta, tb, sa, sb = tmin[a], tmin[b], smin[a], smin[b]
+            tmin[node] = tb if tb < ta else ta
+            smin[node] = sb if sb < sa else sa
 
     def ray_shoot(self, p: int) -> tuple[float, int | None]:
         """Same contract as :meth:`ExhaustiveCones.ray_shoot`."""
@@ -437,7 +453,8 @@ class ConeHierarchy(_ConesBase):
         while stack:
             node, lo, hi = stack.pop()
             visited += 1
-            if smin[node] >= best:
+            s = smin[node]
+            if s >= best:
                 continue  # nothing below can lower the running minimum
             sq = 0.0  # squared distance from x to the node's box
             for xi, blo, bhi in boxes:
@@ -446,7 +463,7 @@ class ConeHierarchy(_ConesBase):
                     gap = xi - bhi[node]
                 if gap > 0.0:
                     sq += gap * gap
-            if tmin[node] + smin[node] * sqrt(sq) > t_top:
+            if tmin[node] + s * sqrt(sq) > t_top:
                 continue  # no cone in this subtree reaches the tentpole
             if hi - lo == 1:
                 fid = order[lo]
@@ -471,19 +488,26 @@ def build(mesh: SpaceMesh, front, field: SlopeField,
     """Create the cone index with initial per-facet slopes from the field.
 
     Initial slopes are the conservative sampled minima over each facet at the
-    front's current times; thereafter the driver refreshes them through
-    :meth:`update_star` with the solver's outflow values, so both index
-    flavors always read the same store.
+    front's current times, sampled in blocks of :data:`SLOPE_BLOCK` facets
+    with the bits of one call over all facets; thereafter the driver
+    refreshes them through :meth:`update_star` with the solver's outflow
+    values, so both index flavors always read the same store.
     """
     if config is None:
         config = ConstraintConfig.for_problem(mesh, field)
-    slopes = sampled_min_simplices(
-        field,
-        mesh.vertices[mesh.simplices],
-        front.times[mesh.simplices],
-        config.slope_samples,
-        elements=np.arange(mesh.n_simplices),
-    )
+    m = mesh.n_simplices
+    slopes = np.empty(m)
+    # Blocks of SLOPE_BLOCK rows bound the sampling transients.  A one-row
+    # call rounds differently (see sampled_min_simplices), so a one-row
+    # tail joins the block before it.
+    starts = list(range(0, m, SLOPE_BLOCK))
+    if len(starts) > 1 and m - starts[-1] == 1:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [m]):
+        rows = mesh.simplices[lo:hi]
+        slopes[lo:hi] = sampled_min_simplices(
+            field, mesh.vertices[rows], front.times[rows],
+            config.slope_samples, elements=np.arange(lo, hi))
     cls = ConeHierarchy if use_hierarchy else ExhaustiveCones
     return cls(mesh, front, slopes)
 

@@ -38,18 +38,20 @@ When an input has several defects, ``build_mesh`` reports the first of:
    overlapping (the first pair in order of left end); 2D: an edge in more
    than two triangles (the first such edge met in simplex order).
 
-Adjacency is stored as arrays.  All stars are slices of one read-only int64
-array holding, vertex by vertex, the ids of the simplices that contain it
-in ascending order; ``mesh.stars[v]`` is vertex v's slice.  Row v of
-``neighbor_matrix`` lists v's neighbours ascending, padded with -1 to the
-largest vertex degree.
+Adjacency is stored as arrays.  ``mesh.stars`` is a :class:`Stars`: one
+read-only int64 array holding, vertex by vertex, the ids of the simplices
+that contain it in ascending order, and the int64 offsets where each
+vertex's run starts; ``mesh.stars[v]`` makes vertex v's slice on access, so
+no per-vertex object is kept.  Row v of ``neighbor_matrix`` lists v's
+neighbours ascending, padded with -1 to the largest vertex degree.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -57,6 +59,36 @@ import numpy as np
 from .errors import NotFound, ValidationError
 from .geometry import DEGENERACY_RATIO, ApexGeometry
 from .geometry import apex_geometry as _apex_geometry
+
+
+class Stars(Sequence):
+    """Vertex stars over one read-only id array: ``stars[v]`` is vertex v's.
+
+    ``ids`` holds, vertex by vertex, the ids of the simplices containing it
+    in ascending order; vertex v's run is ``ids[offsets[v]:offsets[v + 1]]``
+    (``offsets`` is int64, n + 1 long).  Each access makes a fresh read-only
+    view, so the mesh holds two arrays rather than one view per vertex.
+    """
+
+    __slots__ = ("ids", "offsets", "_n")
+
+    def __init__(self, ids: np.ndarray, offsets: np.ndarray):
+        self.ids = ids
+        self.offsets = offsets
+        self._n = len(offsets) - 1
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, v) -> np.ndarray:
+        # The pitcher reads a star several times per patch: no more work
+        # here than the bounds check and one slice.
+        n = self._n
+        i = v + n if v < 0 else v
+        if not 0 <= i < n:
+            raise IndexError(f"no star {v}: the mesh has {n} vertices")
+        off = self.offsets
+        return self.ids[off.item(i):off.item(i + 1)]
 
 
 class MeshStats(NamedTuple):
@@ -83,7 +115,7 @@ class SpaceMesh:
     simplices: np.ndarray         # (m, dim+1) int64, rows sorted ascending
 
     # Derived structure, filled in by build_mesh.
-    stars: list[np.ndarray] = field(default_factory=list)      # vertex -> simplex ids, ascending
+    stars: Stars | None = None                                 # vertex -> simplex ids, ascending
     neighbor_matrix: np.ndarray | None = None                  # (n, maxdeg), -1 padded
     widths: np.ndarray | None = None                           # (m,)
     measures: np.ndarray | None = None                         # (m,) length or area
@@ -107,7 +139,7 @@ class SpaceMesh:
 
     @property
     def max_degree(self) -> int:
-        return max(len(s) for s in self.stars)
+        return int(np.diff(self.stars.offsets).max())
 
     @functools.cached_property
     def apex_geometry(self) -> ApexGeometry:
@@ -261,8 +293,10 @@ def _build_owned(verts: np.ndarray, simplices) -> SpaceMesh:
         raise ValidationError(f"vertex {v} is not part of any simplex", f"vertex {v}")
     star_ids = np.argsort(flat, kind="stable") // k
     star_ids.setflags(write=False)
-    ends = np.cumsum(degree).tolist()
-    stars = [star_ids[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=offsets[1:])
+    offsets.setflags(write=False)
+    stars = Stars(star_ids, offsets)
 
     if dim == 1:
         crowded = np.flatnonzero(degree > 2)

@@ -386,13 +386,15 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
             stats[key] += n
 
     def wedge() -> ContractViolation:
-        # Fields whose slope drops after the front has passed below the
-        # change can strand a vertex with no acceptable lift at all.  Fail
-        # loudly instead of emitting an uncausal or unprogressive facet.
+        # A field that changes after the front has passed below the change
+        # (a drop, or in 2D also a rise; see the fields module docstring)
+        # can strand a vertex with no acceptable lift at all.  Fail loudly
+        # instead of emitting an uncausal or unprogressive facet.
         return ContractViolation(
-            f"no acceptable lift at vertex {p}: the slope field dropped "
-            "after the front had already advanced beneath it, or the front "
-            "was not progressive"
+            f"no acceptable lift at vertex {p}: no probed height from the "
+            "floor up to the catch-up scan passes the star check; the slope "
+            "field changed after the front had advanced beneath it, or the "
+            "front was not progressive"
         )
 
     h_cap = cap - t_p

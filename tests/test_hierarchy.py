@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tentmesh import hierarchy
 from tentmesh.constraints import ConstraintConfig
 from tentmesh.errors import InvalidArgument, NotFound
-from tentmesh.fields import ConstantField, TimeStepField
+from tentmesh.fields import (
+    ConstantField,
+    SpatialConeField,
+    TableField,
+    TimeStepField,
+    sampled_min_simplices,
+)
 from tentmesh.front import Front, initial_front
 from tentmesh.hierarchy import (
     ConeHierarchy,
@@ -399,6 +406,47 @@ def test_build_shares_sampling_with_field_minima():
     a = build(mesh, front, field, cfg)
     b = build(mesh, front, field, cfg, use_hierarchy=False)
     assert a.slopes.tolist() == b.slopes.tolist()
+
+
+def _cone_interval(m):
+    xs = np.cumsum(np.r_[0.0, np.linspace(1.0, 3.0, m)]) / (2.0 * m)
+    return interval_mesh(xs), SpatialConeField([0.4], 0.0, 0.5, 1.0, 0.5)
+
+
+def _table_grid(m):
+    # 2 * nx * ny triangles.
+    nx, ny = {28: (2, 7), 30: (3, 5), 36: (3, 6)}[m]
+    mesh = grid_mesh(nx, ny, skew=0.1)
+    return mesh, TableField(1.0 + 0.125 * (np.arange(m) % 5))
+
+
+@pytest.mark.parametrize("make, m", [
+    (_cone_interval, 21), (_cone_interval, 22), (_cone_interval, 23),
+    (_table_grid, 28), (_table_grid, 36), (_table_grid, 30),
+])
+def test_blocked_initial_slopes_match_one_call(monkeypatch, make, m):
+    # With blocks of 7 the facet counts leave a tail of 0, 1 and 2 rows.
+    mesh, field = make(m)
+    assert mesh.n_simplices == m
+    rng = np.random.default_rng(m)
+    front = Front(mesh, rng.uniform(0.0, 0.5, mesh.n_vertices))
+    cfg = ConstraintConfig.for_problem(mesh, field)
+    want = sampled_min_simplices(field, mesh.vertices[mesh.simplices],
+                                 front.times[mesh.simplices], cfg.slope_samples,
+                                 elements=np.arange(m))
+    calls = []
+
+    def counted(field, positions, times, samples, elements):
+        calls.append(len(times))
+        return sampled_min_simplices(field, positions, times, samples,
+                                     elements=elements)
+
+    monkeypatch.setattr(hierarchy, "SLOPE_BLOCK", 7)
+    monkeypatch.setattr(hierarchy, "sampled_min_simplices", counted)
+    for use_hierarchy in (True, False):
+        cones = build(mesh, front, field, cfg, use_hierarchy=use_hierarchy)
+        assert cones.slopes.tobytes() == want.tobytes()
+    assert sum(calls) == 2 * m and min(calls) >= 2 and max(calls) <= 8
 
 
 # -- hierarchy vs scan agreement ---------------------------------------------

@@ -73,6 +73,33 @@ def test_vertex_star_and_neighbors():
     assert mesh.neighbor_matrix[0, 1] == -1
 
 
+@pytest.mark.parametrize("make", [
+    lambda: interval_mesh(np.cumsum(np.r_[0.0, np.arange(1.0, 9.0)])),
+    lambda: grid_mesh(4, 3, skew=0.1),
+], ids=["interval", "grid"])
+def test_stars_are_a_read_only_sequence(make):
+    mesh = make()
+    want = reference_build_mesh(mesh.vertices, mesh.simplices).stars
+    stars = mesh.stars
+    n = mesh.n_vertices
+    assert len(stars) == n == len(want)
+    # Iteration and indexing give each vertex's star, in vertex order.
+    listed = list(stars)
+    assert len(listed) == n
+    for v, (got, ref) in enumerate(zip(listed, want)):
+        for s in (got, stars[v], stars[v - n]):
+            assert s.dtype == ref.dtype and s.tobytes() == ref.tobytes()
+            assert not s.flags.writeable
+            with pytest.raises(ValueError):
+                s[...] = 0
+    assert stars[np.int64(1)].tolist() == want[1].tolist()
+    for bad in (n, n + 5, -n - 1):
+        with pytest.raises(IndexError):
+            stars[bad]
+    assert mesh.max_degree == max(len(s) for s in want)
+    assert mesh.max_degree == max(len(s) for s in stars)
+
+
 @pytest.mark.parametrize("verts", [
     np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),   # (n, 2) float64
     np.array([0.0, 1.0, 3.0]),                        # flat 1D

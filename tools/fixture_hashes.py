@@ -152,6 +152,13 @@ FIXTURES = {
          "field.txt": "timestep 0.3 1.0 0.5\n"},
         ["--target-time", "0.6", "--compare-global-min", "--epsilon", "0.25"],
     ),
+    # More facets than one block of initial slope sampling (hierarchy's
+    # SLOPE_BLOCK, 4096), with a one-row tail; the cone covers facets at t = 0.
+    "cone-1d-blocks": (
+        {"mesh.txt": _interval(8193, jitter=0.3),
+         "field.txt": "cone 0.004 -0.002 0.5 1.0 0.5\n"},
+        ["--target-time", "1.0", "--max-patches", "400"],
+    ),
 }
 
 ARTIFACTS = ("out", "vtk", "stats")
