@@ -33,9 +33,7 @@ from .fields import (
     SpatialConeField,
     TableField,
     TimeStepField,
-    check_cone_monotonicity,
     load_field,
-    min_slope_over,
     parse_field,
 )
 from .front import (
@@ -55,7 +53,6 @@ from .mesh import (
     grid_mesh,
     interval_mesh,
     load_mesh,
-    mesh_stats,
     save_mesh,
     strip_mesh,
 )
@@ -110,7 +107,6 @@ __all__ = [
     "build_mesh",
     "causal_segment",
     "causal_triangle",
-    "check_cone_monotonicity",
     "export_snapshot",
     "export_spacetime_mesh",
     "export_terrain",
@@ -129,9 +125,7 @@ __all__ = [
     "load_spacetime_mesh",
     "local_minima",
     "main",
-    "mesh_stats",
     "min_slope_intersecting",
-    "min_slope_over",
     "parse_field",
     "parse_script",
     "progress_ok",

@@ -112,7 +112,6 @@ class ConstraintConfig:
     eta: float
     tmin_1d: float
     tmin_2d: float
-    slope_samples: int = 4
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 0.5:
@@ -134,6 +133,10 @@ class ConstraintConfig:
         base = field.sigma_min * mesh.wmin
         if eta is None:
             eta = 1e-9 * base
+            if base > 0.0 and eta == 0.0:
+                raise ValidationError(
+                    f"height floor tmin_1d = {base!r} is too small: the default "
+                    f"eta = 1e-9 * tmin_1d underflows to 0")
         return cls(epsilon=epsilon, eta=eta, tmin_1d=base, tmin_2d=epsilon * base)
 
     def tmin(self, dim: int) -> float:
@@ -326,7 +329,7 @@ def progressive_verdicts(points: np.ndarray, times: np.ndarray,
     sig = sampled_min_simplices(
         field, np.repeat(points, 2 * n, axis=0),
         np.concatenate((lifted, companion), axis=1).reshape(F * 2 * n, 3),
-        config.slope_samples, elements=elements,
+        elements=elements,
     ).reshape(F, 2 * n)
 
     # Causality of each lifted triangle, in the altitude form at apex lo.
@@ -402,8 +405,7 @@ def is_progressive_front(front, field: SlopeField,
 
 
 def facet_causality(mesh: SpaceMesh, sids: np.ndarray, T: np.ndarray,
-                    field: SlopeField, config: ConstraintConfig,
-                    ) -> tuple[FacetVerdicts, np.ndarray]:
+                    field: SlopeField) -> tuple[FacetVerdicts, np.ndarray]:
     """Causality verdicts and sampled slopes of facets ``sids`` at times ``T``.
 
     Row i of ``T`` holds the times of simplex ``sids[i]``'s vertices in id
@@ -412,8 +414,7 @@ def facet_causality(mesh: SpaceMesh, sids: np.ndarray, T: np.ndarray,
     latest vertex (ties to the larger id).
     """
     rows = mesh.simplices[sids]
-    sigma = sampled_min_simplices(field, mesh.vertices[rows], T,
-                                  config.slope_samples, elements=sids)
+    sigma = sampled_min_simplices(field, mesh.vertices[rows], T, elements=sids)
     if mesh.dim == 1:
         slack, scale = causality_slack(sigma, T[:, 0], T[:, 1],
                                        mesh.measures[sids])
@@ -443,7 +444,7 @@ def facet_verdicts(mesh: SpaceMesh, sids: np.ndarray, T: np.ndarray,
     ignores it, as tentpoles there stay below remote cones outright.
     """
     if mesh.dim == 1:
-        return facet_causality(mesh, sids, T, field, config)
+        return facet_causality(mesh, sids, T, field)
     rows = mesh.simplices[sids]
     return progressive_verdicts(
         mesh.vertices[rows], T, rows, mesh.apex_geometry.take(sids), field,
@@ -457,10 +458,10 @@ def front_causality_report(mesh: SpaceMesh, times: np.ndarray,
     """Causality slack of every facet at the given vertex times.
 
     Returns arrays keyed ``slack``, ``scale``, ``sigma``, ``satisfied``; see
-    :func:`facet_causality`.
+    :func:`facet_causality`.  ``config`` is not read: causality has no floor.
     """
     verdicts, sigma = facet_causality(mesh, np.arange(mesh.n_simplices),
-                                      times[mesh.simplices], field, config)
+                                      times[mesh.simplices], field)
     return {
         "slack": verdicts.slack,
         "scale": verdicts.scale,

@@ -3,7 +3,7 @@
 Every error raised by tentmesh derives from :class:`TentMeshError`, so callers
 can catch one type at the boundary.  The CLI maps these onto exit codes:
 input and validation problems exit with 2, runtime invariant violations
-(raised only in assertion mode) exit with 3.
+(:class:`ContractViolation`) exit with 3.
 """
 
 from __future__ import annotations
@@ -45,4 +45,5 @@ class InvalidArgument(TentMeshError):
 
 
 class ContractViolation(TentMeshError):
-    """A runtime invariant check failed while assertion mode was active."""
+    """A run broke an invariant: any run raises it for a wedged vertex or an
+    overrun patch guard, and assertion mode for a failed whole-front check."""

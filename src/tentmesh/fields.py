@@ -9,12 +9,12 @@ Fields are immutable values with read-only parameter arrays, so one field
 can drive any number of runs; :meth:`SlopeField.attach_domain` is the one
 setter, kept for library callers who want off-domain evaluation caught.
 
-``min_slope_over`` is deliberately a *sampled* minimum: the field is
+``sampled_min_simplices`` is deliberately a *sampled* minimum: the field is
 evaluated at the simplex vertices, edge midpoints, centroid, and a fixed set
-of extra barycentric points, and the smallest sample (clamped to
-``sigma_min``) stands in for the true infimum.  For fields whose variation
-is resolved by those samples this is conservative; discontinuities thinner
-than the sampling are the caller's responsibility.
+of ``SLOPE_SAMPLES`` extra barycentric points, and the smallest sample
+(clamped to ``sigma_min``) stands in for the true infimum.  For fields whose
+variation is resolved by those samples this is conservative;
+discontinuities thinner than the sampling are the caller's responsibility.
 
 Field documents are line based, ``#`` starts a comment::
 
@@ -64,7 +64,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidArgument, OutOfDomain, ValidationError
-from .geometry import EventPoint
 
 _TIME_TOL = 0.0  # fields are defined for t >= 0 exactly
 
@@ -91,8 +90,6 @@ def require_finite(name: str, value) -> None:
 
 class SlopeField:
     """Base class; subclasses implement ``_values`` as a pure vectorized map."""
-
-    kind = "abstract"
 
     def __init__(self, sigma_min: float, sigma_max: float):
         if not (sigma_min > 0.0 and sigma_max >= sigma_min):
@@ -126,23 +123,11 @@ class SlopeField:
         self.domain = (np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64))
 
     @property
-    def needs_elements(self) -> bool:
-        return False
-
-    @property
     def is_constant(self) -> bool:
         return False
 
 
-def slope_at(field: SlopeField, point: EventPoint) -> float:
-    """Slope at one spacetime point; raises :class:`OutOfDomain` off-domain."""
-    xs = np.asarray(point.position, dtype=np.float64)[None, :]
-    return float(field.values(xs, np.array([point.time]))[0])
-
-
 class ConstantField(SlopeField):
-    kind = "constant"
-
     def __init__(self, sigma: float):
         require_finite("sigma", sigma)
         super().__init__(sigma, sigma)
@@ -158,8 +143,6 @@ class ConstantField(SlopeField):
 
 class TimeStepField(SlopeField):
     """Piecewise-constant in time: slope values per band between boundaries."""
-
-    kind = "timestep"
 
     def __init__(self, boundaries, sigmas):
         boundaries = _frozen(boundaries)
@@ -203,8 +186,6 @@ class SpatialConeField(SlopeField):
     ROADMAP.md).
     """
 
-    kind = "cone"
-
     def __init__(self, center, t_apex: float, sigma_inside: float,
                  sigma_outside: float, cone_slope: float):
         for name, value in (("center", center), ("t_apex", t_apex),
@@ -239,8 +220,6 @@ class TableField(SlopeField):
     only into the copy :func:`~tentmesh.solver.bind_run` makes for it.
     """
 
-    kind = "table"
-
     def __init__(self, values, future=()):
         values = _frozen(values)
         future = _frozen(future).reshape(-1)
@@ -259,15 +238,9 @@ class TableField(SlopeField):
             raise InvalidArgument("table field needs element context to evaluate")
         return self.table[np.asarray(elems, dtype=np.int64)]
 
-    @property
-    def needs_elements(self) -> bool:
-        return True
-
 
 class CompositeMinField(SlopeField):
     """Pointwise minimum of several fields."""
-
-    kind = "composite"
 
     def __init__(self, children):
         children = tuple(children)
@@ -283,15 +256,13 @@ class CompositeMinField(SlopeField):
             vals = np.minimum(vals, child._values(xs, ts, elems))
         return vals
 
-    @property
-    def needs_elements(self) -> bool:
-        return any(c.needs_elements for c in self.children)
-
 
 # ---------------------------------------------------------------------------
 # sampled minimum over a simplex
 # ---------------------------------------------------------------------------
 
+# Extra interior points per simplex beyond vertices, midpoints and centroid.
+SLOPE_SAMPLES = 4
 _EXTRA_BARY_SEED = 20240711
 _extra_bary_cache: dict[tuple[int, int], np.ndarray] = {}
 
@@ -325,13 +296,15 @@ def _barycentric_weights(k: int, samples: int) -> np.ndarray:
 
 
 def sampled_min_values(field: SlopeField, positions: np.ndarray,
-                       times_batch: np.ndarray, samples: int = 4,
+                       times_batch: np.ndarray, samples: int = SLOPE_SAMPLES,
                        element: int | None = None) -> np.ndarray:
     """Clamped sampled minimum for a batch of time assignments.
 
     ``positions`` is (k, dim); ``times_batch`` is (B, k): the same spatial
-    simplex under B different vertex-time assignments (the greedy probes many
-    candidate lifts at once).  Returns (B,) slope values.
+    simplex under B different vertex-time assignments.  Returns (B,) slope
+    values.  The per-simplex reference that tests hold
+    :func:`sampled_min_simplices` to; ``samples`` sets the number of extra
+    interior points.
     """
     positions = np.asarray(positions, dtype=np.float64)
     times_batch = np.atleast_2d(np.asarray(times_batch, dtype=np.float64))
@@ -352,23 +325,23 @@ def sampled_min_values(field: SlopeField, positions: np.ndarray,
 
 
 def sampled_min_simplices(field: SlopeField, positions: np.ndarray,
-                          times: np.ndarray, samples: int = 4,
-                          elements=None) -> np.ndarray:
+                          times: np.ndarray, elements=None) -> np.ndarray:
     """Conservative slope for many simplices at once.
 
     ``positions`` is (m, k, dim), ``times`` is (m, k), ``elements`` an
     optional (m,) id array.  Returns (m,) values with the sample points and
-    clamp of :func:`min_slope_over`, but a one-row call can round a row's
-    sample times differently in the last bit from a call of two or more
-    rows (numpy takes its matrix-vector path for one row), so two checks
-    that must agree on a slope should keep the slope one of them sampled.
+    clamp of :func:`sampled_min_values` at ``SLOPE_SAMPLES``, but a one-row
+    call can round a row's sample times differently in the last bit from a
+    call of two or more rows (numpy takes its matrix-vector path for one
+    row), so two checks that must agree on a slope should keep the slope one
+    of them sampled.
     """
     positions = np.asarray(positions, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
     m, k = times.shape
     if field.is_constant:
         return np.full(m, field.sigma_min)
-    weights = _barycentric_weights(k, samples)  # (S, k)
+    weights = _barycentric_weights(k, SLOPE_SAMPLES)  # (S, k)
     S = weights.shape[0]
     # The stacked matmul repeats sampled_min_values' per-simplex product
     # exactly; einsum sums the products in another order, and a sample
@@ -382,87 +355,16 @@ def sampled_min_simplices(field: SlopeField, positions: np.ndarray,
     return np.maximum(field.sigma_min, vals)
 
 
-def min_slope_over(field: SlopeField, positions, times, samples: int = 4,
-                   element: int | None = None) -> float:
-    """Conservative slope for one (possibly lifted) simplex.
-
-    See the module docstring for the sampling contract.  ``element`` is the
-    mesh element id, required by table-backed fields.
-    """
-    return float(sampled_min_values(field, positions, [times], samples, element)[0])
-
-
-# ---------------------------------------------------------------------------
-# advisory monotonicity probe
-# ---------------------------------------------------------------------------
-
-
-def check_cone_monotonicity(field: SlopeField, probes: int, bbox=None,
-                            t_max: float = 10.0, dim: int = 2,
-                            seed: int = 0) -> dict:
-    """Sample test of the modeling assumption behind conservative pitching.
-
-    For each probe point P the field is compared against samples on the
-    boundary of P's cone of dependence (slope taken at P): a probe is a
-    violation when sigma(P) is smaller than every sampled slope on that
-    boundary, i.e. the slope at P drops below anything that could have
-    influenced it.  This is advisory; the mesher stays causal regardless, but
-    the physical interpretation of the field is suspect when violations show
-    up.  Returns ``{"probes": n, "violations": k, "examples": [...]}``.
-    """
-    if probes <= 0:
-        raise InvalidArgument("probe count must be positive")
-    if field.needs_elements:
-        raise InvalidArgument(
-            "cone monotonicity probing needs a formula field, not a table"
-        )
-    if bbox is None:
-        lo = np.zeros(dim)
-        hi = np.ones(dim)
-    else:
-        lo = np.asarray(bbox[0], dtype=np.float64)
-        hi = np.asarray(bbox[1], dtype=np.float64)
-        dim = len(lo)
-
-    rng = np.random.default_rng(seed)
-    n_boundary = 16
-    violations = 0
-    examples: list[dict] = []
-    for _ in range(probes):
-        x = lo + rng.random(dim) * (hi - lo)
-        t = float(rng.uniform(0.2 * t_max, t_max))
-        s_here = float(field._values(x[None, :], np.array([t]), None)[0])
-        # Boundary of the cone of dependence: walk back in time along rays.
-        fracs = rng.uniform(0.05, 1.0, size=n_boundary)
-        if dim == 1:
-            dirs = np.where(rng.random(n_boundary) < 0.5, -1.0, 1.0)[:, None]
-        else:
-            ang = rng.uniform(0.0, 2.0 * math.pi, size=n_boundary)
-            dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        rho = fracs * t / s_here
-        ys = x[None, :] + rho[:, None] * dirs
-        taus = t - s_here * rho
-        s_boundary = field._values(ys, taus, None)
-        floor = float(s_boundary.min())
-        if s_here < floor * (1.0 - 1e-12):
-            violations += 1
-            if len(examples) < 5:
-                examples.append(
-                    {"point": x.tolist(), "time": t, "slope": s_here,
-                     "boundary_min": floor}
-                )
-    return {"probes": probes, "violations": violations, "examples": examples}
-
-
 # ---------------------------------------------------------------------------
 # document parsing
 # ---------------------------------------------------------------------------
 
 
-def _parse_field_line(args: list[str], base_dir: Path, n_elements: int | None,
-                      where: str) -> SlopeField:
+def _parse_field_line(args: list[str], base_dir: Path,
+                      n_elements: int | None) -> SlopeField:
+    """The field of one document line; :func:`parse_field` adds its location."""
     if not args:
-        raise ValidationError("empty field line", where)
+        raise ValidationError("empty field line")
     kind, rest = args[0], args[1:]
     try:
         nums = [float(a) for a in rest]
@@ -470,13 +372,13 @@ def _parse_field_line(args: list[str], base_dir: Path, n_elements: int | None,
         nums = None
     if kind == "constant":
         if nums is None or len(nums) != 1:
-            raise ValidationError("usage: field constant <sigma>", where)
+            raise ValidationError("usage: field constant <sigma>")
         return ConstantField(nums[0])
     if kind == "timestep":
         if nums is None or len(nums) < 3 or len(nums) % 2 == 0:
             raise ValidationError(
                 "usage: field timestep <boundaries...> <slopes...> "
-                "(k-1 boundaries then k slopes)", where
+                "(k-1 boundaries then k slopes)"
             )
         k = (len(nums) + 1) // 2
         return TimeStepField(nums[: k - 1], nums[k - 1 :])
@@ -484,15 +386,15 @@ def _parse_field_line(args: list[str], base_dir: Path, n_elements: int | None,
         if nums is None or len(nums) not in (5, 6):
             raise ValidationError(
                 "usage: field cone <cx> [<cy>] <t_apex> <sigma_inside> "
-                "<sigma_outside> <cone_slope>", where
+                "<sigma_outside> <cone_slope>"
             )
         center, tail = (nums[:1], nums[1:]) if len(nums) == 5 else (nums[:2], nums[2:])
         return SpatialConeField(center, tail[0], tail[1], tail[2], tail[3])
     if kind == "table":
         if len(rest) != 1:
-            raise ValidationError("usage: field table <path>", where)
+            raise ValidationError("usage: field table <path>")
         return _load_table(base_dir / rest[0], n_elements)
-    raise ValidationError(f"unknown field kind {kind!r}", where)
+    raise ValidationError(f"unknown field kind {kind!r}")
 
 
 def _load_table(path: Path, n_elements: int | None) -> TableField:
@@ -520,6 +422,10 @@ def _load_table(path: Path, n_elements: int | None) -> TableField:
             raise ValidationError(f"element {elem} out of range", where)
         if seen[elem]:
             raise ValidationError(f"duplicate row for element {elem}", where)
+        if not math.isfinite(sigma):
+            raise ValidationError(f"values[{elem}] must be finite, got {sigma}", where)
+        if sigma <= 0.0:
+            raise ValidationError(f"slopes must be positive, got {sigma}", where)
         seen[elem] = True
         values[elem] = sigma
     if not seen.all():
@@ -540,9 +446,13 @@ def parse_field(text: str, base_dir=".", n_elements: int | None = None,
         tokens = line.split()
         if tokens[0] == "field":
             tokens = tokens[1:]
-        fields.append(
-            _parse_field_line(tokens, base_dir, n_elements, f"{source}:{lineno}")
-        )
+        try:
+            fields.append(_parse_field_line(tokens, base_dir, n_elements))
+        except ValidationError as exc:
+            # Errors of a table file name that file themselves.
+            if exc.location is not None:
+                raise
+            raise ValidationError(exc.reason, f"{source}:{lineno}") from None
     if not fields:
         raise ValidationError("no field line found", source)
     if len(fields) == 1:

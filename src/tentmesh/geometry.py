@@ -36,13 +36,6 @@ DEGENERACY_RATIO = 1e-12
 APEX_OTHERS = ((1, 2), (0, 2), (0, 1))
 
 
-class EventPoint(NamedTuple):
-    """A point in spacetime: spatial position plus a time coordinate."""
-
-    position: np.ndarray
-    time: float
-
-
 def as_point(coords, dim: int | None = None) -> np.ndarray:
     """Coerce ``coords`` to a float64 space point, checking dimension if given."""
     p = np.asarray(coords, dtype=np.float64).reshape(-1)
@@ -122,11 +115,6 @@ def frame(p, q, r) -> TriangleFrame:
         qr_len=qr_len,
         phi=min(1.0, max(sin_q, sin_r)),
     )
-
-
-def phi(p, q, r) -> float:
-    """Shape factor of vertex p in triangle pqr: ``frame(p, q, r).phi``."""
-    return frame(p, q, r).phi
 
 
 class ApexGeometry(NamedTuple):

@@ -490,11 +490,12 @@ def build(mesh: SpaceMesh, front, field: SlopeField,
     Initial slopes are the conservative sampled minima over each facet at the
     front's current times, sampled in blocks of :data:`SLOPE_BLOCK` facets
     with the bits of one call over all facets; thereafter the driver
-    refreshes them through :meth:`update_star` with the solver's outflow
-    values, so both index flavors always read the same store.
+    refreshes them through :meth:`update_star` with the slopes its accepted
+    star check sampled, so both index flavors always read the same store.
+    ``config`` is not read (the sampling density is the constant
+    :data:`~tentmesh.fields.SLOPE_SAMPLES`); it stays for callers that pass
+    it by position.
     """
-    if config is None:
-        config = ConstraintConfig.for_problem(mesh, field)
     m = mesh.n_simplices
     slopes = np.empty(m)
     # Blocks of SLOPE_BLOCK rows bound the sampling transients.  A one-row
@@ -507,7 +508,7 @@ def build(mesh: SpaceMesh, front, field: SlopeField,
         rows = mesh.simplices[lo:hi]
         slopes[lo:hi] = sampled_min_simplices(
             field, mesh.vertices[rows], front.times[rows],
-            config.slope_samples, elements=np.arange(lo, hi))
+            elements=np.arange(lo, hi))
     cls = ConeHierarchy if use_hierarchy else ExhaustiveCones
     return cls(mesh, front, slopes)
 

@@ -49,10 +49,8 @@ neighbours ascending, padded with -1 to the largest vertex degree.
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -91,14 +89,6 @@ class Stars(Sequence):
         return self.ids[off.item(i):off.item(i + 1)]
 
 
-class MeshStats(NamedTuple):
-    """Quantities the pitching step-size guarantee is built from."""
-
-    wmin: float        # smallest simplex width (min altitude / segment length)
-    diameter: float    # largest vertex-to-vertex distance
-    max_degree: int    # largest number of simplices sharing one vertex
-
-
 @dataclass
 class SpaceMesh:
     """An immutable simplicial mesh with precomputed adjacency and geometry.
@@ -134,10 +124,6 @@ class SpaceMesh:
         return float(self.widths.min())
 
     @property
-    def diameter(self) -> float:
-        return _diameter(self.vertices)
-
-    @property
     def max_degree(self) -> int:
         return int(np.diff(self.stars.offsets).max())
 
@@ -149,20 +135,6 @@ class SpaceMesh:
         building a mesh and 1D runs never pay for it.
         """
         return _apex_geometry(self.vertices[self.simplices])
-
-
-def _diameter(vertices: np.ndarray) -> float:
-    if vertices.shape[1] == 1:
-        return float(vertices.max() - vertices.min())
-    # Pairwise distances, blockwise to bound memory on larger meshes.
-    best = 0.0
-    n = vertices.shape[0]
-    step = 1024
-    for i in range(0, n, step):
-        block = vertices[i : i + step]
-        d2 = ((block[:, None, :] - vertices[None, :, :]) ** 2).sum(axis=2)
-        best = max(best, float(d2.max()))
-    return math.sqrt(best)
 
 
 def _sorted_rows(simplices, n: int, k: int) -> np.ndarray:
@@ -368,11 +340,6 @@ def vertex_star(mesh: SpaceMesh, v: int) -> np.ndarray:
     if not 0 <= v < mesh.n_vertices:
         raise NotFound(f"vertex {v} does not exist (mesh has {mesh.n_vertices})")
     return mesh.stars[v]
-
-
-def mesh_stats(mesh: SpaceMesh) -> MeshStats:
-    """(wmin, diameter, max_degree) for the mesh; see :class:`MeshStats`."""
-    return MeshStats(mesh.wmin, mesh.diameter, mesh.max_degree)
 
 
 # ---------------------------------------------------------------------------

@@ -595,7 +595,7 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
     index = BlockedTimes(initial_times)
     times = index.times
     front = Front(mesh, times)
-    cones = build_cones(mesh, front, field, config, use_hierarchy)
+    cones = build_cones(mesh, front, field, use_hierarchy=use_hierarchy)
     stmesh = SpacetimeMesh(mesh)
     heights: list[float] = []
     stats = {

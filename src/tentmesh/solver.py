@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constraints import ConstraintConfig
 from .errors import InvalidArgument, ValidationError
 from .fields import CompositeMinField, SlopeField, SpatialConeField, TableField, \
     require_finite, sampled_min_simplices
@@ -168,8 +167,7 @@ def seal_run(field: SlopeField) -> None:
         table.table.flags.writeable = False
 
 
-def solve_patch(field: SlopeField, config: ConstraintConfig,
-                positions: np.ndarray, times: np.ndarray,
+def solve_patch(field: SlopeField, positions: np.ndarray, times: np.ndarray,
                 elements: np.ndarray, t_top: float,
                 pending: deque[ScriptRow] | None = None,
                 ) -> tuple[np.ndarray, list[ScriptRow]]:
@@ -182,8 +180,7 @@ def solve_patch(field: SlopeField, config: ConstraintConfig,
     table of ``field``, which must be the run's own from :func:`bind_run`.
     The driver keeps its star check's samples and calls :func:`fire_rows`.
     """
-    slopes = sampled_min_simplices(field, positions, times,
-                                   config.slope_samples, elements=elements)
+    slopes = sampled_min_simplices(field, positions, times, elements=elements)
     return slopes, fire_rows(field, t_top, pending)
 
 

@@ -99,6 +99,11 @@ class TestConfig:
         mesh = interval_mesh([0.0, 1e-150, 2e-150])
         with pytest.raises(ValidationError, match="tmin_1d"):
             ConstraintConfig.for_problem(mesh, ConstantField(1e-200))
+        # A subnormal floor is positive, but the default eta = 1e-9 * floor
+        # underflows; the error names the floor, not an eta nobody gave.
+        with pytest.raises(ValidationError, match="height floor tmin_1d"):
+            ConstraintConfig.for_problem(interval_mesh([0.0, 1.0]),
+                                         ConstantField(1e-320))
 
 
 class TestCausalSegment:
@@ -298,8 +303,7 @@ def _reference_verdict(points, times, field, config, ids, element=None,
     batch[:n, lo] += dts
     batch[n:, lo] += dts
     batch[n:, mid] = times[mid] + tmin
-    sig = sampled_min_values(field, points, batch, config.slope_samples,
-                             element)
+    sig = sampled_min_values(field, points, batch, element=element)
     worst = None
     for k in range(n):
         v = causal_triangle(points, batch[k], min(float(sig[k]), sigma_cap),

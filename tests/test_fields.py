@@ -17,21 +17,15 @@ from tentmesh.fields import (
     SpatialConeField,
     TableField,
     TimeStepField,
-    check_cone_monotonicity,
     load_field,
-    min_slope_over,
     parse_field,
     sampled_min_simplices,
     sampled_min_values,
-    slope_at,
 )
-from tentmesh.geometry import EventPoint
 
 
 class LinearInX(SlopeField):
     """sigma(x, t) = 1 + x[0]; a smooth test field on the unit interval."""
-
-    kind = "linear-test"
 
     def __init__(self):
         super().__init__(1.0, 2.0)
@@ -43,8 +37,6 @@ class LinearInX(SlopeField):
 class DipsBelowBound(SlopeField):
     """sigma(x, t) = 0.5 + x[0], under a declared sigma_min of 1."""
 
-    kind = "dip-test"
-
     def __init__(self):
         super().__init__(1.0, 2.0)
 
@@ -52,21 +44,15 @@ class DipsBelowBound(SlopeField):
         return 0.5 + xs[:, 0]
 
 
-def ev(x, t):
-    return EventPoint(position=np.atleast_1d(np.asarray(x, dtype=float)), time=t)
-
-
 class TestBuiltinFields:
     def test_constant(self):
         f = ConstantField(2.5)
-        assert slope_at(f, ev([0.3, 0.4], 1.0)) == 2.5
+        assert f.values([[0.3, 0.4]], [1.0]).tolist() == [2.5]
         assert (f.sigma_min, f.sigma_max) == (2.5, 2.5)
 
     def test_timestep_boundary_belongs_to_later_band(self):
         f = TimeStepField([5.0], [2.0, 0.5])
-        assert slope_at(f, ev([0.0], 4.9)) == 2.0
-        assert slope_at(f, ev([0.0], 5.0)) == 0.5
-        assert slope_at(f, ev([0.0], 7.0)) == 0.5
+        assert f.values(np.zeros((3, 1)), [4.9, 5.0, 7.0]).tolist() == [2.0, 0.5, 0.5]
         assert (f.sigma_min, f.sigma_max) == (0.5, 2.0)
 
     def test_timestep_multiband(self):
@@ -76,9 +62,9 @@ class TestBuiltinFields:
 
     def test_cone_membership_boundary_is_inside(self):
         f = SpatialConeField([0.5, 0.5], 0.0, 4.0, 1.0, 4.0)
-        assert slope_at(f, ev([0.5, 0.5], 0.0)) == 4.0       # apex
-        assert slope_at(f, ev([0.5, 0.75], 0.5)) == 1.0      # outside
-        assert slope_at(f, ev([0.5, 0.75], 1.0)) == 4.0      # exactly on the cone
+        xs = [[0.5, 0.5], [0.5, 0.75], [0.5, 0.75]]
+        # apex, outside, exactly on the cone
+        assert f.values(xs, [0.0, 0.5, 1.0]).tolist() == [4.0, 1.0, 4.0]
         assert (f.sigma_min, f.sigma_max) == (1.0, 4.0)
 
     def test_table_requires_elements(self):
@@ -110,8 +96,7 @@ class TestBuiltinFields:
 
     def test_composite_is_pointwise_min(self):
         f = CompositeMinField([ConstantField(2.0), TimeStepField([1.0], [3.0, 0.5])])
-        assert slope_at(f, ev([0.0], 0.0)) == 2.0
-        assert slope_at(f, ev([0.0], 1.5)) == 0.5
+        assert f.values(np.zeros((2, 1)), [0.0, 1.5]).tolist() == [2.0, 0.5]
         assert (f.sigma_min, f.sigma_max) == (0.5, 2.0)
 
     def test_positive_slope_required(self):
@@ -141,14 +126,14 @@ class TestBuiltinFields:
 
     def test_negative_time_raises(self):
         with pytest.raises(OutOfDomain):
-            slope_at(ConstantField(1.0), ev([0.0], -0.1))
+            ConstantField(1.0).values([[0.0]], [-0.1])
 
     def test_attached_domain_is_enforced(self):
         f = ConstantField(1.0)
         f.attach_domain([0.0, 0.0], [1.0, 1.0])
-        assert slope_at(f, ev([0.5, 0.5], 0.0)) == 1.0
+        assert f.values([[0.5, 0.5]], [0.0]).tolist() == [1.0]
         with pytest.raises(OutOfDomain):
-            slope_at(f, ev([2.0, 0.5], 0.0))
+            f.values([[2.0, 0.5]], [0.0])
 
     def test_vectorized_matches_pointwise(self):
         f = SpatialConeField([0.0, 0.0], 1.0, 3.0, 1.0, 2.0)
@@ -156,7 +141,7 @@ class TestBuiltinFields:
         xs = rng.uniform(-2, 2, size=(50, 2))
         ts = rng.uniform(0, 5, size=50)
         batch = f.values(xs, ts)
-        single = [slope_at(f, ev(x, t)) for x, t in zip(xs, ts)]
+        single = [f.values(x[None], [t])[0] for x, t in zip(xs, ts)]
         assert batch.tolist() == single
 
 
@@ -165,13 +150,13 @@ class TestMinSlopeOver:
 
     def test_constant_field_returns_constant(self):
         f = ConstantField(1.7)
-        assert min_slope_over(f, self.SEG, np.array([0.0, 2.0])) == 1.7
+        assert sampled_min_values(f, self.SEG, np.array([0.0, 2.0]))[0] == 1.7
 
     def test_linear_field_min_at_vertex_sample(self):
         # sigma = 1 + x on [0, 1]: the x = 0 vertex is among the samples, so
         # the sampled minimum is exactly 1.
         f = LinearInX()
-        assert min_slope_over(f, self.SEG, np.array([0.0, 0.0])) == 1.0
+        assert sampled_min_values(f, self.SEG, np.array([0.0, 0.0]))[0] == 1.0
 
     def test_samples_below_sigma_min_are_clamped(self):
         # On [0, 1] the vertex x = 0 samples 0.5, below the declared floor;
@@ -187,8 +172,8 @@ class TestMinSlopeOver:
 
     def test_time_variation_is_sampled_through_lifts(self):
         f = TimeStepField([1.0], [2.0, 0.5])
-        flat = min_slope_over(f, self.SEG, np.array([0.0, 0.0]))
-        lifted = min_slope_over(f, self.SEG, np.array([2.0, 0.0]))
+        flat = sampled_min_values(f, self.SEG, np.array([0.0, 0.0]))[0]
+        lifted = sampled_min_values(f, self.SEG, np.array([2.0, 0.0]))[0]
         assert flat == 2.0
         assert lifted == 0.5  # one vertex sits past the drop
 
@@ -197,7 +182,7 @@ class TestMinSlopeOver:
         tri = np.array([[0.0], [1.0]])
         batch_times = np.array([[0.0, 0.0], [1.0, 0.5], [3.0, 3.0]])
         batch = sampled_min_values(f, tri, batch_times)
-        singles = [min_slope_over(f, tri, t) for t in batch_times]
+        singles = [sampled_min_values(f, tri, t)[0] for t in batch_times]
         assert batch.tolist() == singles
 
     def test_many_simplices_sample_the_batch_points(self):
@@ -205,8 +190,6 @@ class TestMinSlopeOver:
         # bit for bit, as the one-simplex batch sampler: an ulp apart, a
         # point can sit on either side of a cone boundary.
         class Recorder(SlopeField):
-            kind = "recorder"
-
             def __init__(self):
                 super().__init__(1.0, 1.0)
                 self.calls = []
@@ -232,8 +215,6 @@ class TestMinSlopeOver:
         # A narrow low-slope pocket between mesh points: midpoints miss it at
         # samples=0 unless a quasi-random extra point lands inside.
         class Pocket(SlopeField):
-            kind = "pocket"
-
             def __init__(self):
                 super().__init__(0.1, 1.0)
 
@@ -242,37 +223,17 @@ class TestMinSlopeOver:
                 return np.where(inside, 0.1, 1.0)
 
         f = Pocket()
-        coarse = min_slope_over(f, self.SEG, np.zeros(2), samples=0)
-        fine = min_slope_over(f, self.SEG, np.zeros(2), samples=400)
+        coarse = sampled_min_values(f, self.SEG, np.zeros(2), samples=0)[0]
+        fine = sampled_min_values(f, self.SEG, np.zeros(2), samples=400)[0]
         assert coarse == 1.0
         assert fine == pytest.approx(0.1)
 
     def test_sampling_is_deterministic(self):
         f = SpatialConeField([0.3, 0.3], 0.0, 2.0, 0.7, 3.0)
         tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        a = min_slope_over(f, tri, np.array([0.1, 0.2, 0.3]))
-        b = min_slope_over(f, tri, np.array([0.1, 0.2, 0.3]))
+        a = sampled_min_values(f, tri, np.array([0.1, 0.2, 0.3]))[0]
+        b = sampled_min_values(f, tri, np.array([0.1, 0.2, 0.3]))[0]
         assert a == b
-
-
-class TestConeMonotonicity:
-    def test_constant_has_no_violations(self):
-        rep = check_cone_monotonicity(ConstantField(1.0), probes=200, dim=1)
-        assert rep["violations"] == 0
-
-    def test_slope_increasing_in_time_has_no_violations(self):
-        # Slope only grows with time, so a point is never below its past.
-        rep = check_cone_monotonicity(TimeStepField([5.0], [1.0, 2.0]), probes=200)
-        assert rep["violations"] == 0
-
-    def test_sudden_global_drop_is_reported(self):
-        rep = check_cone_monotonicity(TimeStepField([5.0], [2.0, 0.2]), probes=200)
-        assert rep["violations"] > 0
-        assert rep["examples"]
-
-    def test_table_field_rejected(self):
-        with pytest.raises(InvalidArgument):
-            check_cone_monotonicity(TableField([1.0]), probes=10)
 
 
 class TestDocuments:
@@ -321,6 +282,31 @@ class TestDocuments:
             with pytest.raises(ValidationError):
                 parse_field(bad)
 
+    @pytest.mark.parametrize("line, reason", [
+        ("field cone 0.5 0 nan 1 1", "sigma_inside must be finite, got nan"),
+        ("field timestep 2 1 1 1 1", "timestep boundaries must be strictly ascending"),
+        ("field constant 0", "slope bounds must satisfy"),
+    ])
+    def test_field_value_errors_name_their_line(self, line, reason):
+        with pytest.raises(ValidationError, match=reason) as err:
+            parse_field(f"# header\n{line}\n", source="doc.txt")
+        assert err.value.location == "doc.txt:2"
+
+    @pytest.mark.parametrize("row, reason", [
+        ("1 nan", r"values\[1\] must be finite"),
+        ("1 inf", r"values\[1\] must be finite"),
+        ("1 0.0", "slopes must be positive"),
+        ("1 -2", "slopes must be positive"),
+    ])
+    def test_table_slope_errors_name_their_row(self, tmp_path, row, reason):
+        table = tmp_path / "slopes.txt"
+        table.write_text(f"0 1.0\n\n{row}\n")
+        doc = tmp_path / "field.txt"
+        doc.write_text("field table slopes.txt\n")
+        with pytest.raises(ValidationError, match=reason) as err:
+            load_field(doc, n_elements=2)
+        assert err.value.location == f"{table}:3"
+
 
 @given(
     st.lists(st.floats(min_value=0.05, max_value=5.0, width=64), min_size=1,
@@ -331,7 +317,7 @@ class TestDocuments:
 def test_timestep_values_stay_within_declared_bounds(sigmas, t):
     boundaries = [float(i + 1) for i in range(len(sigmas) - 1)]
     f = TimeStepField(boundaries, sigmas)
-    v = slope_at(f, ev([0.0], t))
+    v = f.values([[0.0]], [t])[0]
     assert f.sigma_min <= v <= f.sigma_max
     assert v in sigmas
 
@@ -341,5 +327,5 @@ def test_timestep_values_stay_within_declared_bounds(sigmas, t):
 def test_sampled_min_never_below_sigma_min(samples):
     f = SpatialConeField([0.25, 0.25], 0.0, 0.3, 1.0, 2.0)
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    got = min_slope_over(f, tri, np.array([5.0, 0.0, 0.0]), samples=samples)
+    got = sampled_min_values(f, tri, np.array([5.0, 0.0, 0.0]), samples)[0]
     assert f.sigma_min <= got <= f.sigma_max

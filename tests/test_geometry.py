@@ -25,9 +25,7 @@ from hypothesis import strategies as st
 
 from tentmesh.errors import DegenerateSimplex
 from tentmesh.geometry import (
-    EventPoint,
     frame,
-    phi,
     simplex_width,
     triangle_width,
 )
@@ -96,19 +94,20 @@ class TestProjectOntoLine:
 class TestPhi:
     def test_unit_right_triangle_apex_at_right_angle(self):
         # Base angles are both 45 degrees.
-        assert phi((0, 0), (1, 0), (0, 1)) == pytest.approx(SQRT2_OVER_2, rel=1e-15)
+        assert frame((0, 0), (1, 0), (0, 1)).phi == pytest.approx(SQRT2_OVER_2,
+                                                                  rel=1e-15)
 
     def test_equilateral(self):
         eq = [(0, 0), (1, 0), (0.5, math.sqrt(3.0) / 2.0)]
-        assert phi(*eq) == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-15)
+        assert frame(*eq).phi == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-15)
 
     def test_right_angle_opposite_gives_one(self):
         # Angle at q is the right angle, so the factor saturates at 1.
-        assert phi((0, 0), (1, 0), (1, 1)) == pytest.approx(1.0, abs=0.0)
+        assert frame((0, 0), (1, 0), (1, 1)).phi == pytest.approx(1.0, abs=0.0)
 
     def test_symmetric_in_base_vertices(self):
         t = [(0.3, 0.1), (2.0, 0.4), (1.1, 1.7)]
-        assert phi(t[0], t[1], t[2]) == phi(t[0], t[2], t[1])
+        assert frame(t[0], t[1], t[2]).phi == frame(t[0], t[2], t[1]).phi
 
 
 class TestFrame:
@@ -124,7 +123,6 @@ class TestFrame:
         assert f.u_along == pytest.approx(SQRT2_OVER_2, rel=1e-15)
         assert f.altitude == pytest.approx(SQRT2_OVER_2, rel=1e-15)
         assert f.qr_len == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        assert f.phi == phi((0, 0), (1, 0), (0, 1))
 
     def test_collinear_raises(self):
         with pytest.raises(DegenerateSimplex):
@@ -167,12 +165,6 @@ class TestWidth:
             triangle_width((1.0,), (1.0,))
 
 
-def test_event_point_roundtrips_fields():
-    ev = EventPoint(position=np.array([1.0, 2.0]), time=3.5)
-    assert ev.time == 3.5
-    assert tuple(ev.position) == (1.0, 2.0)
-
-
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
@@ -197,7 +189,7 @@ def test_phi_invariant_under_similarity(pts, angle, dx, dy, scale):
     c, s = math.cos(angle), math.sin(angle)
     rot = np.array([[c, -s], [s, c]])
     moved = scale * (pts @ rot.T) + np.array([dx, dy])
-    assert phi(*moved) == pytest.approx(phi(*pts), rel=1e-9)
+    assert frame(*moved).phi == pytest.approx(frame(*pts).phi, rel=1e-9)
 
 
 @given(triangles())

@@ -430,21 +430,19 @@ def test_blocked_initial_slopes_match_one_call(monkeypatch, make, m):
     assert mesh.n_simplices == m
     rng = np.random.default_rng(m)
     front = Front(mesh, rng.uniform(0.0, 0.5, mesh.n_vertices))
-    cfg = ConstraintConfig.for_problem(mesh, field)
     want = sampled_min_simplices(field, mesh.vertices[mesh.simplices],
-                                 front.times[mesh.simplices], cfg.slope_samples,
+                                 front.times[mesh.simplices],
                                  elements=np.arange(m))
     calls = []
 
-    def counted(field, positions, times, samples, elements):
+    def counted(field, positions, times, elements):
         calls.append(len(times))
-        return sampled_min_simplices(field, positions, times, samples,
-                                     elements=elements)
+        return sampled_min_simplices(field, positions, times, elements=elements)
 
     monkeypatch.setattr(hierarchy, "SLOPE_BLOCK", 7)
     monkeypatch.setattr(hierarchy, "sampled_min_simplices", counted)
     for use_hierarchy in (True, False):
-        cones = build(mesh, front, field, cfg, use_hierarchy=use_hierarchy)
+        cones = build(mesh, front, field, use_hierarchy=use_hierarchy)
         assert cones.slopes.tobytes() == want.tobytes()
     assert sum(calls) == 2 * m and min(calls) >= 2 and max(calls) <= 8
 

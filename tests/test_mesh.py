@@ -22,7 +22,6 @@ from tentmesh.mesh import (
     grid_mesh,
     interval_mesh,
     load_mesh,
-    mesh_stats,
     save_mesh,
     vertex_star,
 )
@@ -33,15 +32,12 @@ SQUARE_TRIS = [(0, 1, 2), (0, 2, 3)]
 
 def test_two_triangle_square_stats():
     mesh = build_mesh(SQUARE_VERTS, SQUARE_TRIS)
-    wmin, diameter, max_degree = mesh_stats(mesh)
-    assert wmin == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-15)
-    assert diameter == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert max_degree == 2
+    assert mesh.wmin == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-15)
+    assert mesh.max_degree == 2
 
 def test_interval_mesh_stats():
     mesh = interval_mesh(np.arange(11.0))
-    wmin, diameter, max_degree = mesh_stats(mesh)
-    assert (wmin, diameter, max_degree) == (1.0, 10.0, 2)
+    assert (mesh.wmin, mesh.max_degree) == (1.0, 2)
     assert mesh.dim == 1
     assert mesh.n_simplices == 10
 
@@ -49,7 +45,6 @@ def test_interval_mesh_stats():
 def test_grid_mesh_stats():
     mesh = grid_mesh(10, 10, 10.0, 10.0)
     assert mesh.wmin == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-12)
-    assert mesh.diameter == pytest.approx(math.sqrt(200.0), rel=1e-12)
     assert mesh.max_degree == 6
     assert mesh.n_simplices == 200
 
@@ -283,10 +278,8 @@ def test_interval_mesh_stats_match_gaps(xs):
     if gaps.min() < 1e-6:
         return  # skip near-degenerate spacings, covered by validation tests
     mesh = interval_mesh(xs)
-    wmin, diameter, max_degree = mesh_stats(mesh)
-    assert wmin == pytest.approx(gaps.min(), rel=1e-12)
-    assert diameter == pytest.approx(xs[-1] - xs[0], rel=1e-12)
-    assert max_degree == (2 if len(xs) > 2 else 1)
+    assert mesh.wmin == pytest.approx(gaps.min(), rel=1e-12)
+    assert mesh.max_degree == (2 if len(xs) > 2 else 1)
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5))

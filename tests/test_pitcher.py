@@ -287,7 +287,7 @@ def test_star_check_1d_samples_what_solve_patch_stores():
         lifted = times.copy()
         lifted[p] = top
         rows = mesh.simplices[sids]
-        solve_patch(field, cfg, mesh.vertices[rows], lifted[rows], sids, top)
+        solve_patch(field, mesh.vertices[rows], lifted[rows], sids, top)
         assert checked == field.take()
 
 
@@ -307,7 +307,7 @@ def test_run_1d_stores_the_slopes_solve_patch_would_sample(monkeypatch):
         probed = field.take()[1]
         rows = mesh.simplices[sids]
         # No script rows are pending, so the top time is never read.
-        fresh, _ = solve_patch(field, cfg, mesh.vertices[rows],
+        fresh, _ = solve_patch(field, mesh.vertices[rows],
                                cones.front.times[rows], sids, math.inf)
         assert field.take()[1] in probed
         assert [float(s).hex() for s in slopes] == \
@@ -344,7 +344,7 @@ def test_star_check_2d_keeps_the_slope_it_verified():
         got = []
         star_feasible(mesh, times, p, float(times[p]), field, cfg, sampled=got)
         assert got[0].tolist() == [0.5]
-        stored, _ = solve_patch(field, cfg, mesh.vertices[rows], times[rows],
+        stored, _ = solve_patch(field, mesh.vertices[rows], times[rows],
                                 mesh.stars[p], float(times[p]))
         assert stored.tolist() == [1.0]
 

@@ -6,7 +6,6 @@ from collections import deque
 import numpy as np
 import pytest
 
-from tentmesh.constraints import ConstraintConfig
 from tentmesh.errors import InvalidArgument, ValidationError
 from tentmesh.fields import (
     CompositeMinField,
@@ -23,10 +22,6 @@ from tentmesh.solver import (
     parse_script,
     solve_patch,
 )
-
-
-def _config(mesh, field):
-    return ConstraintConfig.for_problem(mesh, field)
 
 
 # -- parsing -----------------------------------------------------------------
@@ -130,8 +125,8 @@ def test_bind_run_gives_each_run_its_own_table():
     first, second = (bind_run(_line(2), table, script) for _ in range(2))
     assert first.table is not table.table and second.table is not first.table
     assert first.table.flags.writeable and not table.table.flags.writeable
-    solve_patch(first, _config(_line(2), first), np.zeros((1, 2, 1)),
-                np.ones((1, 2)), np.array([0]), 1.0, deque(script.rows))
+    solve_patch(first, np.zeros((1, 2, 1)), np.ones((1, 2)), np.array([0]), 1.0,
+                deque(script.rows))
     assert first.table.tolist() == [1.0, 0.5]
     assert second.table.tolist() == table.table.tolist() == [1.0, 2.0]
 
@@ -142,8 +137,8 @@ def test_bind_run_gives_each_run_its_own_table():
 def _fire(field, pending, t_top):
     """Run solve_patch on element 0 of a one-segment star; returns fired rows."""
     pos = np.array([[[0.0], [1.0]]])
-    return solve_patch(field, _config(_line(1), field), pos, np.zeros((1, 2)),
-                       np.array([0]), t_top, pending)[1]
+    return solve_patch(field, pos, np.zeros((1, 2)), np.array([0]), t_top,
+                       pending)[1]
 
 
 def test_solve_patch_fires_due_rows_in_order():
@@ -180,12 +175,10 @@ def test_same_element_fires_in_trigger_order():
 def test_outflow_slopes_match_sampled_minima():
     mesh = interval_mesh([0.0, 1.0, 2.0])
     field = TableField([2.0, 0.5])
-    cfg = _config(mesh, field)
     pos = mesh.vertices[mesh.simplices]          # both segments
     tms = np.array([[0.0, 0.3], [0.3, 0.1]])
-    got, fired = solve_patch(field, cfg, pos, tms, np.array([0, 1]), 0.3)
-    want = sampled_min_simplices(field, pos, tms, cfg.slope_samples,
-                                 elements=np.array([0, 1]))
+    got, fired = solve_patch(field, pos, tms, np.array([0, 1]), 0.3)
+    want = sampled_min_simplices(field, pos, tms, elements=np.array([0, 1]))
     assert got.tolist() == want.tolist()
     assert got.tolist() == [2.0, 0.5]
     assert fired == []
@@ -197,15 +190,14 @@ def test_solve_patch_computes_slopes_before_firing():
     script = parse_script("0 1.0 0.5\n")
     field = bind_run(mesh, TableField([2.0]), script)
     pending = deque(script.rows)
-    cfg = _config(mesh, field)
     pos = mesh.vertices[mesh.simplices]
     tms = np.array([[1.5, 0.0]])
-    slopes, fired = solve_patch(field, cfg, pos, tms, np.array([0]),
+    slopes, fired = solve_patch(field, pos, tms, np.array([0]),
                                 t_top=1.5, pending=pending)
     assert slopes.tolist() == [2.0]          # pre-update table value
     assert [r.sigma for r in fired] == [0.5]
     assert field.table[0] == 0.5             # visible to the next patch
-    slopes2, fired2 = solve_patch(field, cfg, pos, tms, np.array([0]),
+    slopes2, fired2 = solve_patch(field, pos, tms, np.array([0]),
                                   t_top=1.6, pending=pending)
     assert slopes2.tolist() == [0.5]
     assert fired2 == []
@@ -214,9 +206,8 @@ def test_solve_patch_computes_slopes_before_firing():
 def test_solve_patch_without_script():
     mesh = interval_mesh([0.0, 1.0])
     field = ConstantField(1.25)
-    cfg = _config(mesh, field)
     pos = mesh.vertices[mesh.simplices]
-    slopes, fired = solve_patch(field, cfg, pos, np.array([[0.2, 0.0]]),
+    slopes, fired = solve_patch(field, pos, np.array([[0.2, 0.0]]),
                                 np.array([0]), t_top=0.2)
     assert slopes.tolist() == [1.25]
     assert fired == []
