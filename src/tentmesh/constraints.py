@@ -36,14 +36,20 @@ for F triangles at once; 2D star verification, :func:`is_progressive_front`
 and :func:`is_progressive_triangle` (F = 1) all call it.  Per triangle it
 
 * orders the unlifted vertices by (time, id) into lo, mid, hi;
-* builds 2n rows of times for the n lift samples dt: rows k < n lift lo by
-  dt_k, and row n + k is that lift's companion, with mid also raised by the
-  full floor.  One :func:`~tentmesh.fields.sampled_min_simplices` call
-  samples the slope over all F * 2n rows, and row 0 (dt = 0, the triangle
-  at its own times) is returned with the verdicts;
+* builds one (F, 2n, 3) block of times for the n lift samples dt: rows
+  k < n lift lo by dt_k, and row n + k is that lift's companion, with mid
+  also raised by the full floor.  One
+  :func:`~tentmesh.fields.sampled_min_simplices` call samples the slope
+  over all F * 2n rows, computing each triangle's sample points once, and
+  row 0 (dt = 0, the triangle at its own times) is returned with the
+  verdicts;
 * checks causality of row k at apex lo (q and r in local-index order)
-  against ``min(slope of row k, sigma_cap)``, and progress of row k, with
-  its vertices re-ordered by (time, id), against the slope of row n + k.
+  against ``min(slope of row k, cap)``, where the cap comes from the
+  caller's ``remote(ceiling)`` hook (the star check's remote cone query),
+  called once with the largest slope the causality rows sampled: a cap at
+  or above that ceiling lowers no row's slope.  Progress of row k, with
+  its vertices re-ordered by (time, id), is checked against the slope of
+  row n + k.
 
 The per-(triangle, apex) geometry comes from
 :class:`~tentmesh.geometry.ApexGeometry`, the
@@ -173,17 +179,21 @@ def causality_slack(sigma, t_q, t_r, length, t_p=None, altitude=None,
     for bit equal to :func:`causal_segment` and :func:`causal_triangle`.
     """
     abs_dt = np.abs(t_r - t_q)
-    budget = sigma * length
     if t_p is None:
+        budget = sigma * length
         return budget - abs_dt, np.maximum(budget, abs_dt)
     g = abs_dt / length
     w = u_along / length
     t_u = t_q * (1.0 - w) + t_r * w
     rhs = altitude * np.sqrt(np.maximum(0.0, sigma * sigma - g * g))
     lhs = np.abs(t_p - t_u)
+    slack, scale = rhs - lhs, np.maximum(rhs, lhs)
     steep = g > sigma
-    return (np.where(steep, budget - abs_dt, rhs - lhs),
-            np.where(steep, np.maximum(budget, abs_dt), np.maximum(rhs, lhs)))
+    if steep.any():
+        budget = sigma * length
+        slack = np.where(steep, budget - abs_dt, slack)
+        scale = np.where(steep, np.maximum(budget, abs_dt), scale)
+    return slack, scale
 
 
 def causal_segment(t_a: float, t_b: float, length: float,
@@ -252,7 +262,8 @@ def progress_ok(points, times, sigma: float, epsilon: float,
 
 
 _OTHERS = np.array(APEX_OTHERS)
-_LOCAL = np.arange(3)
+# Binding of slack column j of progressive_verdicts, by j % 2.
+_BINDINGS = np.array([BINDING_CAUSALITY, BINDING_PROGRESS])
 
 
 class FacetVerdicts(NamedTuple):
@@ -268,8 +279,9 @@ class FacetVerdicts(NamedTuple):
               binding) -> "FacetVerdicts":
         """Verdicts from slack and raw scale, as :func:`_verdict` makes them."""
         scale = np.maximum(1.0, scale)
-        return cls(slack, scale, np.broadcast_to(binding, slack.shape),
-                   slack >= -REL_TOL * scale)
+        if isinstance(binding, str):
+            binding = np.broadcast_to(binding, slack.shape)
+        return cls(slack, scale, binding, slack >= -REL_TOL * scale)
 
     def margin(self) -> float:
         """``min(slack + REL_TOL * scale)``: >= 0 exactly when all are satisfied.
@@ -296,16 +308,19 @@ def _lift_samples(tmin: float) -> np.ndarray:
 def progressive_verdicts(points: np.ndarray, times: np.ndarray,
                          ids: np.ndarray, geometry: ApexGeometry,
                          field: SlopeField, config: ConstraintConfig,
-                         elements=None, sigma_cap: float = math.inf,
+                         elements=None, remote=None,
                          ) -> tuple[FacetVerdicts, np.ndarray]:
     """Batched progressive-triangle check; see the module docstring.
 
     ``points`` is (F, 3, 2), ``times`` and ``ids`` are (F, 3), ``geometry``
     is the triangles' :class:`ApexGeometry` and ``elements`` their (F,) mesh
-    ids (required by table-backed fields).  ``sigma_cap`` further limits
-    the slope used for the causality half; progress always uses the field's
-    own sampled slope.  Returns the verdicts and row 0's (F,) slopes (dt =
-    0, each triangle at its own times), before the ``sigma_cap`` minimum.
+    ids (required by table-backed fields).  ``remote``, when given, is
+    called once with the largest slope the causality rows sampled (the
+    ceiling) and returns the slope that further limits the causality half,
+    such as ``min(ceiling, remote cone slope)``; a cap at or above the
+    ceiling changes no verdict.  Progress always uses the field's own
+    sampled slope.  Returns the verdicts and row 0's (F,) slopes (dt = 0,
+    each triangle at its own times), before the remote cap.
     """
     F = times.shape[0]
     tmin = config.tmin_2d
@@ -315,52 +330,48 @@ def progressive_verdicts(points: np.ndarray, times: np.ndarray,
     order = np.lexsort((ids, times))
     lo, mid = order[:, 0], order[:, 1]
     t_lo, t_mid, t_hi = times[f[:, None], order].T[:, :, None]
-    id_lo, id_mid, id_hi = ids[f[:, None], order].T[:, :, None]
+    id_lo, id_mid = ids[f[:, None], order[:, :2]].T[:, :, None]
     t_lift = t_lo + dts  # (F, n): lo lifted by each sample
 
     # Rows 0..n-1 lift lo by each sample; rows n..2n-1 are the companions,
     # which also raise mid by the full floor.
-    lifted = np.where((_LOCAL == lo[:, None])[:, None, :], t_lift[:, :, None],
-                      times[:, None, :])
-    companion = np.where((_LOCAL == mid[:, None])[:, None, :],
-                         (t_mid + tmin)[:, :, None], lifted)
-    if elements is not None:
-        elements = np.repeat(elements, 2 * n)
-    sig = sampled_min_simplices(
-        field, np.repeat(points, 2 * n, axis=0),
-        np.concatenate((lifted, companion), axis=1).reshape(F * 2 * n, 3),
-        elements=elements,
-    ).reshape(F, 2 * n)
+    block = times[:, None, :].repeat(2 * n, axis=1)
+    block[f, :n, lo] = t_lift
+    block[f, n:, lo] = t_lift
+    block[f, n:, mid] = t_mid + tmin
+    sig = sampled_min_simplices(field, points, block, elements=elements)
 
     # Causality of each lifted triangle, in the altitude form at apex lo.
     t_qr = times[f[:, None], _OTHERS[lo]]
     alt, u_along, qr_len, phi_lo = (a[f, lo][:, None] for a in geometry)
+    sig_c = sig[:, :n]
+    if remote is not None:
+        sig_c = np.minimum(sig_c, remote(float(sig_c.max())))
     slack = np.empty((F, n, 2))
     scale = np.empty((F, n, 2))
     slack[..., 0], scale[..., 0] = causality_slack(
-        np.minimum(sig[:, :n], sigma_cap), t_qr[:, :1], t_qr[:, 1:], qr_len,
-        t_lift, alt, u_along,
+        sig_c, t_qr[:, :1], t_qr[:, 1:], qr_len, t_lift, alt, u_along,
     )
 
     # Progress of each lifted triangle, re-ordered by (time, id).  Only lo
     # moved, so the order is lo, mid, hi until the lift passes mid, then
-    # mid, lo, hi until it passes hi, then mid, hi, lo.
+    # mid, lo, hi until it passes hi, then mid, hi, lo.  The gradient edge
+    # joins the later two: t_hi - t_mid, t_hi - t_lift, then t_lift - t_hi,
+    # which is |t_hi - max(t_lift, t_mid)| in each case, bit for bit (a
+    # time tie makes the two candidates equal).
     past_mid = (t_lift > t_mid) | ((t_lift == t_mid) & (id_lo > id_mid))
-    past_hi = (t_lift > t_hi) | ((t_lift == t_hi) & (id_lo > id_hi))
     phi = np.where(past_mid, geometry.phi[f, mid][:, None], phi_lo)
     length = np.where(past_mid, geometry.qr_len[f, mid][:, None], qr_len)
     bound = (1.0 - config.epsilon) * sig[:, n:] * phi * length
-    diff = np.where(past_hi, t_lift - t_hi,
-                    np.where(past_mid, t_hi - t_lift, t_hi - t_mid))
+    diff = np.abs(t_hi - np.maximum(t_lift, t_mid))
     slack[..., 1] = bound - diff
     scale[..., 1] = np.maximum(bound, diff)
 
     # First minimum in the order causal 0, progress 0, causal 1, ...
     slack = slack.reshape(F, 2 * n)
-    k = np.argmin(slack, axis=1)
+    k = slack.argmin(axis=1)
     return FacetVerdicts.judge(
-        slack[f, k], scale.reshape(F, 2 * n)[f, k],
-        np.where(k % 2 == 1, BINDING_PROGRESS, BINDING_CAUSALITY),
+        slack[f, k], scale.reshape(F, 2 * n)[f, k], _BINDINGS[k & 1],
     ), sig[:, 0]
 
 
@@ -372,14 +383,15 @@ def is_progressive_triangle(points, times, field: SlopeField,
 
     ``points`` is (3, 2), ``times`` the matching vertex times and ``ids``
     the vertex ids that break time ties; ``element`` is the mesh id a table
-    field needs.  Returns the worst verdict of :func:`progressive_verdicts`.
+    field needs, and ``sigma_cap`` a slope capping the causality half.
+    Returns the worst verdict of :func:`progressive_verdicts`.
     """
     points = np.asarray(points, dtype=np.float64)[None]
     return progressive_verdicts(
         points, np.asarray(times, dtype=np.float64)[None],
         np.asarray(ids)[None], apex_geometry(points), field, config,
         elements=None if element is None else np.array([element]),
-        sigma_cap=sigma_cap,
+        remote=lambda ceiling: sigma_cap,
     )[0].verdict(0)
 
 
@@ -434,21 +446,22 @@ def facet_causality(mesh: SpaceMesh, sids: np.ndarray, T: np.ndarray,
 
 def facet_verdicts(mesh: SpaceMesh, sids: np.ndarray, T: np.ndarray,
                    field: SlopeField, config: ConstraintConfig,
-                   sigma_cap: float = math.inf) -> tuple[FacetVerdicts, np.ndarray]:
+                   remote=None) -> tuple[FacetVerdicts, np.ndarray]:
     """The acceptance check of facets ``sids`` at times ``T``, per dimension.
 
     Row i of ``T`` holds the times of simplex ``sids[i]``'s vertices in id
     order; returns the verdicts and each facet's slope sampled at ``T``.
-    1D: :func:`facet_causality`.  2D: :func:`progressive_verdicts`, with
-    ``sigma_cap`` (a remote cone slope) capping the causality half; 1D
-    ignores it, as tentpoles there stay below remote cones outright.
+    1D: :func:`facet_causality`.  2D: :func:`progressive_verdicts`, whose
+    ``remote`` hook (the remote cone slope below a ceiling) caps the
+    causality half; 1D ignores it, as tentpoles there stay below remote
+    cones outright.
     """
     if mesh.dim == 1:
         return facet_causality(mesh, sids, T, field)
     rows = mesh.simplices[sids]
     return progressive_verdicts(
         mesh.vertices[rows], T, rows, mesh.apex_geometry.take(sids), field,
-        config, elements=sids, sigma_cap=sigma_cap,
+        config, elements=sids, remote=remote,
     )
 
 

@@ -15,6 +15,12 @@ of ``SLOPE_SAMPLES`` extra barycentric points, and the smallest sample
 (clamped to ``sigma_min``) stands in for the true infimum.  For fields whose
 variation is resolved by those samples this is conservative;
 discontinuities thinner than the sampling are the caller's responsibility.
+It takes R rows of vertex times per simplex at once: the sample points are
+computed once per simplex, and ``_values`` then gets ``ts`` of shape
+(R, N) against ``xs`` of shape (N, dim), one row per time row.  Every
+``_values`` must return an array that broadcasts to the shape of ``ts``:
+elementwise in ``ts`` and per point in ``xs`` (a field that reads only
+``xs[:, 0]`` or ``elems`` may return shape (N,)).
 
 Field documents are line based, ``#`` starts a comment::
 
@@ -107,11 +113,17 @@ class SlopeField:
         raise NotImplementedError
 
     def values(self, xs, ts, elems=None) -> np.ndarray:
-        """Vectorized slope lookup; ``xs`` is (N, dim), ``ts`` is (N,)."""
+        """Vectorized slope lookup; ``xs`` is (N, dim), ``elems`` (N,).
+
+        ``ts`` is (N,), or (R, N) for R rows of times at the same N points;
+        the result broadcasts to the shape of ``ts`` (a field that reads
+        only ``xs`` or ``elems`` may return (N,)).
+        """
         xs = np.asarray(xs, dtype=np.float64)
         ts = np.asarray(ts, dtype=np.float64)
-        if np.any(ts < -_TIME_TOL):
-            raise OutOfDomain(f"field evaluated at negative time {ts.min()}")
+        lowest = ts.min(initial=0.0)
+        if lowest < -_TIME_TOL:
+            raise OutOfDomain(f"field evaluated at negative time {lowest}")
         if self.domain is not None:
             lo, hi = self.domain
             pad = 1e-9 * max(1.0, float(np.max(hi - lo)))
@@ -206,8 +218,13 @@ class SpatialConeField(SlopeField):
         self.cone_slope = float(cone_slope)
 
     def _values(self, xs, ts, elems):
-        dist = np.linalg.norm(xs - self.center[None, :], axis=1)
-        inside = (ts - self.t_apex) >= self.cone_slope * dist
+        # |x - center| by columns: the sqrt of d0 * d0 + d1 * d1.
+        d = xs[:, 0] - self.center[0]
+        sq = d * d
+        for i in range(1, len(self.center)):
+            d = xs[:, i] - self.center[i]
+            sq = sq + d * d
+        inside = (ts - self.t_apex) >= self.cone_slope * np.sqrt(sq)
         return np.where(inside, self.sigma_inside, self.sigma_outside)
 
 
@@ -265,6 +282,23 @@ class CompositeMinField(SlopeField):
 SLOPE_SAMPLES = 4
 _EXTRA_BARY_SEED = 20240711
 _extra_bary_cache: dict[tuple[int, int], np.ndarray] = {}
+# The extra rows a run samples, as _barycentric_weights draws them, kept
+# as literals: the draw imports numpy.random, about 15 ms of a process.
+# tests/test_fields.py draws them again and compares the bits.
+_RUN_EXTRA_BARY = {
+    (2, SLOPE_SAMPLES): (
+        (0.533252804126094, 0.46674719587390595),
+        (0.5547892496266171, 0.4452107503733829),
+        (0.3283096475700287, 0.6716903524299712),
+        (0.9449962240224007, 0.0550037759775994),
+    ),
+    (3, SLOPE_SAMPLES): (
+        (0.7415855253921163, 0.22288106524186874, 0.03553340936601506),
+        (0.31194579017134044, 0.6095125613421898, 0.0785416484864699),
+        (0.3127011826345007, 0.6402654419891236, 0.04703337537637566),
+        (0.09556602819260593, 0.22891533987652077, 0.6755186319308732),
+    ),
+}
 
 
 def _barycentric_weights(k: int, samples: int) -> np.ndarray:
@@ -287,9 +321,11 @@ def _barycentric_weights(k: int, samples: int) -> np.ndarray:
     rows.append(np.array(mids))
     rows.append(np.full((1, k), 1.0 / k))
     if samples > 0:
-        rng = np.random.default_rng(_EXTRA_BARY_SEED + 1000 * k + samples)
-        extra = rng.dirichlet(np.ones(k), size=samples)
-        rows.append(extra)
+        extra = _RUN_EXTRA_BARY.get(key)
+        if extra is None:
+            rng = np.random.default_rng(_EXTRA_BARY_SEED + 1000 * k + samples)
+            extra = rng.dirichlet(np.ones(k), size=samples)
+        rows.append(np.array(extra))
     weights = np.vstack(rows)
     _extra_bary_cache[key] = weights
     return weights
@@ -328,31 +364,44 @@ def sampled_min_simplices(field: SlopeField, positions: np.ndarray,
                           times: np.ndarray, elements=None) -> np.ndarray:
     """Conservative slope for many simplices at once.
 
-    ``positions`` is (m, k, dim), ``times`` is (m, k), ``elements`` an
-    optional (m,) id array.  Returns (m,) values with the sample points and
-    clamp of :func:`sampled_min_values` at ``SLOPE_SAMPLES``, but a one-row
-    call can round a row's sample times differently in the last bit from a
-    call of two or more rows (numpy takes its matrix-vector path for one
-    row), so two checks that must agree on a slope should keep the slope one
-    of them sampled.
+    ``positions`` is (m, k, dim), ``times`` is (m, k), or (m, R, k) for R
+    rows of vertex times per simplex, and ``elements`` an optional (m,) id
+    array.  Returns (m,) or (m, R) values with the sample points and clamp
+    of :func:`sampled_min_values` at ``SLOPE_SAMPLES``.  Each simplex's
+    sample points are computed once: with rows, the field sees ``ts`` of
+    shape (R, N) against ``xs`` of shape (N, dim), and its values broadcast
+    to (R, N).  The rows' sample times are one product over all m * R rows,
+    so they carry the bits of a call with the rows flattened into simplices.
+    A one-row call can round a row's sample times differently in the last
+    bit from a call of two or more rows (numpy takes its matrix-vector path
+    for one row), so two checks that must agree on a slope should keep the
+    slope one of them sampled.
     """
     positions = np.asarray(positions, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
-    m, k = times.shape
+    m, k = times.shape[0], times.shape[-1]
     if field.is_constant:
-        return np.full(m, field.sigma_min)
+        return np.full(times.shape[:-1], field.sigma_min)
     weights = _barycentric_weights(k, SLOPE_SAMPLES)  # (S, k)
     S = weights.shape[0]
     # The stacked matmul repeats sampled_min_values' per-simplex product
     # exactly; einsum sums the products in another order, and a sample
     # point one ulp off can land on the other side of a cone boundary.
     pts = np.matmul(weights, positions).reshape(m * S, -1)
-    ts = (times @ weights.T).reshape(m * S)
     elems = None
     if elements is not None:
         elems = np.repeat(np.asarray(elements, dtype=np.int64), S)
-    vals = field.values(pts, ts, elems=elems).reshape(m, S).min(axis=1)
-    return np.maximum(field.sigma_min, vals)
+    if times.ndim == 2:
+        ts = (times @ weights.T).reshape(m * S)
+        vals = field.values(pts, ts, elems=elems).reshape(m, S).min(axis=1)
+        return np.maximum(field.sigma_min, vals)
+    R = times.shape[1]
+    ts = (times.reshape(m * R, k) @ weights.T).reshape(m, R, S)
+    ts = ts.transpose(1, 0, 2).reshape(R, m * S)
+    vals = field.values(pts, ts, elems=elems)
+    if vals.shape != ts.shape:
+        vals = np.broadcast_to(vals, ts.shape)
+    return np.maximum(field.sigma_min, vals.reshape(R, m, S).min(axis=2).T)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ Conventions used throughout the package:
 
 :func:`frame` is the one routine that measures a triangle from an apex: one
 degeneracy test, then the altitude, the foot ``u``, the base edge |qr| and
-the shape factor of the apex.  :func:`apex_geometry` collects it for every
-(triangle, apex) of a mesh.
+the shape factor of the apex.  :func:`apex_geometry` computes the same
+fields for every (triangle, apex) of a mesh in array form, bit for bit.
 
 A simplex counts as degenerate when its minimum altitude is smaller than
 ``DEGENERACY_RATIO`` times its diameter (longest edge).  All functions here
@@ -34,6 +34,8 @@ DEGENERACY_RATIO = 1e-12
 
 # Local indices of the two non-apex vertices, in local-index order, per apex.
 APEX_OTHERS = ((1, 2), (0, 2), (0, 1))
+# The same as two index columns: q and r of apex 0, 1, 2.
+_Q, _R = (list(col) for col in zip(*APEX_OTHERS))
 
 
 def as_point(coords, dim: int | None = None) -> np.ndarray:
@@ -139,14 +141,38 @@ class ApexGeometry(NamedTuple):
 def apex_geometry(corners) -> ApexGeometry:
     """:class:`ApexGeometry` of F triangles given as an (F, 3, 2) array.
 
-    Raises :class:`DegenerateSimplex` for a degenerate triangle.
+    Every column carries the bits of :func:`frame`: each edge length is one
+    ``math.hypot`` (symmetric in the edge's direction, so each edge serves
+    all three apexes), the areas, shape factors and altitudes are the same
+    elementwise float operations in array form, and ``u_along`` goes
+    through numpy's matmul dot product for each apex, as ``frame``'s 1D
+    product does.  Raises :class:`DegenerateSimplex` for a degenerate
+    triangle, with ``frame``'s message for its first degenerate apex.
     """
     corners = np.asarray(corners, dtype=np.float64)
-    out = np.empty((4, corners.shape[0], 3))
-    for f, pts in enumerate(corners):
-        for a, (qi, ri) in enumerate(APEX_OTHERS):
-            out[:, f, a] = frame(pts[a], pts[qi], pts[ri])
-    return ApexGeometry(*out)
+    hypot = math.hypot
+    # Column a: the edge opposite local vertex a, which is apex a's qr.
+    qr_len = np.array(
+        [[hypot(x2 - x1, y2 - y1), hypot(x2 - x0, y2 - y0),
+          hypot(x1 - x0, y1 - y0)]
+         for (x0, y0), (x1, y1), (x2, y2) in corners.tolist()],
+        dtype=np.float64,
+    ).reshape(-1, 3)
+    p = corners
+    q, r = corners[:, _Q], corners[:, _R]
+    dq, dr = q - p, r - p
+    area2 = np.abs(dq[..., 0] * dr[..., 1] - dq[..., 1] * dr[..., 0])
+    longest = qr_len.max(axis=1)[:, None]
+    bad = (area2 < DEGENERACY_RATIO * longest * longest) | (longest == 0.0)
+    if bad.any():
+        f, a = np.argwhere(bad)[0]
+        frame(p[f, a], q[f, a], r[f, a])  # raises DegenerateSimplex
+    rq = (r - q) / qr_len[..., None]
+    u_along = np.matmul((p - q)[..., None, :], rq[..., :, None])[..., 0, 0]
+    sin_q = area2 / (qr_len[:, _R] * qr_len)
+    sin_r = area2 / (qr_len[:, _Q] * qr_len)
+    return ApexGeometry(area2 / qr_len, u_along, qr_len,
+                        np.minimum(1.0, np.maximum(sin_q, sin_r)))
 
 
 def triangle_width(p, q, r=None) -> float:

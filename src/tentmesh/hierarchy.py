@@ -13,7 +13,9 @@ Two interchangeable index structures answer those queries:
   along the line in 1D, by Morton code of centroids in 2D).  Each node keeps
   the spatial bounding box, minimum vertex time, and minimum slope of its
   subtree; ``node_tmin + node_slope * dist(x, bbox)`` then lower-bounds every
-  entry time in the subtree, which prunes traversal.
+  entry time in the subtree, which prunes traversal.  The slope query
+  starts its running minimum at the caller's ``ceiling``, so a subtree
+  whose smallest slope reaches the ceiling is skipped as well.
 
 The scan evaluates its facets with the vectorized kernel
 :func:`entry_times`; the tree evaluates one leaf at a time with its scalar
@@ -68,7 +70,16 @@ _EDGE_B = np.array([1, 2, 2])
 
 @dataclass
 class ConeStats:
-    """Work counters; totals since construction."""
+    """Work counters; totals since construction.
+
+    ``entry_queries`` and ``slope_queries`` count :meth:`ray_shoot` and
+    ``min_slope_intersecting`` calls; ``nodes_visited`` the nodes they
+    touched and ``leaves_evaluated`` the facets whose entry time they
+    computed.  The scan counts every remote facet as both.  The tree
+    counts what its pruning leaves, which depends on the queries' ceilings:
+    a slope query whose ceiling is at most the root's smallest slope
+    visits only the root.
+    """
 
     entry_queries: int = 0
     slope_queries: int = 0
@@ -242,10 +253,12 @@ class _ConesBase:
         """:meth:`update_star` of the one facet ``fid``."""
         self.update_star([fid], [slope])
 
-    def _check_slope_query(self, p: int, t_top: float) -> None:
+    def _check_slope_query(self, p: int, t_top: float, ceiling: float) -> None:
         self._check_vertex(p)
         if math.isnan(t_top):
             raise InvalidArgument("tentpole top time is NaN")
+        if math.isnan(ceiling):
+            raise InvalidArgument("slope ceiling is NaN")
 
 
 class ExhaustiveCones(_ConesBase):
@@ -275,19 +288,23 @@ class ExhaustiveCones(_ConesBase):
         k = int(np.argmin(vals))  # first minimum = smallest facet id
         return float(vals[k]), int(remote[k])
 
-    def min_slope_intersecting(self, p: int, t_top: float) -> float:
+    def min_slope_intersecting(self, p: int, t_top: float,
+                               ceiling: float = math.inf) -> float:
         """Smallest slope among remote cones entered by the tentpole at p.
 
         A cone counts as intersecting when its entry time at p is <= t_top.
-        Returns +inf when the tentpole stays clear of all remote cones.
+        The answer is ``min(ceiling, that slope)``: ``ceiling`` when the
+        tentpole stays clear of all remote cones, +inf by default.  A
+        caller that only needs slopes below some value passes it as the
+        ceiling, and the tree skips every subtree whose slopes reach it.
         """
-        self._check_slope_query(p, t_top)
+        self._check_slope_query(p, t_top, ceiling)
         self.stats.slope_queries += 1
         remote, vals = self._remote_entry_times(p)
         hit = vals <= t_top
         if not hit.any():
-            return math.inf
-        return float(self.slopes[remote[hit]].min())
+            return float(ceiling)
+        return min(float(ceiling), float(self.slopes[remote[hit]].min()))
 
 
 def _packed(typecode: str, values: np.ndarray) -> array:
@@ -437,9 +454,10 @@ class ConeHierarchy(_ConesBase):
         self.stats.leaves_evaluated += leaves
         return best_T, best_fid
 
-    def min_slope_intersecting(self, p: int, t_top: float) -> float:
+    def min_slope_intersecting(self, p: int, t_top: float,
+                               ceiling: float = math.inf) -> float:
         """Same contract as :meth:`ExhaustiveCones.min_slope_intersecting`."""
-        self._check_slope_query(p, t_top)
+        self._check_slope_query(p, t_top, ceiling)
         self.stats.slope_queries += 1
         mesh, times, slopes = self.mesh, self.front.times, self.slopes
         xl = mesh.vertices[p].tolist()
@@ -448,7 +466,7 @@ class ConeHierarchy(_ConesBase):
         boxes = list(zip(xl, self.node_lo, self.node_hi))
         sqrt = math.sqrt
         visited = leaves = 0
-        best = math.inf
+        best = float(ceiling)
         stack = [(0, 0, mesh.n_simplices)]
         while stack:
             node, lo, hi = stack.pop()
@@ -522,5 +540,6 @@ def ray_shoot(index: _ConesBase, p: int) -> tuple[float, int | None]:
     return index.ray_shoot(p)
 
 
-def min_slope_intersecting(index: _ConesBase, p: int, t_top: float) -> float:
-    return index.min_slope_intersecting(p, t_top)
+def min_slope_intersecting(index: _ConesBase, p: int, t_top: float,
+                           ceiling: float = math.inf) -> float:
+    return index.min_slope_intersecting(p, t_top, ceiling)

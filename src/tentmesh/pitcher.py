@@ -32,6 +32,7 @@ run is a pure function of its inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -225,21 +226,25 @@ def star_feasible(mesh: SpaceMesh, times: np.ndarray, p: int, c: float,
 
     1D: each lifted segment causal against the field sampled over it.  2D:
     each lifted triangle progressive, with the smallest intersecting remote
-    cone slope capping the causality half.  When ``sampled`` is a list, the
-    field slopes sampled over the lifted star (before that cap), which a run
-    stores for an accepted top, are appended to it; when ``margin`` is a
-    list, the star's :meth:`~tentmesh.constraints.FacetVerdicts.margin`
-    from the same evaluation is appended to it (>= 0 exactly when feasible).
+    cone slope capping the causality half; the cone query runs with the
+    largest slope the star's causality rows sampled as its ceiling.  When
+    ``sampled`` is a list, the field slopes sampled over the lifted star
+    (before that cap), which a run stores for an accepted top, are appended
+    to it; when ``margin`` is a list, the star's
+    :meth:`~tentmesh.constraints.FacetVerdicts.margin` from the same
+    evaluation is appended to it (>= 0 exactly when feasible).
     """
     sids = mesh.stars[p]
     rows = mesh.simplices[sids]
     lifted = times[rows]
     lifted[rows == p] = c
-    sigma_rem = math.inf  # 1D tentpoles stay below remote cones outright
+    remote = None  # 1D tentpoles stay below remote cones outright
     if mesh.dim == 2 and cones is not None:
-        sigma_rem = cones.min_slope_intersecting(p, c)
+        # Only a remote slope below the star's own largest sampled slope
+        # can tighten the check, so the walk stops at that ceiling.
+        remote = functools.partial(cones.min_slope_intersecting, p, c)
     verdicts, sigma = facet_verdicts(mesh, sids, lifted, field, config,
-                                     sigma_rem)
+                                     remote)
     if sampled is not None:
         sampled.append(sigma)
     if margin is not None:

@@ -15,6 +15,7 @@ is library API and the reference the tests hold the run's slopes to.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -125,11 +126,14 @@ def bind_run(mesh: SpaceMesh, field: SlopeField,
 
     The one place where the three meet: raises :class:`ValidationError` when
     a table does not hold one slope per simplex, a cone centre does not have
-    ``mesh.dim`` coordinates, or a script row names an element outside the
-    table (:class:`InvalidArgument` when there is no table).  Without a
-    script the caller's field is returned.  With one, a fresh field tree
-    whose (first) table reads a writable copy made here, with bounds that
-    cover the script's slopes; nothing the caller passed in is changed.
+    ``mesh.dim`` coordinates, a script row names an element outside the
+    table (:class:`InvalidArgument` when there is no table), or the run's
+    ``sigma_max``, script slopes included, has a square that overflows
+    (causality squares the slope, and an infinite square makes the checks
+    NaN).  Without a script the caller's field is returned.  With one, a
+    fresh field tree whose (first) table reads a writable copy made here,
+    with bounds that cover the script's slopes; nothing the caller passed
+    in is changed.
     """
     for leaf in _leaves(field):
         if isinstance(leaf, TableField) and len(leaf.table) != mesh.n_simplices:
@@ -142,18 +146,24 @@ def bind_run(mesh: SpaceMesh, field: SlopeField,
                 f"cone field centre has {leaf.center.size} coordinate(s), but "
                 f"the mesh is {mesh.dim}D"
             )
-    if script is None:
-        return field
-    table = _find_table(field)
-    if table is None:
-        raise InvalidArgument("slope script requires a table field")
-    n = len(table.table)
-    for row in script.rows:
-        if not 0 <= row.element < n:
-            raise ValidationError(f"script element {row.element} outside table of {n}")
-    run_table = TableField(table.table, future=[row.sigma for row in script.rows])
-    run_table.table.flags.writeable = True  # the run's own copy
-    return _replace(field, table, run_table)
+    if script is not None:
+        table = _find_table(field)
+        if table is None:
+            raise InvalidArgument("slope script requires a table field")
+        n = len(table.table)
+        for row in script.rows:
+            if not 0 <= row.element < n:
+                raise ValidationError(
+                    f"script element {row.element} outside table of {n}")
+        run_table = TableField(table.table,
+                               future=[row.sigma for row in script.rows])
+        run_table.table.flags.writeable = True  # the run's own copy
+        field = _replace(field, table, run_table)
+    if math.isinf(field.sigma_max * field.sigma_max):
+        raise ValidationError(
+            f"slope bound sigma_max = {field.sigma_max!r} is too large: "
+            "its square overflows")
+    return field
 
 
 def seal_run(field: SlopeField) -> None:

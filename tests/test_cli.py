@@ -369,6 +369,21 @@ def test_cli_field_that_does_not_fit_mesh_exit_2(tmp_path, capsys, mesh,
     assert not (tmp_path / "o.txt").exists()
 
 
+def test_cli_slope_whose_square_overflows_exit_2(tmp_path, capsys):
+    # Causality squares the slope: at 1e160 the square is inf, every check
+    # turned NaN and the run wedged at vertex 0 (exit 3).  1e150 squares to
+    # a finite 1e300 and runs.
+    save_mesh(grid_mesh(1, 1), tmp_path / "mesh.txt")
+    for sigma, code in (("1e160", 2), ("1e150", 0)):
+        (tmp_path / "field.txt").write_text(f"field constant {sigma}\n")
+        assert main(["--mesh", str(tmp_path / "mesh.txt"),
+                     "--field", str(tmp_path / "field.txt"),
+                     "--target-time", sigma]) == code
+        err = capsys.readouterr().err
+        assert ("sigma_max = 1e+160 is too large: its square overflows"
+                in err) == (code == 2)
+
+
 def test_cli_unreachable_target_exit_2(tmp_path, capsys):
     # Spacing 0.5: span / Tmin = 1e308 / 0.5 overflows to inf.  Spacing 1:
     # span / Tmin is finite, but 1e308 + Tmin == 1e308.

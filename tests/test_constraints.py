@@ -379,7 +379,7 @@ def test_kernel_matches_scalar_reference_bit_for_bit(data):
     cap = data.draw(st.just(math.inf) | st.floats(0.2, 3.0))
     got, _ = progressive_verdicts(points, times, ids, apex_geometry(points),
                                   field, cfg, elements=np.arange(F),
-                                  sigma_cap=cap)
+                                  remote=lambda ceiling: min(ceiling, cap))
     for i in range(F):
         want = _reference_verdict(points[i], times[i], field, cfg,
                                   tuple(ids[i]), element=i, sigma_cap=cap)

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tentmesh import fields
 from tentmesh.errors import InvalidArgument, OutOfDomain, ValidationError
 from tentmesh.fields import (
+    SLOPE_SAMPLES,
     CompositeMinField,
     ConstantField,
     SlopeField,
@@ -320,6 +322,95 @@ def test_timestep_values_stay_within_declared_bounds(sigmas, t):
     v = f.values([[0.0]], [t])[0]
     assert f.sigma_min <= v <= f.sigma_max
     assert v in sigmas
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_run_extra_points_are_the_seeded_draws(k):
+    # The extra sample points a run uses are kept as literals; they must be
+    # the seeded Dirichlet draws bit for bit.
+    rng = np.random.default_rng(fields._EXTRA_BARY_SEED + 1000 * k
+                                + SLOPE_SAMPLES)
+    drawn = rng.dirichlet(np.ones(k), size=SLOPE_SAMPLES)
+    kept = np.array(fields._RUN_EXTRA_BARY[k, SLOPE_SAMPLES])
+    assert kept.tobytes() == drawn.tobytes()
+    assert fields._barycentric_weights(k, SLOPE_SAMPLES)[-SLOPE_SAMPLES:] \
+        .tobytes() == drawn.tobytes()
+
+
+def _any_field(data, dim, m):
+    """A constant, timestep, cone, table, composite or custom field."""
+    kind = data.draw(st.sampled_from(
+        ["constant", "timestep", "cone", "table", "composite", "custom"]))
+    slope = st.floats(0.5, 3.0)
+    if kind == "constant":
+        return ConstantField(data.draw(slope))
+    if kind == "custom":
+        return LinearInX()  # reads xs[:, 0] alone and returns (N,)
+    # Grid values put sample points and times on band and cone boundaries.
+    at = st.sampled_from([0.0, 0.25, 0.5]) | st.floats(-1.0, 1.0)
+    step = TimeStepField([data.draw(st.sampled_from([0.25, 0.5])
+                                    | st.floats(0.0, 1.0))],
+                         [data.draw(slope), data.draw(slope)])
+    if kind == "timestep":
+        return step
+    cone = SpatialConeField([data.draw(at) for _ in range(dim)],
+                            data.draw(at), data.draw(slope), data.draw(slope),
+                            data.draw(st.sampled_from([0.0, 0.5, 1.0])
+                                      | st.floats(0.0, 2.0)))
+    if kind == "cone":
+        return cone
+    table = TableField(data.draw(st.lists(slope, min_size=m, max_size=m)))
+    return table if kind == "table" else CompositeMinField([cone, table, step])
+
+
+class _Seen(SlopeField):
+    """Evaluates ``inner`` and keeps copies of the points and times it got."""
+
+    def __init__(self, inner):
+        super().__init__(inner.sigma_min, inner.sigma_max)
+        self.inner, self.seen = inner, []
+
+    def _values(self, xs, ts, elems):
+        self.seen.append((xs.copy(), ts.copy()))
+        return self.inner._values(xs, ts, elems)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_rows_axis_sampler_matches_the_flattened_call(data):
+    # R rows of times per simplex, sampled with each simplex's points once,
+    # give the bits of the call that repeats every simplex R times, and the
+    # field sees the same points and times, one row of ts per time row.
+    dim = data.draw(st.sampled_from([1, 2]))
+    m, R = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 10))
+    k = dim + 1
+    at = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(-1.0, 1.0)
+    positions = np.array(data.draw(st.lists(at, min_size=m * k * dim,
+                                            max_size=m * k * dim)))
+    positions = positions.reshape(m, k, dim)
+    when = st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.0, 1.0)
+    times = np.array(data.draw(st.lists(when, min_size=m * R * k,
+                                        max_size=m * R * k))).reshape(m, R, k)
+    field = _any_field(data, dim, m)
+    elements = np.arange(m)
+    got = sampled_min_simplices(field, positions, times, elements=elements)
+    want = sampled_min_simplices(
+        field, np.repeat(positions, R, axis=0), times.reshape(m * R, k),
+        elements=np.repeat(elements, R)).reshape(m, R)
+    assert got.shape == (m, R)
+    assert [x.hex() for x in got.ravel().tolist()] == \
+        [x.hex() for x in want.ravel().tolist()]
+    seen = _Seen(field)
+    sampled_min_simplices(seen, positions, times, elements=elements)
+    sampled_min_simplices(seen, np.repeat(positions, R, axis=0),
+                          times.reshape(m * R, k),
+                          elements=np.repeat(elements, R))
+    (xs, ts), (xs_flat, ts_flat) = seen.seen
+    S = xs.shape[0] // m
+    assert ts.shape == (R, m * S)
+    assert ts.reshape(R, m, S).transpose(1, 0, 2).tobytes() == ts_flat.tobytes()
+    assert np.broadcast_to(xs.reshape(m, 1, S, dim), (m, R, S, dim)).tobytes() \
+        == xs_flat.tobytes()
 
 
 @given(st.integers(min_value=0, max_value=12))

@@ -25,6 +25,8 @@ from hypothesis import strategies as st
 
 from tentmesh.errors import DegenerateSimplex
 from tentmesh.geometry import (
+    APEX_OTHERS,
+    apex_geometry,
     frame,
     simplex_width,
     triangle_width,
@@ -140,6 +142,37 @@ class TestFrame:
         assert (f.altitude, f.qr_len, f.phi) == (g.altitude, g.qr_len, g.phi)
         assert f.qr_len == math.hypot(*(r - q))
         assert g.u_along == pytest.approx(f.qr_len - f.u_along, rel=1e-12)
+
+
+class TestApexGeometry:
+    def test_columns_are_frames_bit_for_bit(self):
+        # The array form must give every (triangle, apex) the bits of its
+        # frame, over magnitudes 1e-8 to 1e8 and with offsets several sizes
+        # away from the origin, where the coordinate differences round.
+        rng = np.random.default_rng(41)
+        for exponent in range(-8, 9):
+            scale = 10.0 ** exponent
+            corners = (rng.uniform(-1.0, 1.0, (200, 3, 2))
+                       + rng.uniform(-4.0, 4.0, 2)) * scale
+            geo = apex_geometry(corners)
+            for f, pts in enumerate(corners):
+                for a, (qi, ri) in enumerate(APEX_OTHERS):
+                    want = frame(pts[a], pts[qi], pts[ri])
+                    assert [float(col[f, a]).hex() for col in geo] == \
+                        [float(v).hex() for v in want]
+
+    def test_degenerate_triangle_raises_frames_error(self):
+        good = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
+        bad = np.array([[[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]])
+        with pytest.raises(DegenerateSimplex) as got:
+            apex_geometry(np.concatenate([good, bad]))
+        with pytest.raises(DegenerateSimplex) as want:
+            frame(*bad[0])
+        assert str(got.value) == str(want.value)
+
+    def test_no_triangles(self):
+        geo = apex_geometry(np.zeros((0, 3, 2)))
+        assert [col.shape for col in geo] == [(0, 3)] * 4
 
 
 class TestWidth:

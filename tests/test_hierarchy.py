@@ -371,6 +371,8 @@ def test_queries_reject_bad_vertices_and_nan_top(use_hierarchy):
             min_slope_intersecting(cones, p, 1.0)
     with pytest.raises(InvalidArgument):
         min_slope_intersecting(cones, 0, math.nan)
+    with pytest.raises(InvalidArgument, match="ceiling"):
+        min_slope_intersecting(cones, 0, 1.0, math.nan)
     assert cones.stats.entry_queries == cones.stats.slope_queries == 0
     # Infinite tops are fine: every remote cone is entered eventually.
     assert min_slope_intersecting(cones, 0, math.inf) == 0.2
@@ -508,6 +510,34 @@ def test_hierarchy_matches_scan_after_updates(dim):
             t_top = float(rng.uniform(0, 3))
             assert min_slope_intersecting(tree, p, t_top) == \
                 min_slope_intersecting(scan, p, t_top)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ceiling_caps_the_answer_and_only_prunes(dim):
+    # min_slope_intersecting(p, c, ceiling) is min(ceiling, the answer
+    # without one), on the tree and the scan alike; the tree only skips
+    # subtrees whose slopes reach the ceiling, so it visits no more nodes.
+    rng = np.random.default_rng(331 + dim)
+    for _ in range(30):
+        mesh, times, slopes = _random_instance(rng, dim)
+        tree = _cones(mesh, times, slopes, True)
+        scan = _cones(mesh, times, slopes, False)
+        for p in range(mesh.n_vertices):
+            t_top = float(rng.uniform(0, 3))
+            want = min_slope_intersecting(scan, p, t_top)
+            ceilings = [math.inf, float(rng.uniform(0.05, 2.5)),
+                        float(slopes.min()), want]
+            for ceiling in ceilings:
+                for cones in (tree, scan):
+                    got = min_slope_intersecting(cones, p, t_top, ceiling)
+                    assert got == min(ceiling, want)
+            before = tree.stats.nodes_visited
+            min_slope_intersecting(tree, p, t_top)
+            free = tree.stats.nodes_visited - before
+            for ceiling in ceilings[1:]:
+                before = tree.stats.nodes_visited
+                min_slope_intersecting(tree, p, t_top, ceiling)
+                assert tree.stats.nodes_visited - before <= free
 
 
 def _node_ranges(m):

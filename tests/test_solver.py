@@ -119,6 +119,16 @@ def test_bind_run_rejects_a_field_that_does_not_fit_the_mesh(mesh, field, error)
             bind_run(mesh, field, script)
 
 
+def test_bind_run_rejects_a_slope_whose_square_overflows():
+    with pytest.raises(ValidationError, match="sigma_max = 1e[+]160 is too large"):
+        bind_run(_line(2), ConstantField(1e160))
+    # A script slope counts; a composite is bounded by its smallest child.
+    with pytest.raises(ValidationError, match="sigma_max = 1e[+]160 is too large"):
+        bind_run(_line(2), TableField([1.0, 1.0]), parse_script("0 0.5 1e160\n"))
+    field = CompositeMinField([ConstantField(1e160), TableField([1.0, 1.0])])
+    assert bind_run(_line(2), field) is field
+
+
 def test_bind_run_gives_each_run_its_own_table():
     table = TableField([1.0, 2.0])
     script = parse_script("1 0.5 0.5\n")
