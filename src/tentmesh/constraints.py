@@ -264,6 +264,9 @@ def progress_ok(points, times, sigma: float, epsilon: float,
 _OTHERS = np.array(APEX_OTHERS)
 # Binding of slack column j of progressive_verdicts, by j % 2.
 _BINDINGS = np.array([BINDING_CAUSALITY, BINDING_PROGRESS])
+# One-element binding arrays that judge repeats; np.broadcast_to of a str
+# costs several times more.
+_ONE_BINDING = {BINDING_CAUSALITY: _BINDINGS[:1], BINDING_PROGRESS: _BINDINGS[1:]}
 
 
 class FacetVerdicts(NamedTuple):
@@ -280,7 +283,7 @@ class FacetVerdicts(NamedTuple):
         """Verdicts from slack and raw scale, as :func:`_verdict` makes them."""
         scale = np.maximum(1.0, scale)
         if isinstance(binding, str):
-            binding = np.broadcast_to(binding, slack.shape)
+            binding = _ONE_BINDING[binding].repeat(len(slack))
         return cls(slack, scale, binding, slack >= -REL_TOL * scale)
 
     def margin(self) -> float:

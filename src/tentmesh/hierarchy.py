@@ -29,13 +29,31 @@ Tree layout.  Nodes are numbered in preorder over ranges of ``order``, the
 sorted facet ids: the node of [lo, hi) splits at ``mid = (lo + hi) // 2``,
 its left child is ``node + 1`` and its right child ``node + 2 * (mid - lo)``
 (the left subtree holds ``2 * (mid - lo) - 1`` nodes); a one-facet range is
-the leaf of ``order[lo]``.  Traversals carry ``(node, lo, hi)``, so no child,
-parent or leaf arrays exist.  The bounds are built one level of ranges at a
-time with numpy and kept, like ``order``, in typed Python arrays
-(``array('d')``, ``array('q')``): queries read them one node at a time, and
-indexing an ``array`` costs far less than a numpy call on a one-element
-slice while holding 8 bytes per entry where a list of Python floats holds
-32.
+the leaf of ``order[lo]``.  Traversals carry ``(node, lo, hi)``, and a
+leaf's root path comes from the integer descent over these ranges, resumed
+at the deepest node of the last path walked whose range holds the leaf, so
+no child, parent or leaf arrays exist.  The bounds are built one level of
+ranges at a time with numpy and kept, like ``order``, in typed Python
+arrays (``array('d')``, ``array('q')``): queries read them one node at a
+time, and indexing an ``array`` costs far less than a numpy call on a
+one-element slice while holding 8 bytes per entry where a list of Python
+floats holds 32.
+
+Walks.  The slope query descends from the root, depth first.  The entry
+query starts at the leaf of p's first star facet, since the earliest cone
+is usually a near one, and climbs that leaf's root path.  At each level it
+searches the off-path sibling depth first, nearer child first, skipping
+every subtree whose bound exceeds the best entry so far (a subtree that
+only ties it may hold a smaller facet id).  In 1D the climb also stops
+once ``node_tmin[0] + node_smin[0] * gap`` exceeds the best entry, where
+``gap`` is x's distance to the nearer end of the climbed subtree's
+interval that has facets beyond it: segments do not overlap and ``order``
+sorts them along the line, so every facet outside the subtree's order range
+lies beyond one of its ends, and the root's minima bound them all.  A 1D
+query then reads a handful of nodes whatever n is.  Triangles' Morton
+boxes overlap, so a facet outside a subtree's range may lie inside its box,
+and in 2D the walk climbs to the root.  :meth:`ConeHierarchy.update_star`
+repairs only the ancestors one of whose children's bounds moved.
 
 Entry-time kernel.  The time at which facet f's cone reaches a point x is
 ``min_y (t_f(y) + sigma_f |x - y|)`` over the facet.  On segments the
@@ -73,11 +91,15 @@ class ConeStats:
     """Work counters; totals since construction.
 
     ``entry_queries`` and ``slope_queries`` count :meth:`ray_shoot` and
-    ``min_slope_intersecting`` calls; ``nodes_visited`` the nodes they
-    touched and ``leaves_evaluated`` the facets whose entry time they
-    computed.  The scan counts every remote facet as both.  The tree
-    counts what its pruning leaves, which depends on the queries' ceilings:
-    a slope query whose ceiling is at most the root's smallest slope
+    ``min_slope_intersecting`` calls; ``nodes_visited`` the nodes whose
+    bounds they read and ``leaves_evaluated`` the facets whose entry time
+    they computed.  The scan counts every remote facet as both.  The tree
+    counts what its pruning leaves.  An entry query reads each node it
+    takes up in an off-path sibling's subtree, pruned or not, and in 1D
+    each node of the climbed path whose end it tests for the stop; the
+    integer descent to the star leaf reads no bounds and counts nothing.
+    A slope query reads each node it takes off its stack, which depends on
+    its ceiling: one whose ceiling is at most the root's smallest slope
     visits only the root.
     """
 
@@ -148,19 +170,21 @@ def leaf_entry_time(mesh: SpaceMesh, times: np.ndarray, slopes: np.ndarray,
     """
     sqrt, inf = math.sqrt, math.inf
     sig = slopes.item(fid)
-    verts = mesh.vertices
-    corners = [(*verts[v].tolist(), times.item(v))
-               for v in mesh.simplices[fid].tolist()]
+    verts, simplices = mesh.vertices, mesh.simplices
     best = inf
     if mesh.dim == 1:
         (x0,) = x
-        for a, t in corners:
-            d = a - x0
-            val = t + sig * sqrt(d * d)
+        # Flat indices: row fid of the (m, 2) simplices, row v of the
+        # (n, 1) vertices.
+        for v in (simplices.item(2 * fid), simplices.item(2 * fid + 1)):
+            d = verts.item(v) - x0
+            val = times.item(v) + sig * sqrt(d * d)
             if val < best:
                 best = val
         return best
 
+    corners = [(*verts[v].tolist(), times.item(v))
+               for v in simplices[fid].tolist()]
     x0, x1 = x
     for a0, a1, t in corners:
         d0, d1 = a0 - x0, a1 - x1
@@ -343,18 +367,30 @@ class ConeHierarchy(_ConesBase):
             order = _morton_order(mesh.centroids)
         m = mesh.n_simplices
         self.order = _packed("q", order)
-        self.rank = np.argsort(order)  # facet id -> position in order
+        self.rank = np.empty(m, dtype=np.int64)  # facet id -> position in order
+        self.rank[order] = np.arange(m)
 
         # Per-facet columns in tree order, one row per bound, padded by one
         # column so every range end, m included, is a valid reduceat index.
-        rows = mesh.simplices[order]
-        pts = mesh.vertices.T[:, rows]                  # (d, m, k)
-        mins = np.vstack([front.times[rows].min(axis=1), self.slopes[order],
-                          pts.min(axis=2)])             # (2 + d, m)
-        maxs = pts.max(axis=2)                          # (d, m)
-        del rows, pts  # the level build below needs neither; a lower peak
-        mins = np.hstack([mins, mins[:, -1:]])
-        maxs = np.hstack([maxs, maxs[:, -1:]])
+        # Each leaf bound is an elementwise min or max over the k corner
+        # columns; a reduction over an axis of length 2 or 3 costs far more.
+        cols = mesh.simplices[order].T                  # (k, m)
+        mins = np.empty((2 + mesh.dim, m + 1))
+        maxs = np.empty((mesh.dim, m + 1))
+
+        def corners(op, values, out):
+            op(values[cols[0]], values[cols[1]], out=out)
+            for c in cols[2:]:
+                op(out, values[c], out=out)
+
+        corners(np.minimum, front.times, mins[0, :m])
+        mins[1, :m] = self.slopes[order]
+        for i, coord in enumerate(mesh.vertices.T):
+            corners(np.minimum, coord, mins[2 + i, :m])
+            corners(np.maximum, coord, maxs[i, :m])
+        del cols
+        mins[:, m] = mins[:, m - 1]
+        maxs[:, m] = maxs[:, m - 1]
 
         node_min = np.empty((mins.shape[0], 2 * m - 1))
         node_max = np.empty((maxs.shape[0], 2 * m - 1))
@@ -379,77 +415,148 @@ class ConeHierarchy(_ConesBase):
         # Per coordinate, one array over the nodes.
         self.node_lo = [_packed("d", row) for row in node_min[2:]]
         self.node_hi = [_packed("d", row) for row in node_max]
+        # The last leaf path _leaf_path walked, root first.
+        self._path = [(0, 0, m)]
+
+    def _leaf_path(self, r: int) -> list[tuple[int, int, int]]:
+        """``(node, lo, hi)`` of the leaf at position r and of its ancestors.
+
+        Root first, leaf last.  The integer descent resumes at the deepest
+        node of the last path whose range holds r: the tree's shape never
+        changes, so that node is an ancestor of r's leaf as well.  The
+        leaves of one star, and of consecutive patches, often sit close in
+        ``order``, so most levels are not walked again.  The list is reused
+        by the next call.
+        """
+        path = self._path
+        while len(path) > 1 and not path[-1][1] <= r < path[-1][2]:
+            path.pop()
+        node, lo, hi = path[-1]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if r < mid:
+                node, hi = node + 1, mid
+            else:
+                node, lo = node + 2 * (mid - lo), mid
+            path.append((node, lo, hi))
+        return path
 
     def update_star(self, sids, slopes) -> None:
         """Refresh the facets' slopes and time bounds, then their root paths.
 
-        Each shared ancestor is repaired once, children before parents: a
-        node's preorder index is below every node of its subtree.
+        Only an ancestor with a child whose (tmin, smin) changed is
+        recomputed, so a repair stops where the bounds stop moving.  Each is
+        recomputed once, children before parents: they are taken largest
+        node first, and a node's preorder index is below every node of its
+        subtree.
         """
         ids = self._store(sids, slopes)
         tmin, smin, rank = self.node_tmin, self.node_smin, self.rank
-        leaf_t = self.front.times[self.mesh.simplices[ids]].min(axis=1)
-        kids: dict[int, tuple[int, int]] = {}   # ancestor -> (left, right)
-        for fid, t in zip(ids, leaf_t.tolist()):
-            r = rank.item(fid)
-            node, lo, hi = 0, 0, self.mesh.n_simplices
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                left, right = node + 1, node + 2 * (mid - lo)
-                kids[node] = (left, right)
-                if r < mid:
-                    node, hi = left, mid
-                else:
-                    node, lo = right, mid
-            tmin[node] = t
-            smin[node] = self.slopes.item(fid)
-        for node in sorted(kids, reverse=True):
-            a, b = kids[node]
+        times, simplices, store = self.front.times, self.mesh.simplices, self.slopes
+        heap: list = []       # (-node, depth, path) of ancestors to recompute
+        queued = set()
+        for fid in ids:
+            path = self._leaf_path(rank.item(fid))
+            # The corner times' minimum, ties to the later corner as in the
+            # build's np.minimum.
+            corners = simplices[fid].tolist()
+            t = times.item(corners[0])
+            for v in corners[1:]:
+                u = times.item(v)
+                if u <= t:
+                    t = u
+            s = store.item(fid)
+            leaf = path[-1][0]
+            if (t != tmin[leaf] or s != smin[leaf]) and len(path) > 1:
+                up = path[-2][0]
+                if up not in queued:
+                    queued.add(up)
+                    heapq.heappush(heap, (-up, len(path) - 2, path[:]))
+            tmin[leaf], smin[leaf] = t, s
+        while heap:
+            _, i, path = heapq.heappop(heap)
+            node, lo, hi = path[i]
+            a, b = node + 1, node + 2 * ((lo + hi) // 2 - lo)
             # min(x, y), without the builtin's call overhead.
             ta, tb, sa, sb = tmin[a], tmin[b], smin[a], smin[b]
-            tmin[node] = tb if tb < ta else ta
-            smin[node] = sb if sb < sa else sa
+            t = tb if tb < ta else ta
+            s = sb if sb < sa else sa
+            if (t != tmin[node] or s != smin[node]) and i:
+                up = path[i - 1][0]
+                if up not in queued:
+                    queued.add(up)
+                    heapq.heappush(heap, (-up, i - 1, path))
+            tmin[node], smin[node] = t, s
 
     def ray_shoot(self, p: int) -> tuple[float, int | None]:
-        """Same contract as :meth:`ExhaustiveCones.ray_shoot`."""
+        """Same contract as :meth:`ExhaustiveCones.ray_shoot`.
+
+        The walk starts at the leaf of p's first star facet and climbs its
+        root path; see the module docstring.
+        """
         self._check_vertex(p)
         self.stats.entry_queries += 1
         mesh, times, slopes = self.mesh, self.front.times, self.slopes
         xl = mesh.vertices[p].tolist()
         star = mesh.stars[p].tolist()
         order, tmin, smin = self.order, self.node_tmin, self.node_smin
+        sqrt, inf = math.sqrt, math.inf
+        m = mesh.n_simplices
+
+        path = self._leaf_path(self.rank.item(star[0]))
+        one_d = mesh.dim == 1
+        x0, t0, s0 = xl[0], tmin[0], smin[0]
+        blo, bhi = self.node_lo[0], self.node_hi[0]
         boxes = list(zip(xl, self.node_lo, self.node_hi))
-        sqrt, push, pop = math.sqrt, heapq.heappush, heapq.heappop
         visited = leaves = 0
-        best_T = math.inf
+        best_T = inf
         best_fid: int | None = None
-        heap = [(-math.inf, 0, 0, mesh.n_simplices)]  # the root is always expanded
-        while heap and heap[0][0] <= best_T:
-            _, node, lo, hi = pop(heap)
-            visited += 1
-            if hi - lo == 1:
-                fid = order[lo]
-                if fid in star:
-                    continue
-                leaves += 1
-                T = leaf_entry_time(mesh, times, slopes, xl, fid)
-                if T < best_T or (T == best_T and
-                                  (best_fid is None or fid < best_fid)):
-                    best_T, best_fid = T, fid
+        for i in range(len(path) - 1, 0, -1):
+            node, lo, hi = path[i]
+            if one_d and best_T < inf:
+                # Every facet outside [lo, hi) lies beyond this subtree's
+                # interval, at least `gap` from x on the sides with facets.
+                # sqrt(gap * gap) rounds as the kernel's distances do.
+                visited += 1
+                gap = x0 - blo[node] if lo > 0 else inf
+                if hi < m and bhi[node] - x0 < gap:
+                    gap = bhi[node] - x0
+                if t0 + s0 * sqrt(gap * gap) > best_T:
+                    break
+            parent, plo, phi = path[i - 1]
+            # Depth first, the child nearer the path on top; in 1D it is
+            # also the child nearer x.
+            after = lo == plo   # the sibling's range follows the path's
+            if after:
+                stack = [(parent + 2 * (hi - plo), hi, phi)]
             else:
-                mid = (lo + hi) // 2
-                for child, clo, chi in ((node + 1, lo, mid),
-                                        (node + 2 * (mid - lo), mid, hi)):
-                    sq = 0.0  # squared distance from x to the node's box
-                    for xi, blo, bhi in boxes:
-                        gap = blo[child] - xi
-                        if gap <= 0.0:
-                            gap = xi - bhi[child]
-                        if gap > 0.0:
-                            sq += gap * gap
-                    clb = tmin[child] + smin[child] * sqrt(sq)
-                    if clb <= best_T:
-                        push(heap, (clb, child, clo, chi))
+                stack = [(parent + 1, plo, lo)]
+            while stack:
+                nd, a, b = stack.pop()
+                visited += 1
+                sq = 0.0  # squared distance from x to the node's box
+                for xi, clo, chi in boxes:
+                    gap = clo[nd] - xi
+                    if gap <= 0.0:
+                        gap = xi - chi[nd]
+                    if gap > 0.0:
+                        sq += gap * gap
+                if tmin[nd] + smin[nd] * sqrt(sq) > best_T:
+                    continue
+                if b - a == 1:
+                    fid = order[a]
+                    if fid in star:
+                        continue
+                    leaves += 1
+                    T = leaf_entry_time(mesh, times, slopes, xl, fid)
+                    if T < best_T or (T == best_T and
+                                      (best_fid is None or fid < best_fid)):
+                        best_T, best_fid = T, fid
+                else:
+                    mid = (a + b) // 2
+                    left = (nd + 1, a, mid)
+                    right = (nd + 2 * (mid - a), mid, b)
+                    stack += (right, left) if after else (left, right)
         self.stats.nodes_visited += visited
         self.stats.leaves_evaluated += leaves
         return best_T, best_fid

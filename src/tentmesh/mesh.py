@@ -32,7 +32,8 @@ When an input has several defects, ``build_mesh`` reports the first of:
 1. a non-finite vertex coordinate (lowest vertex id);
 2. per simplex, in input order: wrong arity, a vertex id out of range, a
    repeated vertex, the same vertices as an earlier simplex;
-3. a degenerate simplex (lowest simplex id);
+3. a degenerate simplex, or one too large for its width, measure or
+   diameter to be finite (lowest simplex id);
 4. an unused vertex (lowest vertex id);
 5. 1D: a vertex in more than two segments (lowest id), then two segments
    overlapping (the first pair in order of left end); 2D: an edge in more
@@ -233,23 +234,34 @@ def _build_owned(verts: np.ndarray, simplices) -> SpaceMesh:
 
     # Edge lengths by vecdot + sqrt round exactly as np.linalg.norm of one
     # edge does; an axis-wise norm or sqrt(sum) differs in the last bit.
-    if dim == 1:
-        edge = pts[:, 1] - pts[:, 0]
-        widths = np.sqrt(np.vecdot(edge, edge))
-        measures = widths.copy()
-        diam = widths
-    else:
-        a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
-        edges = np.stack([b - a, c - b, a - c], axis=1)       # (m, 3, 2)
-        diam = np.sqrt(np.vecdot(edges, edges)).max(axis=1)
-        e0, e2 = edges[:, 0], edges[:, 2]
-        area2 = np.abs(e0[:, 0] * (-e2[:, 1]) - e0[:, 1] * (-e2[:, 0]))
-        widths = np.zeros(m)
-        np.divide(area2, diam, out=widths, where=diam > 0.0)
-        measures = 0.5 * area2
-    bad = np.flatnonzero((widths < DEGENERACY_RATIO * diam) | (diam == 0.0))
+    # Squares of finite coordinates can overflow; such simplices are
+    # rejected below, so the overflow warnings are not raised.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if dim == 1:
+            edge = pts[:, 1] - pts[:, 0]
+            widths = np.sqrt(np.vecdot(edge, edge))
+            measures = widths.copy()
+            diam = widths
+        else:
+            a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
+            edges = np.stack([b - a, c - b, a - c], axis=1)       # (m, 3, 2)
+            diam = np.sqrt(np.vecdot(edges, edges)).max(axis=1)
+            e0, e2 = edges[:, 0], edges[:, 2]
+            area2 = np.abs(e0[:, 0] * (-e2[:, 1]) - e0[:, 1] * (-e2[:, 0]))
+            widths = np.zeros(m)
+            np.divide(area2, diam, out=widths, where=diam > 0.0)
+            measures = 0.5 * area2
+        huge = ~(np.isfinite(widths) & np.isfinite(measures) & np.isfinite(diam))
+        bad = np.flatnonzero(huge | (widths < DEGENERACY_RATIO * diam)
+                             | (diam == 0.0))
     if bad.size:
         s = int(bad[0])
+        if huge[s]:
+            raise ValidationError(
+                f"simplex {tuple(srt[s].tolist())} is too large: its size "
+                f"overflows (width {widths[s]:g}, measure {measures[s]:g})",
+                f"simplex {s}",
+            )
         raise ValidationError(
             f"degenerate simplex {tuple(srt[s].tolist())} (width {widths[s]:g})",
             f"simplex {s}",

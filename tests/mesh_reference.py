@@ -9,6 +9,7 @@ invalid input must raise the same message at the same location.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -74,7 +75,14 @@ def reference_build_mesh(vertices, simplices) -> SpaceMesh:
     measures = np.empty(m)
     for k in range(m):
         pts = verts[sorted_rows[k]]
-        width, measure, diam = _simplex_width_and_measure(pts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            width, measure, diam = _simplex_width_and_measure(pts)
+        if not all(math.isfinite(v) for v in (width, measure, diam)):
+            raise ValidationError(
+                f"simplex {tuple(sorted_rows[k].tolist())} is too large: its size "
+                f"overflows (width {width:g}, measure {measure:g})",
+                f"simplex {k}",
+            )
         if width < DEGENERACY_RATIO * diam or diam == 0.0:
             raise ValidationError(
                 f"degenerate simplex {tuple(sorted_rows[k].tolist())} (width {width:g})",

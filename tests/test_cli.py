@@ -258,6 +258,23 @@ def test_cli_nan_vertex_exit_2(case_1d, capsys, eta):
     assert "vertex 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mesh_text", [
+    "dim 1\nv 0\nv 1e308\nv 1.7e308\ns 0 1\ns 1 2\n",
+    "dim 2\nv 0 0\nv 1e308 0\nv 0 1e308\ns 0 1 2\n",
+], ids=["1d", "2d"])
+def test_cli_mesh_whose_size_overflows_exit_2(tmp_path, capsys, mesh_text):
+    # Finite coordinates whose squared edge lengths overflow used to reach
+    # the height floor check ("tmin_1d ... got inf/nan", even in 2D).
+    (tmp_path / "mesh.txt").write_text(mesh_text)
+    (tmp_path / "field.txt").write_text("constant 1.0\n")
+    assert main(_argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "is too large: its size overflows" in err
+    assert "(at simplex 0 of " in err and "mesh.txt)" in err
+    assert "tmin" not in err and "Warning" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_cli_underflowing_height_floor_exit_2(tmp_path, capsys):
     # sigma_min * wmin = 1e-200 * 1e-150 underflows to a zero floor.
     (tmp_path / "mesh.txt").write_text(

@@ -417,6 +417,15 @@ def test_margin_is_nonnegative_exactly_when_all_satisfied(facets):
     assert verdicts.satisfied.tolist() == [ulps >= 0 for _, ulps in facets]
 
 
+@pytest.mark.parametrize("binding", [BINDING_CAUSALITY, BINDING_PROGRESS])
+@pytest.mark.parametrize("F", [0, 1, 3])
+def test_judge_gives_every_facet_the_named_binding(binding, F):
+    verdicts = FacetVerdicts.judge(np.full(F, -1.0), np.ones(F), binding)
+    assert verdicts.binding.shape == (F,)
+    assert [verdicts.verdict(i).binding for i in range(F)] == [binding] * F
+    assert all(type(verdicts.verdict(i).binding) is str for i in range(F))
+
+
 @pytest.mark.parametrize("ids, binding", [((5, 2, 9), BINDING_PROGRESS),
                                          ((1, 2, 9), BINDING_CAUSALITY)])
 def test_kernel_breaks_exact_lift_ties_by_id(ids, binding):

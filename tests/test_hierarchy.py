@@ -683,10 +683,10 @@ def test_tree_counters_pinned():
     xs = np.cumsum(np.random.default_rng(5).uniform(0.5, 1.5, 301))
     assert run(interval_mesh(xs), 11) == {
         "cone_entry_queries": 101, "cone_slope_queries": 101,
-        "cone_nodes_visited": 4072, "cone_leaves_evaluated": 251}
+        "cone_nodes_visited": 4371, "cone_leaves_evaluated": 349}
     assert run(grid_mesh(9, 7, skew=0.1), 12) == {
         "cone_entry_queries": 27, "cone_slope_queries": 27,
-        "cone_nodes_visited": 2755, "cone_leaves_evaluated": 240}
+        "cone_nodes_visited": 3661, "cone_leaves_evaluated": 361}
 
 
 def test_tree_prunes_versus_scan():
@@ -702,6 +702,90 @@ def test_tree_prunes_versus_scan():
     assert scan.stats.entry_queries == tree.stats.entry_queries == 1
     d = tree.stats.as_dict()
     assert d["cone_entry_queries"] == 1
+
+
+def _shuffled_interval(rng, n):
+    """An interval of n jittered segments with shuffled vertex and segment ids."""
+    xs = np.cumsum(rng.uniform(0.5, 1.5, n + 1))
+    at = rng.permutation(n + 1)          # vertex id v sits at xs[at[v]]
+    vid = np.argsort(at)                 # position -> vertex id
+    segs = np.column_stack([vid[:-1], vid[1:]])[rng.permutation(n)]
+    return build_mesh(xs[at][:, None], segs)
+
+
+@pytest.mark.parametrize("far", ["valley", "slope"])
+def test_walk_reaches_a_far_earliest_cone(far):
+    # The 1D walk stops climbing once the root's smallest time and slope at
+    # x's distance to the climbed subtree's nearer end exceed the best entry
+    # so far.  The earliest cone may still lie many subtrees away: a deep
+    # low-time valley, or one segment with a tiny slope.
+    rng = np.random.default_rng(23)
+    mesh = _shuffled_interval(rng, 1200)
+    x = mesh.vertices[:, 0]
+    c = float(np.median(x))
+    if far == "valley":
+        times = np.where(np.abs(x - c) < 2.0, 0.0, 200.0 + rng.uniform(0, 1, len(x)))
+        slopes = rng.uniform(0.8, 1.2, mesh.n_simplices)
+    else:
+        times = rng.uniform(0.0, 0.5, len(x))
+        slopes = np.ones(mesh.n_simplices)
+        slopes[np.argmin(np.abs(mesh.centroids[:, 0] - c))] = 1e-3
+    tree = _cones(mesh, times, slopes, True)
+    scan = _cones(mesh, times, slopes, False)
+    far_answers = 0
+    for p in range(0, mesh.n_vertices, 5):
+        got = ray_shoot(tree, p)
+        assert got == ray_shoot(scan, p)
+        far_answers += abs(mesh.centroids[got[1], 0] - x[p]) > 64.0
+    assert far_answers >= 50
+
+
+def test_flat_front_walk_does_not_grow_with_n():
+    # A flat front of unit segments at 2**11 (about 10**3) and 2**17 (about
+    # 10**5) segments: the first 1 024 segments form a subtree of one shape
+    # in both trees, and every walk from them stops inside it, so each query
+    # visits exactly as many nodes at either size.
+    def visits(n):
+        mesh = interval_mesh(np.arange(n + 1.0))
+        tree = _cones(mesh, np.zeros(n + 1), np.ones(n), True)
+        counts = []
+        for p in range(1001):
+            before = tree.stats.nodes_visited
+            # Both remote neighbours enter at 1.0; the tie goes to p - 2.
+            assert ray_shoot(tree, p) == (1.0, p - 2 if p >= 2 else p + 1)
+            counts.append(tree.stats.nodes_visited - before)
+        return counts
+
+    small, large = visits(2**11), visits(2**17)
+    assert small == large
+    assert sum(small) / len(small) < 13
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_interleaved_queries_and_star_updates_match_scan(dim):
+    # Walks and repairs resume from the last root path they walked; answers
+    # and node bounds must not depend on where that was.
+    rng = np.random.default_rng(61 + dim)
+    if dim == 1:
+        mesh = _shuffled_interval(rng, 300)
+    else:
+        mesh = grid_mesh(8, 7, skew=0.1)
+    times = rng.uniform(0.0, 1.0, mesh.n_vertices)
+    slopes = rng.uniform(0.2, 2.0, mesh.n_simplices)
+    tree = _cones(mesh, times, slopes, True)
+    scan = _cones(mesh, times, slopes, False)
+    for t, sids, new, now in _star_updates(rng, mesh, times, slopes, 60):
+        for cones in (tree, scan):
+            cones.set_front(Front(mesh, t))
+            cones.update_star(sids, new)
+        for p in rng.integers(0, mesh.n_vertices, 3).tolist():
+            T, fid = ray_shoot(tree, p)
+            assert (T, fid) == ray_shoot(scan, p)
+            assert min_slope_intersecting(tree, p, T + 0.25) == \
+                min_slope_intersecting(scan, p, T + 0.25)
+    fresh = _cones(mesh, t, now, True)
+    assert tree.node_tmin == fresh.node_tmin
+    assert tree.node_smin == fresh.node_smin
 
 
 def test_repeat_queries_deterministic():

@@ -9,6 +9,7 @@ triangles except the diagonal ends, giving max degree 2.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,22 @@ class TestValidation:
     def test_degenerate_simplex(self):
         with pytest.raises(ValidationError, match="degenerate"):
             build_mesh([(0, 0), (1, 0), (2, 1e-14), (0, 1)], [(0, 1, 2), (0, 1, 3)])
+
+    @pytest.mark.parametrize("verts, simplices, width", [
+        ([(0.0,), (1e308,), (1.7e308,)], [(0, 1), (1, 2)], "inf"),
+        ([(0.0, 0.0), (1e308, 0.0), (0.0, 1e308)], [(0, 1, 2)], "nan"),
+    ])
+    def test_finite_coordinates_whose_size_overflows(self, verts, simplices,
+                                                     width):
+        # The squared edge lengths overflow: such a mesh used to build with
+        # infinite or NaN widths, with RuntimeWarnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as err:
+                build_mesh(verts, simplices)
+        assert str(err.value) == (
+            f"simplex {simplices[0]} is too large: its size overflows "
+            f"(width {width}, measure inf) (at simplex 0)")
 
     def test_unused_vertex(self):
         with pytest.raises(ValidationError, match="vertex 3"):
@@ -390,7 +407,7 @@ def valid_meshes(draw):
 
 
 DEFECTS = ("range", "repeated", "duplicate", "degenerate", "unused",
-           "non-manifold", "overlap", "arity")
+           "non-manifold", "overlap", "arity", "overflow")
 
 
 def _inject(rng, verts, simps, defect):
@@ -436,6 +453,9 @@ def _inject(rng, verts, simps, defect):
         simps.append((n, n + 1))
     elif defect == "arity":
         simps[r] = tuple(row[:-1]) if rng.random() < 0.5 else tuple(row) + (row[0],)
+    elif defect == "overflow":
+        # Finite, but the squares of the row's edges overflow.
+        verts[row[-1]] = [float(rng.choice([-1.0, 1.0])) * 1e308] * dim
 
 
 @given(valid_meshes())
@@ -459,7 +479,8 @@ def test_defects_raise_what_the_reference_raises(mesh, defects, seed):
 DEFECT_MESSAGES = {"range": "out of range", "repeated": "repeated vertex",
                    "duplicate": "duplicate simplex", "degenerate": "degenerate",
                    "unused": "not part of any simplex", "non-manifold": "non-manifold",
-                   "overlap": "overlap", "arity": "vertices, expected"}
+                   "overlap": "overlap", "arity": "vertices, expected",
+                   "overflow": "too large"}
 
 
 # Triangles are not checked for overlap.
