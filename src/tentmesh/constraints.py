@@ -29,7 +29,10 @@ at an apex for triangles, the budget form for segments.  Every causality
 check calls it: :func:`facet_causality` (1D stars, 1D fronts and
 :func:`front_causality_report`) and the progressive check below.
 :func:`facet_verdicts` picks the check for the mesh's dimension, for star
-verification and :func:`is_progressive_front` alike.
+verification and :func:`is_progressive_front` alike, through
+:func:`gathered_verdicts`, which takes the facets' rows, points and
+geometry as gathered: the pitcher gathers a star once per patch and
+checks every probe of it there.
 
 One numpy kernel, :func:`progressive_verdicts`, makes the progressive check
 for F triangles at once; 2D star verification, :func:`is_progressive_front`
@@ -293,7 +296,7 @@ class FacetVerdicts(NamedTuple):
         for finite slacks this agrees with ``satisfied`` facet for facet; a
         NaN slack gives a NaN margin.
         """
-        return float(np.min(self.slack + REL_TOL * self.scale))
+        return float((self.slack + REL_TOL * self.scale).min())
 
     def verdict(self, i: int) -> ConstraintVerdict:
         return ConstraintVerdict(bool(self.satisfied[i]), float(self.slack[i]),
@@ -429,21 +432,27 @@ def facet_causality(mesh: SpaceMesh, sids: np.ndarray, T: np.ndarray,
     latest vertex (ties to the larger id).
     """
     rows = mesh.simplices[sids]
-    sigma = sampled_min_simplices(field, mesh.vertices[rows], T, elements=sids)
     if mesh.dim == 1:
-        slack, scale = causality_slack(sigma, T[:, 0], T[:, 1],
-                                       mesh.measures[sids])
-    else:
-        # Reversed argmax breaks time ties toward the larger local index,
-        # i.e. the larger vertex id (rows are id-sorted).
-        apex = 2 - np.argmax(T[:, ::-1], axis=1)
-        f = np.arange(T.shape[0])
-        t_qr = T[f[:, None], _OTHERS[apex]]
-        geo = mesh.apex_geometry
-        slack, scale = causality_slack(
-            sigma, t_qr[:, 0], t_qr[:, 1], geo.qr_len[sids, apex], T[f, apex],
-            geo.altitude[sids, apex], geo.u_along[sids, apex],
-        )
+        return _segment_causality(sids, mesh.vertices[rows], T,
+                                  mesh.measures[sids], field)
+    sigma = sampled_min_simplices(field, mesh.vertices[rows], T, elements=sids)
+    # Reversed argmax breaks time ties toward the larger local index,
+    # i.e. the larger vertex id (rows are id-sorted).
+    apex = 2 - np.argmax(T[:, ::-1], axis=1)
+    f = np.arange(T.shape[0])
+    t_qr = T[f[:, None], _OTHERS[apex]]
+    geo = mesh.apex_geometry
+    slack, scale = causality_slack(
+        sigma, t_qr[:, 0], t_qr[:, 1], geo.qr_len[sids, apex], T[f, apex],
+        geo.altitude[sids, apex], geo.u_along[sids, apex],
+    )
+    return FacetVerdicts.judge(slack, scale, BINDING_CAUSALITY), sigma
+
+
+def _segment_causality(sids, points, T, lengths, field):
+    """:func:`facet_causality` of segments whose points and lengths are gathered."""
+    sigma = sampled_min_simplices(field, points, T, elements=sids)
+    slack, scale = causality_slack(sigma, T[:, 0], T[:, 1], lengths)
     return FacetVerdicts.judge(slack, scale, BINDING_CAUSALITY), sigma
 
 
@@ -459,13 +468,30 @@ def facet_verdicts(mesh: SpaceMesh, sids: np.ndarray, T: np.ndarray,
     causality half; 1D ignores it, as tentpoles there stay below remote
     cones outright.
     """
-    if mesh.dim == 1:
-        return facet_causality(mesh, sids, T, field)
     rows = mesh.simplices[sids]
-    return progressive_verdicts(
-        mesh.vertices[rows], T, rows, mesh.apex_geometry.take(sids), field,
-        config, elements=sids, remote=remote,
-    )
+    geometry = (mesh.measures[sids] if mesh.dim == 1
+                else mesh.apex_geometry.take(sids))
+    return gathered_verdicts(sids, rows, mesh.vertices[rows], geometry, T,
+                             field, config, remote)
+
+
+def gathered_verdicts(sids: np.ndarray, rows: np.ndarray, points: np.ndarray,
+                      geometry, T: np.ndarray, field: SlopeField,
+                      config: ConstraintConfig,
+                      remote=None) -> tuple[FacetVerdicts, np.ndarray]:
+    """:func:`facet_verdicts` of facets whose mesh data the caller gathered.
+
+    ``rows`` is ``mesh.simplices[sids]``, ``points`` is
+    ``mesh.vertices[rows]`` and ``geometry`` the facets' lengths
+    (``mesh.measures[sids]``) for segments or their
+    :class:`~tentmesh.geometry.ApexGeometry` rows for triangles.  The
+    pitcher gathers them once per patch and checks every probe of the
+    patch's star here.
+    """
+    if rows.shape[1] == 2:
+        return _segment_causality(sids, points, T, geometry, field)
+    return progressive_verdicts(points, T, rows, geometry, field, config,
+                                elements=sids, remote=remote)
 
 
 def front_causality_report(mesh: SpaceMesh, times: np.ndarray,

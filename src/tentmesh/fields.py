@@ -64,6 +64,7 @@ only parameters that are not finite numbers (see :func:`require_finite`).
 
 from __future__ import annotations
 
+import io
 import math
 from pathlib import Path
 
@@ -446,16 +447,28 @@ def _parse_field_line(args: list[str], base_dir: Path,
     raise ValidationError(f"unknown field kind {kind!r}")
 
 
+def numbered_lines(text: str):
+    """(line number, line) pairs of ``text``, numbered from 1.
+
+    Lines end where a file read with universal newlines ends them, as
+    :func:`~tentmesh.mesh.load_mesh` reads: at ``\\n``, ``\\r\\n`` and
+    ``\\r``.  ``str.splitlines`` also ends them at form feeds, vertical
+    tabs, ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028`` and ``\\u2029``,
+    which would number every later line past its place in the file.
+    """
+    return enumerate(io.StringIO(text, newline=None), start=1)
+
+
 def _load_table(path: Path, n_elements: int | None) -> TableField:
     if n_elements is None:
         raise ValidationError("table field needs a mesh for its element count")
     values = np.zeros(n_elements)
     seen = np.zeros(n_elements, dtype=bool)
     try:
-        lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
+        text = path.read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
         raise ValidationError(f"cannot read table: {exc}", str(path)) from None
-    for lineno, rawline in enumerate(lines, start=1):
+    for lineno, rawline in numbered_lines(text):
         line = rawline.split("#", 1)[0].strip()
         if not line:
             continue
@@ -488,7 +501,7 @@ def parse_field(text: str, base_dir=".", n_elements: int | None = None,
     """Parse a field document given as text; see the module docstring grammar."""
     base_dir = Path(base_dir)
     fields: list[SlopeField] = []
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
+    for lineno, rawline in numbered_lines(text):
         line = rawline.split("#", 1)[0].strip()
         if not line:
             continue

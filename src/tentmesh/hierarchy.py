@@ -32,8 +32,9 @@ its left child is ``node + 1`` and its right child ``node + 2 * (mid - lo)``
 the leaf of ``order[lo]``.  Traversals carry ``(node, lo, hi)``, and a
 leaf's root path comes from the integer descent over these ranges, resumed
 at the deepest node of the last path walked whose range holds the leaf, so
-no child, parent or leaf arrays exist.  The bounds are built one level of
-ranges at a time with numpy and kept, like ``order``, in typed Python
+no child, parent or leaf arrays exist.  The bounds are built bottom-up one
+level of ranges at a time with numpy, each parent the elementwise min / max
+of its two children (O(m) in all), and kept, like ``order``, in typed Python
 arrays (``array('d')``, ``array('q')``): queries read them one node at a
 time, and indexing an ``array`` costs far less than a numpy call on a
 one-element slice while holding 8 bytes per entry where a list of Python
@@ -370,51 +371,67 @@ class ConeHierarchy(_ConesBase):
         self.rank = np.empty(m, dtype=np.int64)  # facet id -> position in order
         self.rank[order] = np.arange(m)
 
-        # Per-facet columns in tree order, one row per bound, padded by one
-        # column so every range end, m included, is a valid reduceat index.
-        # Each leaf bound is an elementwise min or max over the k corner
-        # columns; a reduction over an axis of length 2 or 3 costs far more.
+        # Per bound, its facet values in tree order and the elementwise op
+        # that combines two of them: tmin, smin, then per coordinate the
+        # box's low ends and its high ends.  Each facet value is an
+        # elementwise min or max over the k corner columns; a reduction
+        # over an axis of length 2 or 3 costs far more.
         cols = mesh.simplices[order].T                  # (k, m)
-        mins = np.empty((2 + mesh.dim, m + 1))
-        maxs = np.empty((mesh.dim, m + 1))
 
-        def corners(op, values, out):
-            op(values[cols[0]], values[cols[1]], out=out)
+        def corners(op, values):
+            out = op(values[cols[0]], values[cols[1]])
             for c in cols[2:]:
                 op(out, values[c], out=out)
+            return out
 
-        corners(np.minimum, front.times, mins[0, :m])
-        mins[1, :m] = self.slopes[order]
-        for i, coord in enumerate(mesh.vertices.T):
-            corners(np.minimum, coord, mins[2 + i, :m])
-            corners(np.maximum, coord, maxs[i, :m])
+        bounds = [(corners(np.minimum, front.times), np.minimum),
+                  (self.slopes[order], np.minimum)]
+        bounds += [(corners(np.minimum, x), np.minimum) for x in mesh.vertices.T]
+        bounds += [(corners(np.maximum, x), np.maximum) for x in mesh.vertices.T]
         del cols
-        mins[:, m] = mins[:, m - 1]
-        maxs[:, m] = maxs[:, m - 1]
 
-        node_min = np.empty((mins.shape[0], 2 * m - 1))
-        node_max = np.empty((maxs.shape[0], 2 * m - 1))
+        # The levels of ranges, root first: each level's nodes, range
+        # starts and leaf mask.  A level lists the children of the inner
+        # nodes above it as (left, right) pairs, in order.
+        levels = []
         node = lo = np.zeros(1, dtype=np.int64)
         hi = np.full(1, m, dtype=np.int64)
         while node.size:
-            # The ranges of a level are disjoint and sorted, so with cuts
-            # (lo, hi) interleaved the even slots reduce over [lo, hi) and
-            # the odd slots over the gaps between ranges.
-            cuts = np.column_stack([lo, hi]).ravel()
-            node_min[:, node] = np.minimum.reduceat(mins, cuts, axis=1)[:, ::2]
-            node_max[:, node] = np.maximum.reduceat(maxs, cuts, axis=1)[:, ::2]
-            inner = hi - lo > 1
+            leaf = hi - lo == 1
+            levels.append((node, lo, leaf))
+            inner = ~leaf
             node, lo, hi = node[inner], lo[inner], hi[inner]
             mid = (lo + hi) // 2
             node = np.column_stack([node + 1, node + 2 * (mid - lo)]).ravel()
             lo, hi = (np.column_stack([lo, mid]).ravel(),
                       np.column_stack([mid, hi]).ravel())
 
-        self.node_tmin = _packed("d", node_min[0])
-        self.node_smin = _packed("d", node_min[1])
+        # Deepest level first: a leaf takes its facet's bounds and an inner
+        # node the elementwise min / max of its two children.  Both are
+        # exact, so each bound is the min / max over the node's range.  One
+        # 1D array per bound: numpy indexes those far faster than the
+        # columns of a 2D block.
+        nodes = [np.empty(2 * m - 1) for _ in bounds]
+        below = None
+        for node, lo, leaf in reversed(levels):
+            at_leaf, at_inner = np.flatnonzero(leaf), np.flatnonzero(~leaf)
+            leaf_lo = lo[at_leaf]
+            level = []
+            for i, (facet_values, op) in enumerate(bounds):
+                values = np.empty(node.size)
+                values[at_leaf] = facet_values[leaf_lo]
+                if below is not None:
+                    values[at_inner] = op(below[i][0::2], below[i][1::2])
+                nodes[i][node] = values
+                level.append(values)
+            below = level
+        del levels, below, bounds
+
+        packed = [_packed("d", values) for values in nodes]
+        self.node_tmin, self.node_smin = packed[0], packed[1]
         # Per coordinate, one array over the nodes.
-        self.node_lo = [_packed("d", row) for row in node_min[2:]]
-        self.node_hi = [_packed("d", row) for row in node_max]
+        self.node_lo = packed[2:2 + mesh.dim]
+        self.node_hi = packed[2 + mesh.dim:]
         # The last leaf path _leaf_path walked, root first.
         self._path = [(0, 0, m)]
 

@@ -28,22 +28,33 @@ is acceptable) narrows the bracket to ``eta / 8`` and returns its verified
 lower end: every height a run takes is a probed, feasible point.  All
 choices (vertex selection, tie-breaks, search steps) are deterministic, so a
 run is a pure function of its inputs.
+
+Each patch gathers p's star once into a :class:`StarRecord`: its simplex
+ids, their vertex rows, the mask of p in those rows, their points and the
+geometry the checks read.  The bracket, the closed-form cap, every probe of
+the search, the element emit and the cone store's update read that record;
+a function called without one gathers it itself, by the same code.  The
+spacetime mesh keeps one current event per vertex, the one on the front, so
+emitting a patch's elements needs no lookup by (vertex, time): a base corner
+is its vertex's current event, and the lifted vertex's top becomes its next.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .constraints import ConstraintConfig, facet_verdicts, is_progressive_front
+from .constraints import ConstraintConfig, gathered_verdicts, is_progressive_front
 from .errors import ContractViolation, InvalidArgument, ValidationError
 from .fields import SlopeField
 from .front import BlockedTimes, Front, check_times, initial_front, local_minima
-from .geometry import APEX_OTHERS
+from .geometry import APEX_OTHERS, ApexGeometry
 from .hierarchy import build as build_cones
 from .mesh import SpaceMesh
 from .solver import SlopeScript, bind_run, fire_rows, seal_run
@@ -70,26 +81,36 @@ class Patch:
     deps: np.ndarray      # patch that last wrote each facet, -1 = initial front
 
 
+def _off_front(v: int, t: float, current: float) -> InvalidArgument:
+    return InvalidArgument(f"base time {t!r} of vertex {v} is not its "
+                           f"current event time {current!r}")
+
+
 class SpacetimeMesh:
     """Simplicial mesh in space x time, grown one patch at a time.
 
-    Every spacetime vertex is an *event* (mesh vertex, time); events are
-    deduplicated so a tent top shared with later inflow appears once.  Each
-    element is the simplex spanned by a space simplex's old front facet and
-    the lifted vertex: event order is (apex base, apex top, other vertices in
-    space-simplex order).
+    Every spacetime vertex is an *event* (mesh vertex, time).  Each mesh
+    vertex has one current event, the one on the current front: every
+    element's base corners lie on that front, so a patch reads its base
+    events from the vertices' current events, and the lifted vertex's top
+    becomes its new current event.  A tent top shared with later inflow
+    therefore appears once.  Event ids are assigned in order of first
+    reference.  Each element is the simplex spanned by a space simplex's old
+    front facet and the lifted vertex: event order is (apex base, apex top,
+    other vertices in space-simplex order).
     """
 
     def __init__(self, space: SpaceMesh):
         self.space = space
-        self._index: dict[tuple[int, float], int] = {}
         self.event_vertex: list[int] = []
         self.event_time: list[float] = []
         self.elements: list[list[int]] = []
         self.element_space: list[int] = []
         self.element_patch: list[int] = []
         self.patches: list[Patch] = []
-        self._last_patch_on = np.full(space.n_simplices, -1, dtype=np.int64)
+        # Per vertex, the id of its current event (-1: none yet).
+        self._current = array("q", [-1]) * space.n_vertices
+        self._last_patch_on = array("q", [-1]) * space.n_simplices
 
     @property
     def n_events(self) -> int:
@@ -99,37 +120,80 @@ class SpacetimeMesh:
     def n_elements(self) -> int:
         return len(self.elements)
 
-    def _event(self, vid: int, t: float) -> int:
-        key = (int(vid), float(t))
-        got = self._index.get(key)
-        if got is None:
-            got = len(self.event_vertex)
-            self._index[key] = got
-            self.event_vertex.append(int(vid))
-            self.event_time.append(float(t))
-        return got
-
     def add_patch(self, p: int, t_base: float, t_top: float, height: float,
-                  sids: np.ndarray, base_times: np.ndarray) -> Patch:
-        eb = self._event(p, t_base)
-        et = self._event(p, t_top)
+                  sids: np.ndarray, base_times: np.ndarray,
+                  rows: np.ndarray | None = None) -> Patch:
+        """Add p's tent over the star simplices ``sids``; return its patch.
+
+        ``base_times`` holds the front's vertex times before the lift, and
+        ``rows`` is ``space.simplices[sids]`` when the caller has it.  Each
+        base corner, p's at ``t_base`` included, must lie at its vertex's
+        current event time (a vertex without events gets one), and
+        ``t_top`` must exceed ``t_base``; otherwise :class:`InvalidArgument`
+        is raised and nothing is added.
+        """
+        p, t_base, t_top = int(p), float(t_base), float(t_top)
+        if not t_top > t_base:
+            raise InvalidArgument(f"tent top {t_top!r} must lie above its "
+                                  f"base {t_base!r} at vertex {p}")
+        facets = np.array(sids, dtype=np.int64)
+        if rows is None:
+            rows = self.space.simplices[facets]
+        cur, ev_time = self._current, self.event_time
+        # The events this patch makes, in id order, and the corner vertices
+        # among them; nothing is stored until every corner is checked.
+        n = len(ev_time)
+        new_v: list[int] = []
+        new_t: list[float] = []
+        fresh: dict[int, int] = {}
+        eb = cur[p]
+        if eb < 0:
+            eb = n
+            new_v.append(p)
+            new_t.append(t_base)
+        elif ev_time[eb] != t_base:
+            raise _off_front(p, t_base, ev_time[eb])
+        et = n + len(new_v)
+        new_v.append(p)
+        new_t.append(t_top)
+        elements = []
+        for row, ts in zip(rows.tolist(),
+                           np.asarray(base_times)[rows].tolist()):
+            ev = [eb, et]
+            for v, t in zip(row, ts):
+                if v == p:
+                    continue
+                e = cur[v]
+                if e < 0:
+                    e = fresh.get(v)
+                    if e is None:
+                        e = fresh[v] = n + len(new_v)
+                        new_v.append(v)
+                        new_t.append(t)
+                elif ev_time[e] != t:
+                    raise _off_front(v, t, ev_time[e])
+                ev.append(e)
+            elements.append(ev)
+
+        self.event_vertex += new_v
+        ev_time += new_t
+        cur[p] = et
+        for v, e in fresh.items():
+            cur[v] = e
         pid = len(self.patches)
-        elems = []
+        first = len(self.elements)
+        last = self._last_patch_on
+        sid_list = facets.tolist()
         deps = []
-        for sid in sids:
-            row = self.space.simplices[sid]
-            ev = [eb, et] + [self._event(int(v), float(base_times[v]))
-                             for v in row if v != p]
-            deps.append(int(self._last_patch_on[sid]))
-            self._last_patch_on[sid] = pid
-            elems.append(len(self.elements))
-            self.elements.append(ev)
-            self.element_space.append(int(sid))
-            self.element_patch.append(pid)
-        patch = Patch(pid, int(p), float(t_base), float(t_top), float(height),
-                      np.asarray(sids, dtype=np.int64).copy(),
-                      np.asarray(elems, dtype=np.int64),
-                      np.asarray(deps, dtype=np.int64))
+        for sid in sid_list:
+            deps.append(last[sid])
+            last[sid] = pid
+        self.elements += elements
+        self.element_space += sid_list
+        self.element_patch += [pid] * len(sid_list)
+        patch = Patch(pid, p, t_base, t_top, float(height), facets,
+                      np.arange(first, first + len(sid_list), dtype=np.int64),
+                      np.array(deps, dtype=np.int64))
         self.patches.append(patch)
         return patch
 
@@ -179,8 +243,36 @@ def front_prism_volume(mesh: SpaceMesh, times0: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
+class StarRecord(NamedTuple):
+    """Vertex p's star, gathered once for every check of one patch.
+
+    ``sids`` is the star (``mesh.stars[p]``), ``rows`` its simplices'
+    vertex rows (``mesh.simplices[sids]``), ``is_p`` the mask ``rows == p``
+    and ``pts`` their points (``mesh.vertices[rows]``).  ``geo`` is the
+    geometry the checks read: the segment lengths (``mesh.measures[sids]``)
+    in 1D, the triangles' :class:`~tentmesh.geometry.ApexGeometry` rows in
+    2D.  Every array is gathered from the mesh, which no run writes, so a
+    record stays valid while the front moves.
+    """
+
+    sids: np.ndarray
+    rows: np.ndarray
+    is_p: np.ndarray
+    pts: np.ndarray
+    geo: np.ndarray | ApexGeometry
+
+    @classmethod
+    def of(cls, mesh: SpaceMesh, p: int) -> "StarRecord":
+        sids = mesh.stars[p]
+        rows = mesh.simplices[sids]
+        geo = (mesh.measures[sids] if mesh.dim == 1
+               else mesh.apex_geometry.take(sids))
+        return cls(sids, rows, rows == p, mesh.vertices[rows], geo)
+
+
 def local_cap(mesh: SpaceMesh, times: np.ndarray, p: int,
-              sigma_loc: float, epsilon: float) -> float:
+              sigma_loc: float, epsilon: float, *,
+              star: StarRecord | None = None) -> float:
     """Closed-form top-time cap from p's star alone, for slope sigma_loc.
 
     1D: the neighbor cone walls, t(q) + sigma |pq|.  2D: per star triangle,
@@ -190,30 +282,34 @@ def local_cap(mesh: SpaceMesh, times: np.ndarray, p: int,
     the edge form of :func:`~tentmesh.constraints.progress_ok` with p as the
     latest vertex, ``t(b) + |bp| (1 - epsilon) sigma phi(a)`` for the earlier
     end a and the later end b of the opposite edge, ordered by (time, id).
+    ``star`` is p's :class:`StarRecord`, gathered here when not given.
     """
+    if star is None:
+        star = StarRecord.of(mesh, p)
+    rows = star.rows.tolist()
+    row_times = times[star.rows].tolist()
     cap = math.inf
     if mesh.dim == 1:
-        for sid in mesh.stars[p]:
-            row = mesh.simplices[sid]
-            q = int(row[1]) if int(row[0]) == p else int(row[0])
-            cap = min(cap, float(times[q]) + sigma_loc * float(mesh.measures[sid]))
+        for (a, _), (t_a, t_b), length in zip(rows, row_times,
+                                               star.geo.tolist()):
+            t_q = t_b if a == p else t_a
+            cap = min(cap, t_q + sigma_loc * length)
         return cap
-    geo = mesh.apex_geometry
     budget = (1.0 - epsilon) * sigma_loc
-    for sid in mesh.stars[p].tolist():
-        row = mesh.simplices[sid].tolist()
+    altitude, u_along, qr_len, phi = (col.tolist() for col in star.geo)
+    for i, (row, t_row) in enumerate(zip(rows, row_times)):
         k = row.index(p)
         qi, ri = APEX_OTHERS[k]
-        t_q, t_r = float(times[row[qi]]), float(times[row[ri]])
-        length = float(geo.qr_len[sid, k])
+        t_q, t_r = t_row[qi], t_row[ri]
+        length = qr_len[i][k]
         g = abs(t_r - t_q) / length
-        w = float(geo.u_along[sid, k]) / length
+        w = u_along[i][k] / length
         t_u = t_q * (1.0 - w) + t_r * w
-        causal = t_u + float(geo.altitude[sid, k]) * math.sqrt(
+        causal = t_u + altitude[i][k] * math.sqrt(
             max(0.0, sigma_loc * sigma_loc - g * g))
         # Rows are id-sorted, so a time tie leaves q the earlier end.
         a, t_b = (ri, t_q) if t_r < t_q else (qi, t_r)
-        progress = t_b + float(geo.qr_len[sid, a]) * (budget * float(geo.phi[sid, a]))
+        progress = t_b + qr_len[i][a] * (budget * phi[i][a])
         cap = min(cap, causal, progress)
     return cap
 
@@ -221,7 +317,8 @@ def local_cap(mesh: SpaceMesh, times: np.ndarray, p: int,
 def star_feasible(mesh: SpaceMesh, times: np.ndarray, p: int, c: float,
                   field: SlopeField, config: ConstraintConfig,
                   cones=None, *, margin: list | None = None,
-                  sampled: list | None = None) -> bool:
+                  sampled: list | None = None,
+                  star: StarRecord | None = None) -> bool:
     """Whether topping p at time c leaves its star acceptable.
 
     1D: each lifted segment causal against the field sampled over it.  2D:
@@ -232,40 +329,47 @@ def star_feasible(mesh: SpaceMesh, times: np.ndarray, p: int, c: float,
     (before that cap), which a run stores for an accepted top, are appended
     to it; when ``margin`` is a list, the star's
     :meth:`~tentmesh.constraints.FacetVerdicts.margin` from the same
-    evaluation is appended to it (>= 0 exactly when feasible).
+    evaluation is appended to it.  The answer is that margin ``>= 0``, which
+    is exactly when every facet is satisfied (a NaN margin is infeasible).
+    ``star`` is p's :class:`StarRecord`, gathered here when not given.
     """
-    sids = mesh.stars[p]
-    rows = mesh.simplices[sids]
-    lifted = times[rows]
-    lifted[rows == p] = c
+    if star is None:
+        star = StarRecord.of(mesh, p)
+    lifted = times[star.rows]
+    lifted[star.is_p] = c
     remote = None  # 1D tentpoles stay below remote cones outright
     if mesh.dim == 2 and cones is not None:
         # Only a remote slope below the star's own largest sampled slope
         # can tighten the check, so the walk stops at that ceiling.
         remote = functools.partial(cones.min_slope_intersecting, p, c)
-    verdicts, sigma = facet_verdicts(mesh, sids, lifted, field, config,
-                                     remote)
+    verdicts, sigma = gathered_verdicts(star.sids, star.rows, star.pts,
+                                        star.geo, lifted, field, config,
+                                        remote)
     if sampled is not None:
         sampled.append(sigma)
+    m = verdicts.margin()
     if margin is not None:
-        margin.append(verdicts.margin())
-    return bool(verdicts.satisfied.all())
+        margin.append(m)
+    return m >= 0.0
 
 
 def pitch_bracket(mesh: SpaceMesh, front: Front, field: SlopeField,
-                  config: ConstraintConfig, cones, p: int) -> tuple[float, float]:
+                  config: ConstraintConfig, cones, p: int, *,
+                  star: StarRecord | None = None) -> tuple[float, float]:
     """(floor top, cap top) for pitching p.
 
     The floor is always safe; the cap is the closed-form star cap, reduced in
     1D by the earliest remote cone entry and an eta margin so the tentpole
-    never reaches a remote cone at all.
+    never reaches a remote cone at all.  ``star`` is p's
+    :class:`StarRecord`, gathered here when not given.
     """
+    if star is None:
+        star = StarRecord.of(mesh, p)
     times = front.times
     t_p = float(times[p])
-    sids = mesh.stars[p]
-    sigma_loc = float(cones.slopes[sids].min())
+    sigma_loc = float(cones.slopes[star.sids].min())
     floor_top = t_p + config.tmin(mesh.dim)
-    cap = local_cap(mesh, times, p, sigma_loc, config.epsilon)
+    cap = local_cap(mesh, times, p, sigma_loc, config.epsilon, star=star)
     if mesh.dim == 1:
         t_rem, _ = cones.ray_shoot(p)
         cap = min(cap, t_rem) - config.eta
@@ -345,7 +449,8 @@ def _rescue_foothold(probe, lo: float, hi: float,
 def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
                   config: ConstraintConfig, cones, p: int,
                   stats: dict | None = None, *,
-                  slopes: list | None = None) -> float:
+                  slopes: list | None = None,
+                  star: StarRecord | None = None) -> float:
     """Height for pitching p: floor-bounded, verified against the field.
 
     Accepts the closed-form cap when it verifies directly; otherwise
@@ -360,11 +465,16 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
     ``t_p + h``, and none is below the floor.  ``stats["bisection_steps"]``
     counts the search's probes.  When ``slopes`` is a list, the field
     slopes the accepted probe sampled over the star lifted to ``t_p + h``
-    are appended to it: the slopes its verdict was judged against.
+    are appended to it: the slopes its verdict was judged against.  ``star``
+    is p's :class:`StarRecord`, which the bracket and every probe read;
+    it is gathered here when not given.
     """
+    if star is None:
+        star = StarRecord.of(mesh, p)
     times = front.times
     t_p = float(times[p])
-    floor_top, cap = pitch_bracket(mesh, front, field, config, cones, p)
+    floor_top, cap = pitch_bracket(mesh, front, field, config, cones, p,
+                                   star=star)
     tmin = config.tmin(mesh.dim)
     tol = config.eta / 8.0
     keep = slopes is not None
@@ -376,7 +486,7 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
         out: list[float] = []
         got = [] if keep else None
         ok = star_feasible(mesh, times, p, t_p + h, field, config, cones,
-                           margin=out, sampled=got)
+                           margin=out, sampled=got, star=star)
         if ok and keep:
             sampled_at[h] = got[0]
         return ok, out[0]
@@ -422,8 +532,7 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
     # closed-form cap shares that collapsed slope, so the catch-up height
     # may sit above it; scan up to the highest star neighbor plus the floor
     # for any verified height before declaring the run wedged.
-    nb_max = max(float(times[v]) for sid in mesh.stars[p]
-                 for v in mesh.simplices[sid] if v != p)
+    nb_max = float(times[star.rows[~star.is_p]].max())
     hi_r = max(cap, nb_max + tmin)
     if hi_r <= floor_top:
         raise wedge()
@@ -496,6 +605,17 @@ def _frozen(mesh: SpaceMesh, times: np.ndarray) -> Front:
     return Front(mesh, t)
 
 
+def _check_floor_moves(tmin: float, limit: float, what: str) -> None:
+    """Raise, naming ``what``, unless a floor lift moves every time below ``limit``.
+
+    Where ``Tmin`` is at most half an ulp, a time plus ``Tmin`` rounds back
+    to that time.
+    """
+    if 2.0 * tmin <= math.ulp(math.nextafter(limit, -math.inf)):
+        raise ValidationError(f"{what} is too large for the height floor "
+                              f"{tmin!r} to move a vertex")
+
+
 def _patch_guard(mesh: SpaceMesh, config: ConstraintConfig,
                  target_time: float, span: float) -> int:
     """Runaway guard derived from the height floor.
@@ -505,17 +625,14 @@ def _patch_guard(mesh: SpaceMesh, config: ConstraintConfig,
     the whole run fits in n_vertices * ceil(span / Tmin) patches.  Any
     excess means the floor guarantee broke.  A target so far above the
     front that span / Tmin is not finite is rejected, and so is a target
-    so large that a floor lift cannot move a time just below it: there
-    ``Tmin`` is at most half an ulp, so the sum rounds back to that time.
+    so large that a floor lift cannot move a time just below it.
     """
     tmin = config.tmin(mesh.dim)
     sweeps = span / tmin
     if not math.isfinite(sweeps):
         raise ValidationError(f"target time lies {span!r} above the front: "
                               "not a finite number of height floors")
-    if 2.0 * tmin <= math.ulp(math.nextafter(target_time, -math.inf)):
-        raise ValidationError(f"target time {target_time!r} is too large for "
-                              f"the height floor {tmin!r} to move a vertex")
+    _check_floor_moves(tmin, target_time, f"target time {target_time!r}")
     return mesh.n_vertices * (math.ceil(sweeps) + 1) + 256
 
 
@@ -612,9 +729,14 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
     }
     t_low, v_low = index.lowest()
     span = target_time - t_low
+    tmin = config.tmin(mesh.dim)
     guard = math.inf
     if max_patches is not None:
         guard = max_patches
+        if target_time == math.inf:
+            # No target bounds the times this run reaches; check the first.
+            _check_floor_moves(tmin, math.nextafter(t_low, math.inf),
+                               f"front time {t_low!r}")
     elif span > 0.0:
         guard = _patch_guard(mesh, config, target_time, span)
 
@@ -634,15 +756,22 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
                                v_low)
         last_rr = p
         t_p = float(times[p])
+        star = StarRecord.of(mesh, p)
         height = greedy_height(mesh, front, field, config, cones, p, stats,
-                               slopes=kept)
+                               slopes=kept, star=star)
         top = t_p + height
-        sids = mesh.stars[p]
-        patch = stmesh.add_patch(p, t_p, top, height, sids, times)
+        if top == t_p:
+            # A run under max_patches skips the target's floor check, and
+            # an infinite target bounds no time: a patch that would not
+            # move ends the run before it is emitted.
+            raise ValidationError(f"front time {t_p!r} at vertex {p} is too "
+                                  f"large for the height {height!r} to move it")
+        patch = stmesh.add_patch(p, t_p, top, height, star.sids, times,
+                                 star.rows)
         index.lift(p, height)
         # The accepted probe sampled the star at exactly these times
         # (times[p] is now t_p + height), and no row has fired since.
-        cones.update_star(sids, kept.pop())
+        cones.update_star(star.sids, kept.pop())
         stats["script_rows_fired"] += len(fire_rows(field, top, pending))
         heights.append(height)
         if assert_invariants:

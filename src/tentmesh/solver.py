@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidArgument, ValidationError
 from .fields import CompositeMinField, SlopeField, SpatialConeField, TableField, \
-    require_finite, sampled_min_simplices
+    numbered_lines, require_finite, sampled_min_simplices
 from .mesh import SpaceMesh
 
 
@@ -70,7 +70,7 @@ def parse_script(text: str, source: str = "<script>") -> SlopeScript:
     is wrong as a whole (duplicate rows, bad values).
     """
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in numbered_lines(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

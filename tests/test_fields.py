@@ -309,6 +309,28 @@ class TestDocuments:
             load_field(doc, n_elements=2)
         assert err.value.location == f"{table}:3"
 
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                     "\x85", "\u2028", "\u2029"])
+    def test_field_errors_number_lines_as_files_do(self, tmp_path, sep):
+        # str.splitlines also breaks at these; a file read does not, so the
+        # bad second line is line 2 of the document.
+        doc = tmp_path / "f.txt"
+        doc.write_text(f"field constant 1.0{sep}\nfield bogus 2\n",
+                       encoding="utf-8")
+        with pytest.raises(ValidationError, match="bogus") as err:
+            load_field(doc)
+        assert err.value.location == f"{doc}:2"
+
+    @pytest.mark.parametrize("sep", ["\x0c", "\u2028"])
+    def test_table_errors_number_lines_as_files_do(self, tmp_path, sep):
+        table = tmp_path / "t.txt"
+        table.write_text(f"0 1.0{sep}\n1 x\n", encoding="utf-8")
+        doc = tmp_path / "field.txt"
+        doc.write_text("field table t.txt\n")
+        with pytest.raises(ValidationError, match="bad table row") as err:
+            load_field(doc, n_elements=2)
+        assert err.value.location == f"{table}:2"
+
 
 @given(
     st.lists(st.floats(min_value=0.05, max_value=5.0, width=64), min_size=1,

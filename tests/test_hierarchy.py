@@ -1,6 +1,10 @@
 """Cone index tests: entry-time kernel oracles, tree/scan agreement."""
 
+import hashlib
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from tentmesh.fields import (
     SpatialConeField,
     TableField,
     TimeStepField,
+    load_field,
     sampled_min_simplices,
 )
 from tentmesh.front import Front, initial_front
@@ -27,7 +32,9 @@ from tentmesh.hierarchy import (
     ray_shoot,
     update_leaf,
 )
-from tentmesh.mesh import build_mesh, grid_mesh, interval_mesh, strip_mesh
+from tentmesh.mesh import build_mesh, grid_mesh, interval_mesh, load_mesh, strip_mesh
+
+GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 
 
 def _cones(mesh, times, slopes, use_hierarchy):
@@ -593,6 +600,64 @@ def test_update_leaf_matches_rebuild():
             assert [c[node] for c in tree.node_hi] == pts.max(axis=0).tolist()
             if hi - lo == 1:
                 assert int(tree.rank[fids[0]]) == lo
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_built_bounds_are_range_min_max(dim):
+    # The build fills the leaves, then each parent from its two children,
+    # deepest level first; every node's bounds must equal a direct min / max
+    # over its facet range, on meshes whose levels hold leaves and inner
+    # nodes side by side.
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        if dim == 1:
+            xs = np.cumsum(rng.uniform(0.1, 1.0, size=int(rng.integers(2, 80))))
+            mesh = interval_mesh(np.concatenate([[0.0], xs]))
+        else:
+            mesh = grid_mesh(int(rng.integers(1, 8)), int(rng.integers(1, 8)),
+                             skew=0.2)
+        times = rng.uniform(-1.0, 2.0, size=mesh.n_vertices).round(1)
+        slopes = rng.uniform(0.1, 2.0, size=mesh.n_simplices).round(1)
+        tree = _cones(mesh, times, slopes, True)
+        ranges = _node_ranges(mesh.n_simplices)
+        assert len(tree.node_tmin) == len(ranges) == 2 * mesh.n_simplices - 1
+        for node, lo, hi in ranges:
+            fids = np.array(tree.order[lo:hi])
+            pts = mesh.vertices[mesh.simplices[fids]].reshape(-1, dim)
+            assert tree.node_tmin[node] == times[mesh.simplices[fids]].min()
+            assert tree.node_smin[node] == slopes[fids].min()
+            assert [c[node] for c in tree.node_lo] == pts.min(axis=0).tolist()
+            assert [c[node] for c in tree.node_hi] == pts.max(axis=0).tolist()
+
+
+# sha256 of order, rank and every node array (node_tmin, node_smin, then
+# node_lo and node_hi per coordinate) of the tree built over each benchmark
+# workload's mesh and field at seed 7 and its initial front.
+WORKLOAD_TREES = {
+    "line1d-100k": "8282cad7dda39f99f40d80e625684a19c7ce714f825d4c48798d04bc6db17da5",
+    "grid2d-cone": "c99c2e47776fedf585a06a260387797c3c8df7db982d831c847c1eba8ed7f854",
+    "strip2d-checked": "50635ad240e69c4d727d83807c8f7f2cf1871abb548188fff3b3f19e66f84890",
+}
+
+
+def test_workload_trees_keep_their_bytes(tmp_path):
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen
+    try:
+        spec.loader.exec_module(gen)
+        for workload, digest in WORKLOAD_TREES.items():
+            case = gen.make_case(workload, 7, str(tmp_path / workload))
+            mesh = load_mesh(case.files["mesh"])
+            field = load_field(case.files["field"], mesh.n_simplices)
+            tree = build(mesh, initial_front(mesh), field)
+            h = hashlib.sha256()
+            for a in (tree.order, tree.rank, tree.node_tmin, tree.node_smin,
+                      *tree.node_lo, *tree.node_hi):
+                h.update(memoryview(a).cast("B"))
+            assert h.hexdigest() == digest, workload
+    finally:
+        del sys.modules[spec.name]
 
 
 def _star_updates(rng, mesh, times, slopes, steps):

@@ -5,6 +5,7 @@ always means the configured height-search resolution and 1D remote-cone
 margin (1e-9 * sigma_min * wmin unless a test overrides it).
 """
 
+import functools
 import math
 from types import SimpleNamespace
 
@@ -47,6 +48,7 @@ from tentmesh.pitcher import (
 )
 from tentmesh.solver import parse_script, solve_patch
 
+from spacetime_reference import ReferenceSpacetimeMesh
 from support import random_front
 
 
@@ -99,6 +101,91 @@ def test_container_element_event_order():
     coords, times = sm.event_table()
     assert coords.tolist() == [[1.0], [1.0], [0.0]]
     assert times.tolist() == [0.0, 0.25, 0.0]
+
+
+def test_container_rejects_a_base_off_the_front():
+    # After v0's patch its current event is its top (0, 1.0): a base at 0.0
+    # is a stale event, and so is a corner of v1 at 0.5 where its current
+    # event sits at 0.0.  Neither call adds anything.
+    mesh = interval_mesh([0.0, 1.0, 2.0])
+    sm = SpacetimeMesh(mesh)
+    sm.add_patch(0, 0.0, 1.0, 1.0, mesh.stars[0], np.zeros(3))
+    before = (list(sm.event_vertex), list(sm.event_time),
+              [list(e) for e in sm.elements], len(sm.patches))
+    with pytest.raises(InvalidArgument, match="vertex 0 is not its current"):
+        sm.add_patch(0, 0.0, 2.0, 2.0, mesh.stars[0], np.zeros(3))
+    with pytest.raises(InvalidArgument, match="vertex 1 is not its current"):
+        sm.add_patch(2, 0.0, 1.0, 1.0, mesh.stars[2],
+                     np.array([1.0, 0.5, 0.0]))
+    assert (sm.event_vertex, sm.event_time, sm.elements, len(sm.patches)) \
+        == before
+    # The same calls on the front itself go through.
+    sm.add_patch(2, 0.0, 1.0, 1.0, mesh.stars[2], np.array([1.0, 0.0, 0.0]))
+    sm.add_patch(0, 1.0, 2.0, 1.0, mesh.stars[0], np.array([1.0, 0.0, 1.0]))
+    assert sm.event_vertex == [0, 0, 1, 2, 2, 0]
+
+
+@pytest.mark.parametrize("top", [0.0, -1.0, math.nan])
+def test_container_rejects_a_top_not_above_its_base(top):
+    mesh = interval_mesh([0.0, 1.0])
+    sm = SpacetimeMesh(mesh)
+    with pytest.raises(InvalidArgument, match="must lie above its base"):
+        sm.add_patch(1, 0.0, top, 0.0, mesh.stars[1], np.zeros(2))
+    assert sm.n_events == sm.n_elements == len(sm.patches) == 0
+
+
+def _patch_fields(patch):
+    return (patch.index, patch.vertex, patch.base_time, patch.top_time,
+            patch.height, patch.facets.tolist(), patch.elements.tolist(),
+            patch.deps.tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_event_table_matches_dict_reference(data):
+    # Every add_patch call of a run goes to the dict-keyed reference too:
+    # events (in id order), elements and patches must be equal after each.
+    dim = data.draw(st.sampled_from([1, 2]))
+    kind = data.draw(st.sampled_from(["constant", "timestep", "cone",
+                                      "table+script"]))
+    heuristic = data.draw(st.sampled_from(HEURISTICS))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mesh, field, script = _random_case(rng, dim, kind)
+    front, target = None, 0.6
+    if data.draw(st.booleans()):
+        cfg = ConstraintConfig.for_problem(mesh, field)
+        front = random_front(mesh, cfg, rng, pitches=int(rng.integers(1, 6)))
+        # A floor-bounded front can already lie above 0.6 everywhere; the
+        # target sits above its highest vertex so the run adds patches.
+        target = float(front.times.max()) + 0.6
+    real = SpacetimeMesh.add_patch
+    refs = {}
+    calls = [0]
+
+    def add_patch(sm, p, t_base, t_top, height, sids, base_times, *rest):
+        ref = refs.setdefault(id(sm), ReferenceSpacetimeMesh(sm.space))
+        want = ref.add_patch(p, t_base, t_top, height, sids, base_times)
+        got = real(sm, p, t_base, t_top, height, sids, base_times, *rest)
+        assert _patch_fields(got) == want
+        assert sm.event_vertex == ref.event_vertex
+        assert [t.hex() for t in sm.event_time] == \
+            [t.hex() for t in ref.event_time]
+        assert sm.elements == ref.elements
+        assert sm.element_space == ref.element_space
+        assert sm.element_patch == ref.element_patch
+        calls[0] += 1
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SpacetimeMesh, "add_patch", add_patch)
+        try:
+            run = advance_until(mesh, field, target, front=front,
+                                heuristic=heuristic, script=script,
+                                max_patches=30)
+        except ContractViolation:
+            return  # a scripted drop can wedge a run after checked patches
+    assert calls[0] == run.stats["patches"] > 0
+    assert run.stats["events"] == len(refs[id(run.stmesh)].event_vertex)
 
 
 # -- closed-form caps --------------------------------------------------------
@@ -609,6 +696,64 @@ def test_greedy_heights_are_probed_feasible_tops(data):
     assert checked[0] == run.stats["patches"] > 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_star_record_gives_the_answers_of_a_fresh_gather(data):
+    # star_feasible, pitch_bracket and greedy_height read a prebuilt star
+    # record or gather one themselves; the answers must agree by float.hex,
+    # and a probe's answer must be its facets' verdict.
+    dim = data.draw(st.sampled_from([1, 2]))
+    kind = data.draw(st.sampled_from(["constant", "timestep", "cone",
+                                      "table"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mesh, field, _ = _random_case(rng, dim, kind)
+    cfg, _, _ = _setup(mesh, field)
+    cfg = cfg.with_eta(1e-2 * cfg.tmin(dim))
+    front = random_front(mesh, cfg, rng, pitches=int(rng.integers(0, 5)))
+    cones = build_cones(mesh, front, field, cfg)
+    times, tmin = front.times, cfg.tmin(dim)
+    for p in range(mesh.n_vertices):
+        star = pitcher.StarRecord.of(mesh, p)
+        brackets = [pitch_bracket(mesh, front, field, cfg, cones, p),
+                    pitch_bracket(mesh, front, field, cfg, cones, p, star=star)]
+        assert [[x.hex() for x in b] for b in brackets][0] == \
+            [x.hex() for x in brackets[1]]
+        for h in (0.0, 0.5 * tmin, tmin, 3.0 * tmin):
+            c = float(times[p]) + h
+            answers = []
+            for kw in ({}, {"star": star}):
+                margin, sampled = [], []
+                ok = star_feasible(mesh, times, p, c, field, cfg, cones,
+                                   margin=margin, sampled=sampled, **kw)
+                answers.append((ok, margin[0].hex(),
+                                [x.hex() for x in sampled[0].tolist()]))
+            assert answers[0] == answers[1]
+            assert type(answers[0][0]) is bool
+            lifted = times.copy()
+            lifted[p] = c
+            sids = mesh.stars[p]
+            remote = None
+            if dim == 2:
+                remote = functools.partial(cones.min_slope_intersecting, p, c)
+            verdicts, _ = facet_verdicts(mesh, sids, lifted[mesh.simplices[sids]],
+                                         field, cfg, remote)
+            assert answers[0][0] == bool(verdicts.satisfied.all())
+    for p in np.flatnonzero(times == times.min()).tolist():
+        heights = []
+        for kw in ({}, {"star": pitcher.StarRecord.of(mesh, p)}):
+            stats = dict.fromkeys(("floor_hits", "cap_hits", "bisection_steps",
+                                   "floor_rescues"), 0)
+            slopes = []
+            try:
+                h = greedy_height(mesh, front, field, cfg, cones, p, stats,
+                                  slopes=slopes, **kw)
+            except ContractViolation as exc:
+                heights.append(str(exc))
+                continue
+            heights.append((h.hex(), stats, [x.hex() for x in slopes[0].tolist()]))
+        assert heights[0] == heights[1]
+
+
 def test_floor_rescue_heights_are_probed_feasible_tops():
     # Interval [0, 1, 3], slopes 1.  Vertex 0 rises to 1 - eta; its patch
     # fires the row that drops segment [0, 1] to slope 0.2, so tmin = 0.2.
@@ -701,6 +846,35 @@ def test_run_max_patches_truncates():
                         math.inf, max_patches=5)
     assert run.stats["patches"] == 5
     assert run.stats["target_reached"] is False
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_run_under_an_infinite_target_emits_no_patch_that_does_not_move(heuristic):
+    # At 1e300 a floor lift of 0.25 rounds back to the base time, so each
+    # patch would have top == base and volume 0.  The run is rejected before
+    # it emits one: at once when the front starts there, and in the loop
+    # when a patch takes a vertex there.
+    mesh = interval_mesh(np.linspace(0.0, 1.0, 5))
+    with pytest.raises(ValidationError, match="front time 1e\\+300 is too large"):
+        advance_until(mesh, ConstantField(1.0), math.inf,
+                      front=Front(mesh, np.full(5, 1e300)), max_patches=4,
+                      heuristic=heuristic)
+    emitted = []
+    real = SpacetimeMesh.add_patch
+
+    def add_patch(sm, p, t_base, t_top, *rest):
+        emitted.append(t_top > t_base)
+        return real(sm, p, t_base, t_top, *rest)
+
+    times = np.full(5, 1e300)
+    times[0] = 0.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SpacetimeMesh, "add_patch", add_patch)
+        with pytest.raises(ValidationError, match="too large for the height"):
+            advance_until(mesh, ConstantField(1.0), math.inf,
+                          front=Front(mesh, times), max_patches=4,
+                          heuristic=heuristic)
+    assert emitted and all(emitted)
 
 
 def test_run_infinite_target_needs_max_patches():

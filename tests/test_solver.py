@@ -19,6 +19,7 @@ from tentmesh.solver import (
     ScriptRow,
     SlopeScript,
     bind_run,
+    load_script,
     parse_script,
     solve_patch,
 )
@@ -54,6 +55,20 @@ def test_parse_script_rejects_bad_rows():
         with pytest.raises(ValidationError,
                            match=f"{name} of script row for element 3 must be finite"):
             parse_script(text)
+
+
+@pytest.mark.parametrize("sep", ["\x0c", "\x85", "\u2028", "\u2029"])
+def test_script_errors_number_lines_as_files_do(tmp_path, sep):
+    # The first row ends in a character str.splitlines breaks at; a file
+    # read does not, so the bad row is line 2 of the file.
+    path = tmp_path / "s.txt"
+    path.write_text(f"0 0.1 2.0{sep}\n0 0.2\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="expected") as err:
+        load_script(path)
+    assert err.value.location == f"{path}:2"
+    with pytest.raises(ValidationError, match="expected") as err:
+        parse_script(f"0 0.1 2.0{sep}\r\n0 0.2\r\n", source="s.txt")
+    assert err.value.location == "s.txt:2"
 
 
 # -- binding -----------------------------------------------------------------
