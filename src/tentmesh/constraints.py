@@ -29,10 +29,10 @@ at an apex for triangles, the budget form for segments.  Every causality
 check calls it: :func:`facet_causality` (1D stars, 1D fronts and
 :func:`front_causality_report`) and the progressive check below.
 :func:`facet_verdicts` picks the check for the mesh's dimension, for star
-verification and :func:`is_progressive_front` alike, through
-:func:`gathered_verdicts`, which takes the facets' rows, points and
-geometry as gathered: the pitcher gathers a star once per patch and
-checks every probe of it there.
+verification and :func:`is_progressive_front` alike.  Both take a
+:class:`Facets` record, the one gather of facets' rows, points and
+geometry: the pitcher gathers p's star once per patch and checks every
+probe of it against that record.
 
 One numpy kernel, :func:`progressive_verdicts`, makes the progressive check
 for F triangles at once; 2D star verification, :func:`is_progressive_front`
@@ -410,100 +410,96 @@ def is_progressive_front(front, field: SlopeField,
     causality only.
     """
     mesh: SpaceMesh = front.mesh
-    verdicts, _ = facet_verdicts(mesh, np.arange(mesh.n_simplices),
-                                 front.times[mesh.simplices], field, config)
+    facets = Facets.of(mesh, np.arange(mesh.n_simplices))
+    verdicts, _ = facet_verdicts(facets, front.times[facets.rows], field, config)
     violations = [(int(sid), verdicts.verdict(sid))
                   for sid in np.flatnonzero(~verdicts.satisfied)[:limit]]
     return len(violations) == 0, violations
 
 
 # ---------------------------------------------------------------------------
-# causality of whole fronts and stars
+# gathered facets: whole fronts and stars
 # ---------------------------------------------------------------------------
 
 
-def facet_causality(mesh: SpaceMesh, sids: np.ndarray, T: np.ndarray,
-                    field: SlopeField) -> tuple[FacetVerdicts, np.ndarray]:
-    """Causality verdicts and sampled slopes of facets ``sids`` at times ``T``.
+class Facets(NamedTuple):
+    """Facets ``sids`` of a mesh, gathered once for every check of them.
 
-    Row i of ``T`` holds the times of simplex ``sids[i]``'s vertices in id
-    order.  The rows share one :func:`sampled_min_simplices` call, as in
+    ``rows`` is ``mesh.simplices[sids]``, ``pts`` is ``mesh.vertices[rows]``
+    and ``geo`` the geometry the checks read: the segment lengths
+    (``mesh.measures[sids]``) in 1D, the triangles'
+    :class:`~tentmesh.geometry.ApexGeometry` rows in 2D.  Every array is
+    gathered from the mesh, which no run writes, so a record stays valid
+    while the front moves.
+    """
+
+    sids: np.ndarray
+    rows: np.ndarray
+    pts: np.ndarray
+    geo: np.ndarray | ApexGeometry
+
+    @classmethod
+    def of(cls, mesh: SpaceMesh, sids: np.ndarray) -> "Facets":
+        rows = mesh.simplices[sids]
+        geo = (mesh.measures[sids] if mesh.dim == 1
+               else mesh.apex_geometry.take(sids))
+        return cls(sids, rows, mesh.vertices[rows], geo)
+
+
+def facet_causality(facets: Facets, T: np.ndarray,
+                    field: SlopeField) -> tuple[FacetVerdicts, np.ndarray]:
+    """Causality verdicts and sampled slopes of ``facets`` at times ``T``.
+
+    Row i of ``T`` holds the times of facet i's vertices in id order.  The
+    rows share one :func:`sampled_min_simplices` call, as in
     :func:`~tentmesh.solver.solve_patch`.  Triangles are checked at their
     latest vertex (ties to the larger id).
     """
-    rows = mesh.simplices[sids]
-    if mesh.dim == 1:
-        return _segment_causality(sids, mesh.vertices[rows], T,
-                                  mesh.measures[sids], field)
-    sigma = sampled_min_simplices(field, mesh.vertices[rows], T, elements=sids)
-    # Reversed argmax breaks time ties toward the larger local index,
-    # i.e. the larger vertex id (rows are id-sorted).
-    apex = 2 - np.argmax(T[:, ::-1], axis=1)
-    f = np.arange(T.shape[0])
-    t_qr = T[f[:, None], _OTHERS[apex]]
-    geo = mesh.apex_geometry
-    slack, scale = causality_slack(
-        sigma, t_qr[:, 0], t_qr[:, 1], geo.qr_len[sids, apex], T[f, apex],
-        geo.altitude[sids, apex], geo.u_along[sids, apex],
-    )
+    sigma = sampled_min_simplices(field, facets.pts, T, elements=facets.sids)
+    geo = facets.geo
+    if facets.rows.shape[1] == 2:
+        slack, scale = causality_slack(sigma, T[:, 0], T[:, 1], geo)
+    else:
+        # Reversed argmax breaks time ties toward the larger local index,
+        # i.e. the larger vertex id (rows are id-sorted).
+        apex = 2 - np.argmax(T[:, ::-1], axis=1)
+        f = np.arange(T.shape[0])
+        t_qr = T[f[:, None], _OTHERS[apex]]
+        slack, scale = causality_slack(
+            sigma, t_qr[:, 0], t_qr[:, 1], geo.qr_len[f, apex], T[f, apex],
+            geo.altitude[f, apex], geo.u_along[f, apex],
+        )
     return FacetVerdicts.judge(slack, scale, BINDING_CAUSALITY), sigma
 
 
-def _segment_causality(sids, points, T, lengths, field):
-    """:func:`facet_causality` of segments whose points and lengths are gathered."""
-    sigma = sampled_min_simplices(field, points, T, elements=sids)
-    slack, scale = causality_slack(sigma, T[:, 0], T[:, 1], lengths)
-    return FacetVerdicts.judge(slack, scale, BINDING_CAUSALITY), sigma
-
-
-def facet_verdicts(mesh: SpaceMesh, sids: np.ndarray, T: np.ndarray,
-                   field: SlopeField, config: ConstraintConfig,
+def facet_verdicts(facets: Facets, T: np.ndarray, field: SlopeField,
+                   config: ConstraintConfig,
                    remote=None) -> tuple[FacetVerdicts, np.ndarray]:
-    """The acceptance check of facets ``sids`` at times ``T``, per dimension.
+    """The acceptance check of ``facets`` at times ``T``, per dimension.
 
-    Row i of ``T`` holds the times of simplex ``sids[i]``'s vertices in id
-    order; returns the verdicts and each facet's slope sampled at ``T``.
+    Row i of ``T`` holds the times of facet i's vertices in id order;
+    returns the verdicts and each facet's slope sampled at ``T``.
     1D: :func:`facet_causality`.  2D: :func:`progressive_verdicts`, whose
     ``remote`` hook (the remote cone slope below a ceiling) caps the
     causality half; 1D ignores it, as tentpoles there stay below remote
     cones outright.
     """
-    rows = mesh.simplices[sids]
-    geometry = (mesh.measures[sids] if mesh.dim == 1
-                else mesh.apex_geometry.take(sids))
-    return gathered_verdicts(sids, rows, mesh.vertices[rows], geometry, T,
-                             field, config, remote)
-
-
-def gathered_verdicts(sids: np.ndarray, rows: np.ndarray, points: np.ndarray,
-                      geometry, T: np.ndarray, field: SlopeField,
-                      config: ConstraintConfig,
-                      remote=None) -> tuple[FacetVerdicts, np.ndarray]:
-    """:func:`facet_verdicts` of facets whose mesh data the caller gathered.
-
-    ``rows`` is ``mesh.simplices[sids]``, ``points`` is
-    ``mesh.vertices[rows]`` and ``geometry`` the facets' lengths
-    (``mesh.measures[sids]``) for segments or their
-    :class:`~tentmesh.geometry.ApexGeometry` rows for triangles.  The
-    pitcher gathers them once per patch and checks every probe of the
-    patch's star here.
-    """
-    if rows.shape[1] == 2:
-        return _segment_causality(sids, points, T, geometry, field)
-    return progressive_verdicts(points, T, rows, geometry, field, config,
-                                elements=sids, remote=remote)
+    if facets.rows.shape[1] == 2:
+        return facet_causality(facets, T, field)
+    return progressive_verdicts(facets.pts, T, facets.rows, facets.geo, field,
+                                config, elements=facets.sids, remote=remote)
 
 
 def front_causality_report(mesh: SpaceMesh, times: np.ndarray,
                            field: SlopeField,
-                           config: ConstraintConfig) -> dict:
+                           config: ConstraintConfig | None = None) -> dict:
     """Causality slack of every facet at the given vertex times.
 
     Returns arrays keyed ``slack``, ``scale``, ``sigma``, ``satisfied``; see
     :func:`facet_causality`.  ``config`` is not read: causality has no floor.
     """
-    verdicts, sigma = facet_causality(mesh, np.arange(mesh.n_simplices),
-                                      times[mesh.simplices], field)
+    facets = Facets.of(mesh, np.arange(mesh.n_simplices))
+    verdicts, sigma = facet_causality(facets, times[facets.rows], field)
     return {
         "slack": verdicts.slack,
         "scale": verdicts.scale,

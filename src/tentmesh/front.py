@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintConfig, front_causality_report
+from .constraints import front_causality_report
 from .errors import InvalidArgument, NotFound, ValidationError
 from .fields import SlopeField
 from .mesh import SpaceMesh
+from .solver import check_fit
 
 
 @dataclass(frozen=True)
@@ -33,9 +34,6 @@ class Front:
 
     def min_time(self) -> float:
         return float(self.times.min())
-
-    def max_time(self) -> float:
-        return float(self.times.max())
 
     def argmin_vertex(self) -> int:
         """Vertex with the smallest time; ties go to the smallest id."""
@@ -56,13 +54,14 @@ def check_times(mesh: SpaceMesh, times: np.ndarray) -> None:
                               f"{float(times[v])!r} at vertex {v}")
 
 
-def initial_front(mesh: SpaceMesh, times=None, field: SlopeField | None = None,
-                  config: ConstraintConfig | None = None) -> Front:
+def initial_front(mesh: SpaceMesh, times=None,
+                  field: SlopeField | None = None) -> Front:
     """Front at the initial times (zero by default).
 
-    When explicit ``times`` are given, a field is required and the front is
-    validated to be causal; a non-causal start would poison every guarantee
-    downstream, so it is rejected with :class:`ValidationError`.
+    When explicit ``times`` are given, a field that fits the mesh is
+    required and the front is validated to be causal; a non-causal start
+    would poison every guarantee downstream, so it is rejected with
+    :class:`ValidationError`, as is a field that does not fit.
     """
     if times is None:
         t = np.zeros(mesh.n_vertices)
@@ -71,9 +70,8 @@ def initial_front(mesh: SpaceMesh, times=None, field: SlopeField | None = None,
         check_times(mesh, t)
         if field is None:
             raise InvalidArgument("validating explicit start times requires a field")
-        if config is None:
-            config = ConstraintConfig.for_problem(mesh, field)
-        report = front_causality_report(mesh, t, field, config)
+        check_fit(mesh, field)
+        report = front_causality_report(mesh, t, field)
         bad = np.flatnonzero(~report["satisfied"])
         if bad.size:
             sid = int(bad[0])

@@ -190,13 +190,3 @@ def triangle_width(p, q, r=None) -> float:
     p, q, r = as_point(p, 2), as_point(q, 2), as_point(r, 2)
     area2, lengths = _require_nondegenerate(p, q, r)
     return area2 / max(lengths)
-
-
-def simplex_width(points: np.ndarray) -> float:
-    """Width of a 1- or 2-simplex given as a (k, dim) array of vertex coordinates."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.shape[0] == 2:
-        return triangle_width(pts[0], pts[1])
-    if pts.shape[0] == 3:
-        return triangle_width(pts[0], pts[1], pts[2])
-    raise ValueError(f"expected 2 or 3 vertices, got {pts.shape[0]}")

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotFound, ValidationError
+from .errors import ValidationError
 from .geometry import DEGENERACY_RATIO, ApexGeometry
 from .geometry import apex_geometry as _apex_geometry
 
@@ -345,13 +345,6 @@ def _build_owned(verts: np.ndarray, simplices) -> SpaceMesh:
     verts.setflags(write=False)
     srt.setflags(write=False)
     return mesh
-
-
-def vertex_star(mesh: SpaceMesh, v: int) -> np.ndarray:
-    """Ids of the simplices containing vertex ``v``, ascending."""
-    if not 0 <= v < mesh.n_vertices:
-        raise NotFound(f"vertex {v} does not exist (mesh has {mesh.n_vertices})")
-    return mesh.stars[v]
 
 
 # ---------------------------------------------------------------------------

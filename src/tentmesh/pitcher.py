@@ -29,14 +29,14 @@ lower end: every height a run takes is a probed, feasible point.  All
 choices (vertex selection, tie-breaks, search steps) are deterministic, so a
 run is a pure function of its inputs.
 
-Each patch gathers p's star once into a :class:`StarRecord`: its simplex
-ids, their vertex rows, the mask of p in those rows, their points and the
-geometry the checks read.  The bracket, the closed-form cap, every probe of
-the search, the element emit and the cone store's update read that record;
-a function called without one gathers it itself, by the same code.  The
-spacetime mesh keeps one current event per vertex, the one on the front, so
-emitting a patch's elements needs no lookup by (vertex, time): a base corner
-is its vertex's current event, and the lifted vertex's top becomes its next.
+Each patch gathers p's star once, as the
+:class:`~tentmesh.constraints.Facets` of ``mesh.stars[p]``.  The bracket,
+the closed-form cap, every probe of the search, the element emit and the
+cone store's update read that record; the search, the bracket and the star
+check gather it themselves when called without one.  The spacetime mesh
+keeps one current event per vertex, the one on the front, so emitting a
+patch's elements needs no lookup by (vertex, time): a base corner is its
+vertex's current event, and the lifted vertex's top becomes its next.
 """
 
 from __future__ import annotations
@@ -46,15 +46,14 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .constraints import ConstraintConfig, gathered_verdicts, is_progressive_front
+from .constraints import ConstraintConfig, Facets, facet_verdicts, is_progressive_front
 from .errors import ContractViolation, InvalidArgument, ValidationError
 from .fields import SlopeField
 from .front import BlockedTimes, Front, check_times, initial_front, local_minima
-from .geometry import APEX_OTHERS, ApexGeometry
+from .geometry import APEX_OTHERS
 from .hierarchy import build as build_cones
 from .mesh import SpaceMesh
 from .solver import SlopeScript, bind_run, fire_rows, seal_run
@@ -243,49 +242,19 @@ def front_prism_volume(mesh: SpaceMesh, times0: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-class StarRecord(NamedTuple):
-    """Vertex p's star, gathered once for every check of one patch.
-
-    ``sids`` is the star (``mesh.stars[p]``), ``rows`` its simplices'
-    vertex rows (``mesh.simplices[sids]``), ``is_p`` the mask ``rows == p``
-    and ``pts`` their points (``mesh.vertices[rows]``).  ``geo`` is the
-    geometry the checks read: the segment lengths (``mesh.measures[sids]``)
-    in 1D, the triangles' :class:`~tentmesh.geometry.ApexGeometry` rows in
-    2D.  Every array is gathered from the mesh, which no run writes, so a
-    record stays valid while the front moves.
-    """
-
-    sids: np.ndarray
-    rows: np.ndarray
-    is_p: np.ndarray
-    pts: np.ndarray
-    geo: np.ndarray | ApexGeometry
-
-    @classmethod
-    def of(cls, mesh: SpaceMesh, p: int) -> "StarRecord":
-        sids = mesh.stars[p]
-        rows = mesh.simplices[sids]
-        geo = (mesh.measures[sids] if mesh.dim == 1
-               else mesh.apex_geometry.take(sids))
-        return cls(sids, rows, rows == p, mesh.vertices[rows], geo)
-
-
 def local_cap(mesh: SpaceMesh, times: np.ndarray, p: int,
-              sigma_loc: float, epsilon: float, *,
-              star: StarRecord | None = None) -> float:
+              sigma_loc: float, epsilon: float, star: Facets) -> float:
     """Closed-form top-time cap from p's star alone, for slope sigma_loc.
 
     1D: the neighbor cone walls, t(q) + sigma |pq|.  2D: per star triangle,
     the top at which one of the verifier's own constraints reaches zero,
-    read from ``mesh.apex_geometry``: causality in the altitude form of
+    read from the star's apex geometry: causality in the altitude form of
     :func:`~tentmesh.constraints.causality_slack` at apex p, and progress in
     the edge form of :func:`~tentmesh.constraints.progress_ok` with p as the
     latest vertex, ``t(b) + |bp| (1 - epsilon) sigma phi(a)`` for the earlier
     end a and the later end b of the opposite edge, ordered by (time, id).
-    ``star`` is p's :class:`StarRecord`, gathered here when not given.
+    ``star`` is the :class:`~tentmesh.constraints.Facets` of p's star.
     """
-    if star is None:
-        star = StarRecord.of(mesh, p)
     rows = star.rows.tolist()
     row_times = times[star.rows].tolist()
     cap = math.inf
@@ -318,7 +287,7 @@ def star_feasible(mesh: SpaceMesh, times: np.ndarray, p: int, c: float,
                   field: SlopeField, config: ConstraintConfig,
                   cones=None, *, margin: list | None = None,
                   sampled: list | None = None,
-                  star: StarRecord | None = None) -> bool:
+                  star: Facets | None = None) -> bool:
     """Whether topping p at time c leaves its star acceptable.
 
     1D: each lifted segment causal against the field sampled over it.  2D:
@@ -331,20 +300,18 @@ def star_feasible(mesh: SpaceMesh, times: np.ndarray, p: int, c: float,
     :meth:`~tentmesh.constraints.FacetVerdicts.margin` from the same
     evaluation is appended to it.  The answer is that margin ``>= 0``, which
     is exactly when every facet is satisfied (a NaN margin is infeasible).
-    ``star`` is p's :class:`StarRecord`, gathered here when not given.
+    ``star`` is p's star record, gathered here when not given.
     """
     if star is None:
-        star = StarRecord.of(mesh, p)
+        star = Facets.of(mesh, mesh.stars[p])
     lifted = times[star.rows]
-    lifted[star.is_p] = c
+    lifted[star.rows == p] = c
     remote = None  # 1D tentpoles stay below remote cones outright
     if mesh.dim == 2 and cones is not None:
         # Only a remote slope below the star's own largest sampled slope
         # can tighten the check, so the walk stops at that ceiling.
         remote = functools.partial(cones.min_slope_intersecting, p, c)
-    verdicts, sigma = gathered_verdicts(star.sids, star.rows, star.pts,
-                                        star.geo, lifted, field, config,
-                                        remote)
+    verdicts, sigma = facet_verdicts(star, lifted, field, config, remote)
     if sampled is not None:
         sampled.append(sigma)
     m = verdicts.margin()
@@ -355,21 +322,21 @@ def star_feasible(mesh: SpaceMesh, times: np.ndarray, p: int, c: float,
 
 def pitch_bracket(mesh: SpaceMesh, front: Front, field: SlopeField,
                   config: ConstraintConfig, cones, p: int, *,
-                  star: StarRecord | None = None) -> tuple[float, float]:
+                  star: Facets | None = None) -> tuple[float, float]:
     """(floor top, cap top) for pitching p.
 
     The floor is always safe; the cap is the closed-form star cap, reduced in
     1D by the earliest remote cone entry and an eta margin so the tentpole
-    never reaches a remote cone at all.  ``star`` is p's
-    :class:`StarRecord`, gathered here when not given.
+    never reaches a remote cone at all.  ``star`` is p's star record,
+    gathered here when not given.
     """
     if star is None:
-        star = StarRecord.of(mesh, p)
+        star = Facets.of(mesh, mesh.stars[p])
     times = front.times
     t_p = float(times[p])
     sigma_loc = float(cones.slopes[star.sids].min())
     floor_top = t_p + config.tmin(mesh.dim)
-    cap = local_cap(mesh, times, p, sigma_loc, config.epsilon, star=star)
+    cap = local_cap(mesh, times, p, sigma_loc, config.epsilon, star)
     if mesh.dim == 1:
         t_rem, _ = cones.ray_shoot(p)
         cap = min(cap, t_rem) - config.eta
@@ -450,7 +417,7 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
                   config: ConstraintConfig, cones, p: int,
                   stats: dict | None = None, *,
                   slopes: list | None = None,
-                  star: StarRecord | None = None) -> float:
+                  star: Facets | None = None) -> float:
     """Height for pitching p: floor-bounded, verified against the field.
 
     Accepts the closed-form cap when it verifies directly; otherwise
@@ -466,11 +433,11 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
     counts the search's probes.  When ``slopes`` is a list, the field
     slopes the accepted probe sampled over the star lifted to ``t_p + h``
     are appended to it: the slopes its verdict was judged against.  ``star``
-    is p's :class:`StarRecord`, which the bracket and every probe read;
-    it is gathered here when not given.
+    is p's star record, which the bracket and every probe read; it is
+    gathered here when not given.
     """
     if star is None:
-        star = StarRecord.of(mesh, p)
+        star = Facets.of(mesh, mesh.stars[p])
     times = front.times
     t_p = float(times[p])
     floor_top, cap = pitch_bracket(mesh, front, field, config, cones, p,
@@ -532,7 +499,7 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
     # closed-form cap shares that collapsed slope, so the catch-up height
     # may sit above it; scan up to the highest star neighbor plus the floor
     # for any verified height before declaring the run wedged.
-    nb_max = float(times[star.rows[~star.is_p]].max())
+    nb_max = float(times[star.rows[star.rows != p]].max())
     hi_r = max(cap, nb_max + tmin)
     if hi_r <= floor_top:
         raise wedge()
@@ -756,7 +723,7 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
                                v_low)
         last_rr = p
         t_p = float(times[p])
-        star = StarRecord.of(mesh, p)
+        star = Facets.of(mesh, mesh.stars[p])
         height = greedy_height(mesh, front, field, config, cones, p, stats,
                                slopes=kept, star=star)
         top = t_p + height

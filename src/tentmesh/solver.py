@@ -120,21 +120,9 @@ def _replace(field: SlopeField, old: SlopeField, new: SlopeField) -> SlopeField:
     return field
 
 
-def bind_run(mesh: SpaceMesh, field: SlopeField,
-             script: SlopeScript | None = None) -> SlopeField:
-    """The field a run of ``field`` and ``script`` on ``mesh`` evaluates.
-
-    The one place where the three meet: raises :class:`ValidationError` when
-    a table does not hold one slope per simplex, a cone centre does not have
-    ``mesh.dim`` coordinates, a script row names an element outside the
-    table (:class:`InvalidArgument` when there is no table), or the run's
-    ``sigma_max``, script slopes included, has a square that overflows
-    (causality squares the slope, and an infinite square makes the checks
-    NaN).  Without a script the caller's field is returned.  With one, a
-    fresh field tree whose (first) table reads a writable copy made here,
-    with bounds that cover the script's slopes; nothing the caller passed
-    in is changed.
-    """
+def check_fit(mesh: SpaceMesh, field: SlopeField) -> None:
+    """Raise :class:`ValidationError` unless every table of ``field`` holds
+    one slope per simplex of ``mesh`` and every cone centre ``mesh.dim``."""
     for leaf in _leaves(field):
         if isinstance(leaf, TableField) and len(leaf.table) != mesh.n_simplices:
             raise ValidationError(
@@ -146,6 +134,23 @@ def bind_run(mesh: SpaceMesh, field: SlopeField,
                 f"cone field centre has {leaf.center.size} coordinate(s), but "
                 f"the mesh is {mesh.dim}D"
             )
+
+
+def bind_run(mesh: SpaceMesh, field: SlopeField,
+             script: SlopeScript | None = None) -> SlopeField:
+    """The field a run of ``field`` and ``script`` on ``mesh`` evaluates.
+
+    The one place where the three meet: raises :class:`ValidationError` when
+    the field does not fit the mesh (:func:`check_fit`), a script row names
+    an element outside the table (:class:`InvalidArgument` when there is no
+    table), or the run's ``sigma_max``, script slopes included, has a square
+    that overflows (causality squares the slope, and an infinite square
+    makes the checks NaN).  Without a script the caller's field is returned.
+    With one, a fresh field tree whose (first) table reads a writable copy
+    made here, with bounds that cover the script's slopes; nothing the
+    caller passed in is changed.
+    """
+    check_fit(mesh, field)
     if script is not None:
         table = _find_table(field)
         if table is None:

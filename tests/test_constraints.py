@@ -14,6 +14,7 @@ Frozen reference values, derived by hand:
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -30,8 +31,10 @@ from tentmesh.constraints import (
     REL_TOL,
     ConstraintConfig,
     FacetVerdicts,
+    Facets,
     causal_segment,
     causal_triangle,
+    facet_verdicts,
     front_causality_report,
     is_progressive_front,
     is_progressive_triangle,
@@ -50,7 +53,8 @@ from tentmesh.fields import (
 )
 from tentmesh.front import Front, advance, initial_front, local_minima
 from tentmesh.geometry import DEGENERACY_RATIO, apex_geometry, frame
-from tentmesh.mesh import grid_mesh, interval_mesh, strip_mesh
+from tentmesh.mesh import build_mesh, grid_mesh, interval_mesh, strip_mesh
+from tentmesh.pitcher import advance_until
 
 RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 EQUILATERAL = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
@@ -267,7 +271,7 @@ class TestFrontChecks:
         field = ConstantField(1.0)
         cfg = ConstraintConfig.for_problem(mesh, field)
         fr = initial_front(mesh, times=np.array([0.0, 0.5, 0.0, 0.9, 0.2]),
-                           field=field, config=cfg)
+                           field=field)
         ok, bad = is_progressive_front(fr, field, cfg)
         assert ok and bad == []
 
@@ -521,3 +525,62 @@ def test_causal_triangle_equals_gradient_norm_test(seed, sigma):
     for apex in range(3):
         v = causal_triangle(pts, times, sigma, apex=apex)
         assert v.satisfied == (grad <= sigma)
+
+
+# ---------------------------------------------------------------------------
+# pinned bits of the whole-front checks
+# ---------------------------------------------------------------------------
+
+
+# sha256 prefixes of the whole-front checks' arrays on the fronts below, as
+# the checks computed them before they shared one facets record.
+WHOLE_FRONT_PINS = {
+    (1, "constant"): "bc6d6425fadb0576",
+    (1, "timestep"): "4f92b9fa44d0e6cb",
+    (1, "cone"): "a4c98b6af2a9d7f7",
+    (1, "table"): "c5305b38a4c85f81",
+    (2, "constant"): "45d037f1e0f55556",
+    (2, "timestep"): "3fad4ac0adedf4e3",
+    (2, "cone"): "91283ccc98f059e5",
+    (2, "table"): "714aa826bcbcc908",
+}
+
+
+def _pin_field(kind, dim, mesh, rng):
+    if kind == "constant":
+        return ConstantField(0.8)
+    if kind == "timestep":  # the boundary falls inside the run's front
+        return TimeStepField([1.5 if dim == 1 else 0.2], [0.7, 1.2])
+    if kind == "cone":
+        if dim == 1:
+            return SpatialConeField([6.0], 0.0, 0.5, 1.0, 0.4)
+        return SpatialConeField([0.5, 0.5], 0.0, 0.6, 1.0, 0.5)
+    return TableField(rng.uniform(0.6, 1.4, size=mesh.n_simplices))
+
+
+@pytest.mark.parametrize("dim, kind", sorted(WHOLE_FRONT_PINS))
+def test_whole_front_checks_keep_their_bits(dim, kind):
+    # The front of a seeded run is causal; three times its spread is not,
+    # which reaches the violated and steep-edge branches too.
+    rng = np.random.default_rng(100 * dim + len(kind))
+    if dim == 1:
+        mesh = interval_mesh(np.cumsum(rng.uniform(0.5, 1.5, size=25)))
+    else:
+        base = grid_mesh(5, 5)
+        mesh = build_mesh(base.vertices + rng.uniform(
+            -0.04, 0.04, size=base.vertices.shape), base.simplices)
+    field = _pin_field(kind, dim, mesh, rng)
+    cfg = ConstraintConfig.for_problem(mesh, field)
+    run = advance_until(mesh, field, 1.0, config=cfg, max_patches=40 * dim)
+    assert front_causality_report(mesh, run.front.times, field, cfg)[
+        "satisfied"].all()
+    h = hashlib.sha256()
+    for times in (run.front.times, 3.0 * run.front.times):
+        rep = front_causality_report(mesh, times, field, cfg)
+        verdicts, _ = facet_verdicts(Facets.of(mesh, np.arange(mesh.n_simplices)),
+                                     times[mesh.simplices], field, cfg)
+        for a in (rep["slack"], rep["scale"], rep["sigma"], rep["satisfied"],
+                  verdicts.slack, verdicts.scale):
+            h.update(np.ascontiguousarray(a).tobytes())
+        h.update("".join(verdicts.binding).encode())
+    assert h.hexdigest()[:16] == WHOLE_FRONT_PINS[dim, kind]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tentmesh.errors import InvalidArgument, NotFound, ValidationError
-from tentmesh.fields import ConstantField
+from tentmesh.fields import ConstantField, SpatialConeField, TableField
 from tentmesh.front import (
     BlockedTimes,
     advance,
@@ -29,7 +29,7 @@ class TestInitialFront:
     def test_defaults_to_zero(self):
         fr = initial_front(SQUARE)
         assert fr.times.tolist() == [0.0] * 4
-        assert fr.min_time() == fr.max_time() == 0.0
+        assert fr.min_time() == 0.0
 
     def test_explicit_causal_times_accepted(self):
         mesh = interval_mesh(np.arange(3.0))
@@ -65,6 +65,28 @@ class TestInitialFront:
                                match=rf"finite and >= 0, got {bad!r} at vertex 0"):
                 initial_front(mesh, times=[bad, 0.0, 0.0],
                               field=ConstantField(1.0))
+
+    @pytest.mark.parametrize("mesh, field, match", [
+        (interval_mesh(np.arange(3.0)), TableField([1.0]),
+         "table field has 1 slopes"),
+        (interval_mesh(np.arange(3.0)),
+         SpatialConeField([0.5, 0.5], 0.0, 1.0, 2.0, 0.5), "centre has 2"),
+        (SQUARE, SpatialConeField([0.5], 0.0, 1.0, 2.0, 0.5), "centre has 1"),
+    ])
+    def test_field_that_does_not_fit_the_mesh_rejected(self, mesh, field,
+                                                       match):
+        times = np.zeros(mesh.n_vertices)
+        times[1] = 0.5
+        with pytest.raises(ValidationError, match=match):
+            initial_front(mesh, times=times, field=field)
+
+    def test_causal_times_accepted_where_the_height_floor_underflows(self):
+        # sigma_min * wmin = 1e-350 rounds to 0, so no config exists for
+        # this problem; the causality of a flat front needs none.
+        mesh = interval_mesh([0.0, 1e-150, 2e-150])
+        fr = initial_front(mesh, times=[0.5, 0.5, 0.5],
+                           field=ConstantField(1e-200))
+        assert fr.times.tolist() == [0.5, 0.5, 0.5]
 
 
 class TestLocalMinima:

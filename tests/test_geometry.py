@@ -28,7 +28,6 @@ from tentmesh.geometry import (
     APEX_OTHERS,
     apex_geometry,
     frame,
-    simplex_width,
     triangle_width,
 )
 
@@ -187,7 +186,6 @@ class TestWidth:
 
     def test_segment(self):
         assert triangle_width((0.0,), (2.0,)) == 2.0
-        assert simplex_width(np.array([[0.0], [2.0]])) == 2.0
 
     def test_degenerate_triangle_raises(self):
         with pytest.raises(DegenerateSimplex):

@@ -17,14 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mesh_reference import reference_build_mesh
-from tentmesh.errors import NotFound, ValidationError
+from tentmesh.errors import ValidationError
 from tentmesh.mesh import (
     build_mesh,
     grid_mesh,
     interval_mesh,
     load_mesh,
     save_mesh,
-    vertex_star,
 )
 
 SQUARE_VERTS = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -60,11 +59,7 @@ def test_simplices_stored_sorted_with_orientation():
 
 def test_vertex_star_and_neighbors():
     mesh = interval_mesh(np.arange(4.0))
-    assert list(vertex_star(mesh, 1)) == [0, 1]
-    assert list(vertex_star(mesh, 0)) == [0]
     assert list(mesh.neighbor_matrix[1]) == [0, 2]
-    with pytest.raises(NotFound):
-        vertex_star(mesh, 99)
     # Padded adjacency rows end in -1 for low-degree vertices.
     assert mesh.neighbor_matrix[0, 1] == -1
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from tentmesh.constraints import (
     ConstraintConfig,
+    Facets,
     causal_triangle,
     facet_verdicts,
     front_causality_report,
@@ -50,6 +51,10 @@ from tentmesh.solver import parse_script, solve_patch
 
 from spacetime_reference import ReferenceSpacetimeMesh
 from support import random_front
+
+
+def _star(mesh, p):
+    return Facets.of(mesh, mesh.stars[p])
 
 
 def _setup(mesh, field, **kw):
@@ -196,7 +201,7 @@ def test_local_cap_1d():
     # and 0.3 + 2*1 = 2.3; the cap is the lower wall.
     mesh = interval_mesh([0.0, 1.0, 2.0])
     times = np.array([0.0, 0.0, 0.3])
-    assert local_cap(mesh, times, 1, 2.0, 0.5) == 2.0
+    assert local_cap(mesh, times, 1, 2.0, 0.5, _star(mesh, 1)) == 2.0
 
 
 def test_local_cap_2d_progress_binds():
@@ -208,7 +213,7 @@ def test_local_cap_2d_progress_binds():
         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         np.array([[0, 1, 2]]),
     )
-    cap = local_cap(mesh, np.zeros(3), 0, 1.0, 0.5)
+    cap = local_cap(mesh, np.zeros(3), 0, 1.0, 0.5, _star(mesh, 0))
     assert cap == pytest.approx(0.5, abs=1e-15)
 
 
@@ -219,7 +224,7 @@ def test_local_cap_2d_causality_binds_with_small_epsilon():
         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         np.array([[0, 1, 2]]),
     )
-    cap = local_cap(mesh, np.zeros(3), 0, 1.0, 0.01)
+    cap = local_cap(mesh, np.zeros(3), 0, 1.0, 0.01, _star(mesh, 0))
     assert cap == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
 
@@ -241,7 +246,7 @@ def test_local_cap_2d_is_where_the_star_constraints_bind(k, seed, sigma, epsilon
     mesh = build_mesh(np.vstack(([0.0, 0.0], ring)),
                       np.array([[0, 1 + i, 1 + (i + 1) % k] for i in range(k)]))
     times = np.concatenate(([0.0], 0.05 * sigma * rng.uniform(0.0, 1.0, k)))
-    cap = local_cap(mesh, times, 0, sigma, epsilon)
+    cap = local_cap(mesh, times, 0, sigma, epsilon, _star(mesh, 0))
 
     def verdicts(top):
         lifted = times.copy()
@@ -460,8 +465,8 @@ def test_run_2d_stores_the_slopes_its_accepted_probe_sampled(monkeypatch):
         probed = field.take()[1]
         (p,) = {v for v, _ in accepted}
         times = cones.front.times
-        _, fresh = facet_verdicts(mesh, sids, times[mesh.simplices[sids]],
-                                  field, cfg)
+        _, fresh = facet_verdicts(Facets.of(mesh, sids),
+                                  times[mesh.simplices[sids]], field, cfg)
         assert field.take()[1] in probed
         stored = [float(s).hex() for s in slopes]
         assert stored == [s.hex() for s in fresh.tolist()]
@@ -713,7 +718,7 @@ def test_star_record_gives_the_answers_of_a_fresh_gather(data):
     cones = build_cones(mesh, front, field, cfg)
     times, tmin = front.times, cfg.tmin(dim)
     for p in range(mesh.n_vertices):
-        star = pitcher.StarRecord.of(mesh, p)
+        star = _star(mesh, p)
         brackets = [pitch_bracket(mesh, front, field, cfg, cones, p),
                     pitch_bracket(mesh, front, field, cfg, cones, p, star=star)]
         assert [[x.hex() for x in b] for b in brackets][0] == \
@@ -735,12 +740,13 @@ def test_star_record_gives_the_answers_of_a_fresh_gather(data):
             remote = None
             if dim == 2:
                 remote = functools.partial(cones.min_slope_intersecting, p, c)
-            verdicts, _ = facet_verdicts(mesh, sids, lifted[mesh.simplices[sids]],
+            verdicts, _ = facet_verdicts(Facets.of(mesh, sids),
+                                         lifted[mesh.simplices[sids]],
                                          field, cfg, remote)
             assert answers[0][0] == bool(verdicts.satisfied.all())
     for p in np.flatnonzero(times == times.min()).tolist():
         heights = []
-        for kw in ({}, {"star": pitcher.StarRecord.of(mesh, p)}):
+        for kw in ({}, {"star": _star(mesh, p)}):
             stats = dict.fromkeys(("floor_hits", "cap_hits", "bisection_steps",
                                    "floor_rescues"), 0)
             slopes = []
