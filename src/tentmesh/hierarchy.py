@@ -54,7 +54,8 @@ lies beyond one of its ends, and the root's minima bound them all.  A 1D
 query then reads a handful of nodes whatever n is.  Triangles' Morton
 boxes overlap, so a facet outside a subtree's range may lie inside its box,
 and in 2D the walk climbs to the root.  :meth:`ConeHierarchy.update_star`
-repairs only the ancestors one of whose children's bounds moved.
+climbs each updated leaf's root path, recomputing ancestors until one does
+not move.
 
 Entry-time kernel.  The time at which facet f's cone reaches a point x is
 ``min_y (t_f(y) + sigma_f |x - y|)`` over the facet.  On segments the
@@ -67,7 +68,6 @@ case the same value is attained on the boundary.
 
 from __future__ import annotations
 
-import heapq
 import math
 from array import array
 from dataclasses import dataclass
@@ -461,17 +461,14 @@ class ConeHierarchy(_ConesBase):
     def update_star(self, sids, slopes) -> None:
         """Refresh the facets' slopes and time bounds, then their root paths.
 
-        Only an ancestor with a child whose (tmin, smin) changed is
-        recomputed, so a repair stops where the bounds stop moving.  Each is
-        recomputed once, children before parents: they are taken largest
-        node first, and a node's preorder index is below every node of its
-        subtree.
+        Facet by facet, the leaf climbs its root path, recomputing each
+        ancestor from its two children, and stops at the first node whose
+        (tmin, smin) did not move: the tree was consistent before that
+        leaf changed, so nothing above such a node can move either.
         """
         ids = self._store(sids, slopes)
         tmin, smin, rank = self.node_tmin, self.node_smin, self.rank
         times, simplices, store = self.front.times, self.mesh.simplices, self.slopes
-        heap: list = []       # (-node, depth, path) of ancestors to recompute
-        queued = set()
         for fid in ids:
             path = self._leaf_path(rank.item(fid))
             # The corner times' minimum, ties to the later corner as in the
@@ -483,27 +480,17 @@ class ConeHierarchy(_ConesBase):
                 if u <= t:
                     t = u
             s = store.item(fid)
-            leaf = path[-1][0]
-            if (t != tmin[leaf] or s != smin[leaf]) and len(path) > 1:
-                up = path[-2][0]
-                if up not in queued:
-                    queued.add(up)
-                    heapq.heappush(heap, (-up, len(path) - 2, path[:]))
-            tmin[leaf], smin[leaf] = t, s
-        while heap:
-            _, i, path = heapq.heappop(heap)
-            node, lo, hi = path[i]
-            a, b = node + 1, node + 2 * ((lo + hi) // 2 - lo)
-            # min(x, y), without the builtin's call overhead.
-            ta, tb, sa, sb = tmin[a], tmin[b], smin[a], smin[b]
-            t = tb if tb < ta else ta
-            s = sb if sb < sa else sa
-            if (t != tmin[node] or s != smin[node]) and i:
-                up = path[i - 1][0]
-                if up not in queued:
-                    queued.add(up)
-                    heapq.heappush(heap, (-up, i - 1, path))
-            tmin[node], smin[node] = t, s
+            for node, lo, hi in reversed(path):
+                if hi - lo > 1:  # an ancestor: recompute it from its children
+                    a, b = node + 1, node + 2 * ((lo + hi) // 2 - lo)
+                    # min(x, y), without the builtin's call overhead.
+                    ta, tb, sa, sb = tmin[a], tmin[b], smin[a], smin[b]
+                    t = tb if tb < ta else ta
+                    s = sb if sb < sa else sa
+                moved = t != tmin[node] or s != smin[node]
+                tmin[node], smin[node] = t, s
+                if not moved:
+                    break
 
     def ray_shoot(self, p: int) -> tuple[float, int | None]:
         """Same contract as :meth:`ExhaustiveCones.ray_shoot`.

@@ -124,10 +124,6 @@ class SpaceMesh:
     def wmin(self) -> float:
         return float(self.widths.min())
 
-    @property
-    def max_degree(self) -> int:
-        return int(np.diff(self.stars.offsets).max())
-
     @functools.cached_property
     def apex_geometry(self) -> ApexGeometry:
         """2D only: :class:`ApexGeometry` of every triangle, row = simplex id.

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -444,24 +445,21 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
                                    star=star)
     tmin = config.tmin(mesh.dim)
     tol = config.eta / 8.0
-    keep = slopes is not None
-    sampled_at: dict[float, np.ndarray] = {}  # feasible probe -> its slopes
+    if slopes is None:
+        slopes = []
+    at = len(slopes)  # where the latest feasible probe's slopes go
 
     # The search runs over heights, so every returned height h is exactly
-    # the height of a probed top t_p + h.
+    # the height of a probed top t_p + h, and the latest feasible one (the
+    # search's lower end moves only on feasible probes).
     def probe(h: float) -> tuple[bool, float]:
         out: list[float] = []
-        got = [] if keep else None
+        got: list[np.ndarray] = []
         ok = star_feasible(mesh, times, p, t_p + h, field, config, cones,
                            margin=out, sampled=got, star=star)
-        if ok and keep:
-            sampled_at[h] = got[0]
+        if ok:
+            slopes[at:] = got
         return ok, out[0]
-
-    def done(h: float) -> float:
-        if keep:
-            slopes.append(sampled_at[h])
-        return h
 
     def count(key: str, n: int = 1) -> None:
         if stats is not None:
@@ -485,15 +483,15 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
         cap_ok, m_cap = probe(h_cap)
         if cap_ok:
             count("cap_hits")
-            return done(h_cap)
+            return h_cap
     floor_ok, m_floor = probe(tmin)
     if floor_ok:
         if cap <= floor_top:
             count("floor_hits")
-            return done(tmin)
+            return tmin
         h, _, steps = search_top(probe, tmin, m_floor, h_cap, m_cap, tol)
         count("bisection_steps", steps)
-        return done(h)
+        return h
     # The floor itself failed: a slope drop outpaced the front, shrinking a
     # progress budget that was filled under the older, larger slope.  The
     # closed-form cap shares that collapsed slope, so the catch-up height
@@ -507,14 +505,14 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
     ok_r, m_r = probe(h_r)
     if ok_r:
         count("floor_rescues")
-        return done(h_r)
+        return h_r
     foothold = _rescue_foothold(probe, tmin, h_r)
     if foothold is None:
         raise wedge()
     count("floor_rescues")
     h, _, steps = search_top(probe, *foothold, h_r, m_r, tol)
     count("bisection_steps", steps)
-    return done(h)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +524,9 @@ def _select_vertex(heuristic: str, front: Front, cones, last: int,
                    target_time: float, lowest: int) -> int:
     """The vertex ``min-slope`` or ``round-robin`` pitches next.
 
+    ``min-slope``: the local minimum whose star holds the smallest stored
+    cone slope, ties to the smallest id (``np.argmin`` takes the first of
+    equal scores; one ``reduceat`` over the star ids scores every vertex).
     ``lowest`` is the earliest vertex, the pick when no local minimum lies
     below the target.
     """
@@ -536,12 +537,9 @@ def _select_vertex(heuristic: str, front: Front, cones, last: int,
     if minima.size == 0:
         return lowest
     if heuristic == "min-slope":
-        best = None
-        for v in minima:
-            score = (float(cones.slopes[front.mesh.stars[int(v)]].min()), int(v))
-            if best is None or score < best:
-                best = score
-        return best[1]
+        stars = front.mesh.stars
+        score = np.minimum.reduceat(cones.slopes[stars.ids], stars.offsets[:-1])
+        return int(minima[np.argmin(score[minima])])
     later = minima[minima > last]  # round-robin; advance_until checked the name
     return int(later[0]) if later.size else int(minima[0])
 
@@ -623,6 +621,16 @@ def _assert_front_ok(mesh, front, field, config, patch, height) -> None:
         )
 
 
+def _check_count(name: str, count) -> None:
+    """Raise :class:`InvalidArgument` unless ``count`` is an integer >= 0."""
+    try:
+        if operator.index(count) >= 0:
+            return
+    except TypeError:
+        pass
+    raise InvalidArgument(f"{name} must be an integer >= 0, got {count!r}")
+
+
 def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
                   config: ConstraintConfig | None = None,
                   front: Front | None = None,
@@ -638,6 +646,8 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
     Stops early (without error) after ``max_patches`` patches when that is
     given; otherwise a generous multiple of the worst-case element count acts
     as a runaway guard and overrunning it raises :class:`ContractViolation`.
+    ``max_patches`` (unless None) and ``snapshot_every`` must be integers
+    >= 0, or :class:`InvalidArgument` is raised.
     The run evaluates the field :func:`~tentmesh.solver.bind_run` makes of
     ``field`` and ``script``, and nothing the caller passed in is written:
     the returned :class:`TentRun` carries the run's own field, with any
@@ -656,6 +666,9 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
         raise InvalidArgument(
             f"unknown heuristic {heuristic!r}; choose from {', '.join(HEURISTICS)}"
         )
+    if max_patches is not None:
+        _check_count("max_patches", max_patches)
+    _check_count("snapshot_every", snapshot_every)
     if math.isnan(target_time):
         raise ValidationError("target time must be a number, got nan")
     if front is not None:

@@ -122,18 +122,32 @@ def _replace(field: SlopeField, old: SlopeField, new: SlopeField) -> SlopeField:
 
 def check_fit(mesh: SpaceMesh, field: SlopeField) -> None:
     """Raise :class:`ValidationError` unless every table of ``field`` holds
-    one slope per simplex of ``mesh`` and every cone centre ``mesh.dim``."""
+    one slope per simplex of ``mesh`` and every cone centre ``mesh.dim``
+    coordinates at a finite squared distance from every vertex.
+
+    Sample points are convex combinations of vertices, so the vertices
+    bound their distances; an infinite square would read as outside.
+    """
     for leaf in _leaves(field):
         if isinstance(leaf, TableField) and len(leaf.table) != mesh.n_simplices:
             raise ValidationError(
                 f"table field has {len(leaf.table)} slopes, but the mesh has "
                 f"{mesh.n_simplices} simplices"
             )
-        if isinstance(leaf, SpatialConeField) and leaf.center.shape != (mesh.dim,):
+        if not isinstance(leaf, SpatialConeField):
+            continue
+        if leaf.center.shape != (mesh.dim,):
             raise ValidationError(
                 f"cone field centre has {leaf.center.size} coordinate(s), but "
                 f"the mesh is {mesh.dim}D"
             )
+        with np.errstate(over="ignore"):
+            d = mesh.vertices - leaf.center
+            far = not np.isfinite((d * d).sum(axis=1)).all()
+        if far:
+            raise ValidationError(
+                f"cone field centre {leaf.center.tolist()} lies too far from "
+                "the mesh: its squared distance to a vertex overflows")
 
 
 def bind_run(mesh: SpaceMesh, field: SlopeField,

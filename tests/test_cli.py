@@ -376,6 +376,8 @@ def test_cli_max_patches_zero_runs_no_patch(case_1d):
      "cone field centre has 1 coordinate(s), but the mesh is 2D"),
     (interval_mesh([0.0, 0.5, 1.0]), "cone 0.5 0.0 0.0 2.0 1.0 0.5\n",
      "cone field centre has 2 coordinate(s), but the mesh is 1D"),
+    (grid_mesh(3, 3), "cone 1e200 0.0 0.0 0.5 1.0 0.0\n",
+     "cone field centre [1e+200, 0.0] lies too far from the mesh"),
 ])
 def test_cli_field_that_does_not_fit_mesh_exit_2(tmp_path, capsys, mesh,
                                                  field_text, error):

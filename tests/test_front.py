@@ -72,6 +72,8 @@ class TestInitialFront:
         (interval_mesh(np.arange(3.0)),
          SpatialConeField([0.5, 0.5], 0.0, 1.0, 2.0, 0.5), "centre has 2"),
         (SQUARE, SpatialConeField([0.5], 0.0, 1.0, 2.0, 0.5), "centre has 1"),
+        (SQUARE, SpatialConeField([1e200, 0.0], 0.0, 0.5, 1.0, 0.0),
+         "too far from the mesh"),
     ])
     def test_field_that_does_not_fit_the_mesh_rejected(self, mesh, field,
                                                        match):

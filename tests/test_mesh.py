@@ -33,11 +33,10 @@ SQUARE_TRIS = [(0, 1, 2), (0, 2, 3)]
 def test_two_triangle_square_stats():
     mesh = build_mesh(SQUARE_VERTS, SQUARE_TRIS)
     assert mesh.wmin == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-15)
-    assert mesh.max_degree == 2
 
 def test_interval_mesh_stats():
     mesh = interval_mesh(np.arange(11.0))
-    assert (mesh.wmin, mesh.max_degree) == (1.0, 2)
+    assert mesh.wmin == 1.0
     assert mesh.dim == 1
     assert mesh.n_simplices == 10
 
@@ -45,7 +44,6 @@ def test_interval_mesh_stats():
 def test_grid_mesh_stats():
     mesh = grid_mesh(10, 10, 10.0, 10.0)
     assert mesh.wmin == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-12)
-    assert mesh.max_degree == 6
     assert mesh.n_simplices == 200
 
 
@@ -87,8 +85,6 @@ def test_stars_are_a_read_only_sequence(make):
     for bad in (n, n + 5, -n - 1):
         with pytest.raises(IndexError):
             stars[bad]
-    assert mesh.max_degree == max(len(s) for s in want)
-    assert mesh.max_degree == max(len(s) for s in stars)
 
 
 @pytest.mark.parametrize("verts", [
@@ -291,7 +287,7 @@ def test_interval_mesh_stats_match_gaps(xs):
         return  # skip near-degenerate spacings, covered by validation tests
     mesh = interval_mesh(xs)
     assert mesh.wmin == pytest.approx(gaps.min(), rel=1e-12)
-    assert mesh.max_degree == (2 if len(xs) > 2 else 1)
+    assert max(map(len, mesh.stars)) == (2 if len(xs) > 2 else 1)
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5))

@@ -31,7 +31,7 @@ from tentmesh.fields import (
     TableField,
     TimeStepField,
 )
-from tentmesh.front import Front, initial_front
+from tentmesh.front import Front, initial_front, local_minima
 from tentmesh.hierarchy import ConeHierarchy, build as build_cones
 from tentmesh.mesh import build_mesh, grid_mesh, interval_mesh, strip_mesh
 from tentmesh import pitcher
@@ -756,6 +756,12 @@ def test_star_record_gives_the_answers_of_a_fresh_gather(data):
             except ContractViolation as exc:
                 heights.append(str(exc))
                 continue
+            # The one entry is what a fresh probe of the returned top samples.
+            sampled = []
+            assert star_feasible(mesh, times, p, float(times[p]) + h, field,
+                                 cfg, cones, sampled=sampled)
+            assert len(slopes) == 1
+            assert sampled[0].tobytes() == slopes[0].tobytes()
             heights.append((h.hex(), stats, [x.hex() for x in slopes[0].tolist()]))
         assert heights[0] == heights[1]
 
@@ -911,6 +917,52 @@ def test_min_slope_heuristic_prefers_shallow_star():
     assert run.stmesh.patches[0].vertex == 1
 
 
+def _min_slope_by_loop(front, cones, target_time, lowest):
+    """Reference ``min-slope`` pick: score each local minimum in turn."""
+    minima = local_minima(front)
+    minima = minima[front.times[minima] < target_time]
+    best = None
+    for v in minima.tolist():
+        score = (float(cones.slopes[front.mesh.stars[v]].min()), v)
+        if best is None or score < best:
+            best = score
+    return lowest if best is None else best[1]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_min_slope_pick_matches_the_per_minimum_loop(dim):
+    rng = np.random.default_rng(29 + dim)
+    checked = ties = filtered = 0
+    for _ in range(40):
+        if dim == 1:
+            mesh = interval_mesh(np.cumsum(rng.uniform(0.2, 1.0, 30)))
+        else:
+            mesh = grid_mesh(int(rng.integers(2, 7)), int(rng.integers(2, 7)),
+                             skew=0.2)
+        field = ConstantField(1.0)
+        cfg = ConstraintConfig.for_problem(mesh, field)
+        front = random_front(mesh, cfg, rng, pitches=int(rng.integers(0, 60)))
+        cones = build_cones(mesh, front, field)
+        cones.slopes[:] = rng.uniform(0.05, 2.0, mesh.n_simplices)
+        if rng.random() < 0.5:
+            cones.slopes[:] = np.maximum(0.1, np.round(cones.slopes, 1))
+        lowest = int(np.argmin(front.times))
+        minima = local_minima(front)
+        mtimes = np.unique(front.times[minima])
+        for target in (math.inf, *mtimes[1:].tolist(), float(mtimes[0])):
+            want = _min_slope_by_loop(front, cones, target, lowest)
+            got = pitcher._select_vertex("min-slope", front, cones, -1,
+                                         target, lowest)
+            assert type(got) is int and got == want
+            kept = minima[front.times[minima] < target]
+            scores = [cones.slopes[mesh.stars[v]].min() for v in kept.tolist()]
+            ties += len(scores) > len(set(scores))
+            filtered += 0 < kept.size < minima.size
+            checked += 1
+    # The draws exercised score ties and targets that drop some minima.
+    assert checked > 100 and ties > 10 and filtered > 10
+
+
 def test_round_robin_cycles_minima():
     # Flat start: minima are (0,1,2); round-robin visits them in id order.
     mesh = interval_mesh([0.0, 1.0, 2.0])
@@ -1013,10 +1065,32 @@ def test_finished_run_field_is_read_only_and_rebinds():
     (interval_mesh([0.0, 1.0]), TableField([1.0, 1.0])),
     (grid_mesh(3, 3), SpatialConeField([0.5], 0.0, 2.0, 1.0, 0.5)),
     (interval_mesh([0.0, 0.5, 1.0]), SpatialConeField([0.5, 0.0], 2.0, 1.0, 0.5, 1.0)),
+    # A centre whose squared distance overflows: with cone_slope 0 every
+    # point read as outside (0 * inf is NaN), at slope 1.0 instead of 0.5.
+    (grid_mesh(3, 3), SpatialConeField([1e200, 0.0], 0.0, 0.5, 1.0, 0.0)),
+    (interval_mesh([0.0, 0.5, 1.0]), SpatialConeField([-1e160], 0.0, 0.5, 1.0, 0.0)),
 ])
 def test_run_rejects_field_that_does_not_fit_mesh(mesh, field):
     with pytest.raises(ValidationError, match="^(table|cone) field"):
         advance_until(mesh, field, 0.5)
+
+
+@pytest.mark.parametrize("kw", [{"max_patches": -3}, {"max_patches": 2.5},
+                                {"max_patches": "2"}, {"snapshot_every": -1},
+                                {"snapshot_every": 1.5}])
+def test_run_rejects_a_count_that_is_not_an_integer_at_least_zero(kw):
+    (name, value), = kw.items()
+    with pytest.raises(InvalidArgument,
+                       match=f"^{name} must be an integer >= 0, got {value!r}"):
+        advance_until(interval_mesh([0.0, 1.0, 2.0]), ConstantField(1.0),
+                      1.0, **kw)
+
+
+def test_run_takes_any_integer_count():
+    run = advance_until(interval_mesh([0.0, 1.0, 2.0]), ConstantField(1.0),
+                        math.inf, max_patches=np.int64(2),
+                        snapshot_every=np.int32(0))
+    assert run.stats["patches"] == 2
 
 
 def test_run_rejects_target_beyond_finite_floor_count():
