@@ -63,7 +63,8 @@ def load_spacetime_mesh(path):
 
     Raises :class:`ValidationError` on malformed input, on a file cut short
     (the counts must match the records, and the last record must end with
-    the newline the writer puts there) and on an event id with no event.
+    the newline the writer puts there), on records after the last element
+    and on an event id with no event.
     """
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         text = fh.read()
@@ -91,6 +92,9 @@ def load_spacetime_mesh(path):
                               location=str(path))
     events = take("v", int(take("events", 1, 1, int)[0, 0]), stdim, float)
     elems = take("e", int(take("elements", 1, 1, int)[0, 0]), stdim + 3, int)
+    if at < len(lines):
+        raise ValidationError(f"{len(lines) - at} record(s) after the last "
+                              "element", location=str(path))
     ids = elems[:, :-2]
     if ((ids < 0) | (ids >= len(events))).any():
         raise ValidationError(f"element event ids must lie in [0, {len(events)})",

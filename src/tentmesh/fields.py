@@ -219,13 +219,18 @@ class SpatialConeField(SlopeField):
         self.cone_slope = float(cone_slope)
 
     def _values(self, xs, ts, elems):
-        # |x - center| by columns: the sqrt of d0 * d0 + d1 * d1.
-        d = xs[:, 0] - self.center[0]
-        sq = d * d
-        for i in range(1, len(self.center)):
-            d = xs[:, i] - self.center[i]
-            sq = sq + d * d
-        inside = (ts - self.t_apex) >= self.cone_slope * np.sqrt(sq)
+        # An overflow saturates to inf, which still compares the right way;
+        # a zero cone_slope puts every point inside once t >= t_apex, even
+        # where the distance overflows (0 * inf would be NaN).
+        with np.errstate(over="ignore"):
+            # |x - center| by columns: the sqrt of d0 * d0 + d1 * d1.
+            d = xs[:, 0] - self.center[0]
+            sq = d * d
+            for i in range(1, len(self.center)):
+                d = xs[:, i] - self.center[i]
+                sq = sq + d * d
+            reach = self.cone_slope * np.sqrt(sq) if self.cone_slope else 0.0
+            inside = (ts - self.t_apex) >= reach
         return np.where(inside, self.sigma_inside, self.sigma_outside)
 
 

@@ -31,12 +31,12 @@ run is a pure function of its inputs.
 
 Each patch gathers p's star once, as the
 :class:`~tentmesh.constraints.Facets` of ``mesh.stars[p]``.  The bracket,
-the closed-form cap, every probe of the search, the element emit and the
-cone store's update read that record; the search, the bracket and the star
-check gather it themselves when called without one.  The spacetime mesh
-keeps one current event per vertex, the one on the front, so emitting a
-patch's elements needs no lookup by (vertex, time): a base corner is its
-vertex's current event, and the lifted vertex's top becomes its next.
+the closed-form cap, every probe of the search and the cone store's update
+read that record; the search, the bracket and the star check gather it
+themselves when called without one.  The spacetime mesh is told only p and
+the height: it keeps the start front and one current event per vertex, the
+one on the front, so it works out p's star, base and top itself, and a base
+corner is its vertex's current event with no lookup by (vertex, time).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintConfig, Facets, facet_verdicts, is_progressive_front
-from .errors import ContractViolation, InvalidArgument, ValidationError
+from .errors import ContractViolation, InvalidArgument, NotFound, ValidationError
 from .fields import SlopeField
 from .front import BlockedTimes, Front, check_times, initial_front, local_minima
 from .geometry import APEX_OTHERS
@@ -76,32 +76,30 @@ class Patch:
     base_time: float
     top_time: float
     height: float
-    facets: np.ndarray    # star simplex ids, ascending
+    facets: np.ndarray    # read-only star simplex ids, ascending
     elements: np.ndarray  # spacetime element ids, parallel to facets
     deps: np.ndarray      # patch that last wrote each facet, -1 = initial front
-
-
-def _off_front(v: int, t: float, current: float) -> InvalidArgument:
-    return InvalidArgument(f"base time {t!r} of vertex {v} is not its "
-                           f"current event time {current!r}")
 
 
 class SpacetimeMesh:
     """Simplicial mesh in space x time, grown one patch at a time.
 
-    Every spacetime vertex is an *event* (mesh vertex, time).  Each mesh
-    vertex has one current event, the one on the current front: every
-    element's base corners lie on that front, so a patch reads its base
-    events from the vertices' current events, and the lifted vertex's top
-    becomes its new current event.  A tent top shared with later inflow
+    Every spacetime vertex is an *event* (mesh vertex, time).  The container
+    keeps a read-only copy of the start front, ``initial_times``, and one
+    current event per mesh vertex, the one on the current front: a patch
+    reads its base events from the vertices' current events (a vertex
+    without one gets an event at its start time), and the lifted vertex's
+    top becomes its new current event.  A tent top shared with later inflow
     therefore appears once.  Event ids are assigned in order of first
     reference.  Each element is the simplex spanned by a space simplex's old
     front facet and the lifted vertex: event order is (apex base, apex top,
     other vertices in space-simplex order).
     """
 
-    def __init__(self, space: SpaceMesh):
+    def __init__(self, space: SpaceMesh, times: np.ndarray):
         self.space = space
+        self.initial_times = np.array(times, dtype=np.float64)
+        self.initial_times.setflags(write=False)
         self.event_vertex: list[int] = []
         self.event_time: list[float] = []
         self.elements: list[list[int]] = []
@@ -120,66 +118,47 @@ class SpacetimeMesh:
     def n_elements(self) -> int:
         return len(self.elements)
 
-    def add_patch(self, p: int, t_base: float, t_top: float, height: float,
-                  sids: np.ndarray, base_times: np.ndarray,
-                  rows: np.ndarray | None = None) -> Patch:
-        """Add p's tent over the star simplices ``sids``; return its patch.
+    def add_patch(self, p: int, height: float) -> Patch:
+        """Lift p by ``height`` over its whole star; return the new patch.
 
-        ``base_times`` holds the front's vertex times before the lift, and
-        ``rows`` is ``space.simplices[sids]`` when the caller has it.  Each
-        base corner, p's at ``t_base`` included, must lie at its vertex's
-        current event time (a vertex without events gets one), and
-        ``t_top`` must exceed ``t_base``; otherwise :class:`InvalidArgument`
-        is raised and nothing is added.
+        The base is p's current event time (its start time before its first
+        patch) and the top is base + height.  An unknown vertex raises
+        :class:`NotFound`, and a top that is not finite or not above its
+        base :class:`InvalidArgument`; either way nothing is added.
         """
-        p, t_base, t_top = int(p), float(t_base), float(t_top)
-        if not t_top > t_base:
-            raise InvalidArgument(f"tent top {t_top!r} must lie above its "
-                                  f"base {t_base!r} at vertex {p}")
-        facets = np.array(sids, dtype=np.int64)
-        if rows is None:
-            rows = self.space.simplices[facets]
-        cur, ev_time = self._current, self.event_time
-        # The events this patch makes, in id order, and the corner vertices
-        # among them; nothing is stored until every corner is checked.
-        n = len(ev_time)
-        new_v: list[int] = []
-        new_t: list[float] = []
-        fresh: dict[int, int] = {}
+        p, height = int(p), float(height)
+        if not 0 <= p < self.space.n_vertices:
+            raise NotFound(f"vertex {p} does not exist")
+        cur, start = self._current, self.initial_times
+        ev_vertex, ev_time = self.event_vertex, self.event_time
         eb = cur[p]
+        t_base = ev_time[eb] if eb >= 0 else start.item(p)
+        t_top = t_base + height
+        if not (t_top > t_base and math.isfinite(t_top)):
+            raise InvalidArgument(f"tent top {t_top!r} must be finite and lie "
+                                  f"above its base {t_base!r} at vertex {p}")
+        # Events are made in order of first reference.
         if eb < 0:
-            eb = n
-            new_v.append(p)
-            new_t.append(t_base)
-        elif ev_time[eb] != t_base:
-            raise _off_front(p, t_base, ev_time[eb])
-        et = n + len(new_v)
-        new_v.append(p)
-        new_t.append(t_top)
+            eb = len(ev_time)
+            ev_vertex.append(p)
+            ev_time.append(t_base)
+        et = cur[p] = len(ev_time)
+        ev_vertex.append(p)
+        ev_time.append(t_top)
+        facets = self.space.stars[p]
         elements = []
-        for row, ts in zip(rows.tolist(),
-                           np.asarray(base_times)[rows].tolist()):
+        for row in self.space.simplices[facets].tolist():
             ev = [eb, et]
-            for v, t in zip(row, ts):
-                if v == p:
-                    continue
-                e = cur[v]
-                if e < 0:
-                    e = fresh.get(v)
-                    if e is None:
-                        e = fresh[v] = n + len(new_v)
-                        new_v.append(v)
-                        new_t.append(t)
-                elif ev_time[e] != t:
-                    raise _off_front(v, t, ev_time[e])
-                ev.append(e)
+            for v in row:
+                if v != p:
+                    e = cur[v]
+                    if e < 0:
+                        e = cur[v] = len(ev_time)
+                        ev_vertex.append(v)
+                        ev_time.append(start.item(v))
+                    ev.append(e)
             elements.append(ev)
 
-        self.event_vertex += new_v
-        ev_time += new_t
-        cur[p] = et
-        for v, e in fresh.items():
-            cur[v] = e
         pid = len(self.patches)
         first = len(self.elements)
         last = self._last_patch_on
@@ -191,7 +170,7 @@ class SpacetimeMesh:
         self.elements += elements
         self.element_space += sid_list
         self.element_patch += [pid] * len(sid_list)
-        patch = Patch(pid, p, t_base, t_top, float(height), facets,
+        patch = Patch(pid, p, t_base, t_top, height, facets,
                       np.arange(first, first + len(sid_list), dtype=np.int64),
                       np.array(deps, dtype=np.int64))
         self.patches.append(patch)
@@ -692,13 +671,12 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
     if not math.isfinite(target_time) and max_patches is None:
         raise InvalidArgument("an infinite target time needs max_patches")
 
-    initial_times = front.times.copy()
+    stmesh = SpacetimeMesh(mesh, front.times)
     # The run's one time array; ``front`` reads it through a read-only view.
-    index = BlockedTimes(initial_times)
+    index = BlockedTimes(stmesh.initial_times)
     times = index.times
     front = Front(mesh, times)
     cones = build_cones(mesh, front, field, use_hierarchy=use_hierarchy)
-    stmesh = SpacetimeMesh(mesh)
     heights: list[float] = []
     stats = {
         "floor_hits": 0,
@@ -746,8 +724,7 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
             # move ends the run before it is emitted.
             raise ValidationError(f"front time {t_p!r} at vertex {p} is too "
                                   f"large for the height {height!r} to move it")
-        patch = stmesh.add_patch(p, t_p, top, height, star.sids, times,
-                                 star.rows)
+        patch = stmesh.add_patch(p, height)
         index.lift(p, height)
         # The accepted probe sampled the star at exactly these times
         # (times[p] is now t_p + height), and no row has fired since.
@@ -778,4 +755,4 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
     })
     stats.update(cones.stats.as_dict())
     return TentRun(mesh, field, config, stmesh, _frozen(mesh, times),
-                   initial_times, harr, stats)
+                   stmesh.initial_times, harr, stats)

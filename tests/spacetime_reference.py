@@ -1,9 +1,10 @@
 """Dict-keyed reference for :class:`tentmesh.pitcher.SpacetimeMesh`.
 
-Every event is looked up by its ``(vertex, float time)`` key in a dict and
-made on first reference, one element corner at a time.  ``tests/test_pitcher.py``
-feeds it the same ``add_patch`` calls as real runs and holds the per-vertex
-event table to it: events, elements, patches and deps must all be equal.
+The reference keeps its own front array, and every event is looked up by
+its ``(vertex, float time)`` key in a dict and made on first reference, one
+element corner at a time.  ``tests/test_pitcher.py`` feeds it the same
+``add_patch(p, height)`` calls as real runs and holds the per-vertex event
+table to it: events, elements, patches and deps must all be equal.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from tentmesh.mesh import SpaceMesh
 
 
 class ReferenceSpacetimeMesh:
-    def __init__(self, space: SpaceMesh):
+    def __init__(self, space: SpaceMesh, times):
         self.space = space
+        self.front = np.array(times, dtype=np.float64)
         self._index: dict[tuple[int, float], int] = {}
         self.event_vertex: list[int] = []
         self.event_time: list[float] = []
@@ -35,25 +37,28 @@ class ReferenceSpacetimeMesh:
             self.event_time.append(float(t))
         return got
 
-    def add_patch(self, p, t_base, t_top, height, sids, base_times):
-        """Add one patch; returns (index, vertex, base, top, height,
-        facets, elements, deps) as Python values."""
+    def add_patch(self, p, height):
+        """Lift p by ``height`` over its star; returns (index, vertex, base,
+        top, height, facets, elements, deps) as Python values."""
+        t_base = float(self.front[p])
+        t_top = t_base + float(height)
         eb = self._event(p, t_base)
         et = self._event(p, t_top)
         pid = len(self.patches)
+        sids = [int(s) for s in self.space.stars[p]]
         elems = []
         deps = []
         for sid in sids:
             row = self.space.simplices[sid]
-            ev = [eb, et] + [self._event(int(v), float(base_times[v]))
+            ev = [eb, et] + [self._event(int(v), float(self.front[v]))
                              for v in row if v != p]
             deps.append(int(self._last_patch_on[sid]))
             self._last_patch_on[sid] = pid
             elems.append(len(self.elements))
             self.elements.append(ev)
-            self.element_space.append(int(sid))
+            self.element_space.append(sid)
             self.element_patch.append(pid)
-        patch = (pid, int(p), float(t_base), float(t_top), float(height),
-                 [int(s) for s in sids], elems, deps)
+        self.front[p] = t_top
+        patch = (pid, int(p), t_base, t_top, float(height), sids, elems, deps)
         self.patches.append(patch)
         return patch

@@ -108,6 +108,21 @@ def test_load_spacetime_rejects_truncated_file(tmp_path, cut):
         load_spacetime_mesh(path)
 
 
+@pytest.mark.parametrize("extra", ["junk 1 2 3\n", "v 9 9\n",
+                                   "junk 1 2 3\nv 9 9\n"],
+                         ids=["junk", "event", "both"])
+def test_load_spacetime_rejects_records_after_the_last_element(tmp_path, extra):
+    run = advance_until(interval_mesh([0.0, 1.0, 2.0]), ConstantField(1.0), 1.0)
+    path = tmp_path / "st.txt"
+    export_spacetime_mesh(run.stmesh, path)
+    assert load_spacetime_mesh(path)["elements"].tolist() == run.stmesh.elements
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(extra)
+    with pytest.raises(ValidationError, match="after the last element") as info:
+        load_spacetime_mesh(path)
+    assert str(path) in str(info.value)
+
+
 @pytest.mark.parametrize("event", ["99", "-1"])
 def test_load_spacetime_rejects_event_id_out_of_range(tmp_path, event):
     # 99 would index past the 3 events; -1 would wrap to the last one.

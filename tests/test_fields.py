@@ -24,6 +24,8 @@ from tentmesh.fields import (
     sampled_min_simplices,
     sampled_min_values,
 )
+from tentmesh.mesh import interval_mesh
+from tentmesh.pitcher import advance_until
 
 
 class LinearInX(SlopeField):
@@ -68,6 +70,24 @@ class TestBuiltinFields:
         # apex, outside, exactly on the cone
         assert f.values(xs, [0.0, 0.5, 1.0]).tolist() == [4.0, 1.0, 4.0]
         assert (f.sigma_min, f.sigma_max) == (1.0, 4.0)
+
+    @pytest.mark.parametrize("cone, x, t, want", [
+        # 2 * 1e308 overflows to inf: outside.
+        ((0.0, 0.5, 1.0, 1e308), 2.0, 1.0, 1.0),
+        # 1e308 - (-1e308) overflows to inf: inside.
+        ((-1e308, 0.5, 1.0, 1.0), 2.0, 1e308, 0.5),
+        # The distance overflows, but a zero cone_slope reaches every point.
+        ((0.0, 0.5, 1.0, 0.0), 1e200, 1.0, 0.5),
+    ])
+    def test_cone_membership_past_the_float_range(self, cone, x, t, want):
+        # The suite turns RuntimeWarnings into errors, so none is raised.
+        f = SpatialConeField([0.0], *cone)
+        assert f.values([[x]], [t]).tolist() == [want]
+
+    def test_run_under_a_cone_too_steep_to_evaluate_finitely(self):
+        run = advance_until(interval_mesh([0.0, 1.0, 2.0]),
+                            SpatialConeField([0.0], 0.0, 0.5, 1.0, 1e308), 1.0)
+        assert run.stats["target_reached"]
 
     def test_table_requires_elements(self):
         f = TableField([1.0, 0.5, 2.0])

@@ -23,7 +23,12 @@ from tentmesh.constraints import (
     progress_ok,
 )
 from tentmesh.cli import export_spacetime_mesh
-from tentmesh.errors import ContractViolation, InvalidArgument, ValidationError
+from tentmesh.errors import (
+    ContractViolation,
+    InvalidArgument,
+    NotFound,
+    ValidationError,
+)
 from tentmesh.fields import (
     CompositeMinField,
     ConstantField,
@@ -76,12 +81,10 @@ def test_container_dedup_deps_volume():
     # segments.  Volumes: 2 * (1*1)/2 + 2 * (1*1.5)/2 = 2.5, matching the
     # prism under the final front (1, 1.5, 1).
     mesh = interval_mesh([0.0, 1.0, 2.0])
-    sm = SpacetimeMesh(mesh)
-    zeros = np.zeros(3)
-    p0 = sm.add_patch(0, 0.0, 1.0, 1.0, mesh.stars[0], zeros)
-    p1 = sm.add_patch(2, 0.0, 1.0, 1.0, mesh.stars[2], zeros)
-    mid = np.array([1.0, 0.0, 1.0])
-    p2 = sm.add_patch(1, 0.0, 1.5, 1.5, mesh.stars[1], mid)
+    sm = SpacetimeMesh(mesh, np.zeros(3))
+    p0 = sm.add_patch(0, 1.0)
+    p1 = sm.add_patch(2, 1.0)
+    p2 = sm.add_patch(1, 1.5)
     assert sm.n_events == 6
     assert sm.n_elements == 4
     assert p0.deps.tolist() == [-1]
@@ -97,46 +100,63 @@ def test_container_dedup_deps_volume():
 def test_container_element_event_order():
     # Element rows are (apex base, apex top, other vertices in row order).
     mesh = interval_mesh([0.0, 1.0])
-    sm = SpacetimeMesh(mesh)
-    patch = sm.add_patch(1, 0.0, 0.25, 0.25, mesh.stars[1], np.zeros(2))
+    start = np.array([0.5, 0.0])
+    sm = SpacetimeMesh(mesh, start)
+    start[:] = 9.0  # the container keeps its own read-only copy
+    assert sm.initial_times.tolist() == [0.5, 0.0]
+    assert not sm.initial_times.flags.writeable
+    patch = sm.add_patch(1, 0.25)
     assert sm.elements == [[0, 1, 2]]
     assert sm.event_vertex == [1, 1, 0]
-    assert sm.event_time == [0.0, 0.25, 0.0]
+    assert sm.event_time == [0.0, 0.25, 0.5]
+    assert (patch.base_time, patch.top_time, patch.height) == (0.0, 0.25, 0.25)
     assert patch.facets.tolist() == [0]
+    assert not patch.facets.flags.writeable
     coords, times = sm.event_table()
     assert coords.tolist() == [[1.0], [1.0], [0.0]]
-    assert times.tolist() == [0.0, 0.25, 0.0]
+    assert times.tolist() == [0.0, 0.25, 0.5]
 
 
 def test_container_rejects_a_base_off_the_front():
-    # After v0's patch its current event is its top (0, 1.0): a base at 0.0
-    # is a stale event, and so is a corner of v1 at 0.5 where its current
-    # event sits at 0.0.  Neither call adds anything.
+    # The container reads every base corner from the front it keeps, so no
+    # call can place one elsewhere: after v0's patch its next lift starts
+    # at its top 1.0, and v1's corners stay its start event (1, 0.0).
     mesh = interval_mesh([0.0, 1.0, 2.0])
-    sm = SpacetimeMesh(mesh)
-    sm.add_patch(0, 0.0, 1.0, 1.0, mesh.stars[0], np.zeros(3))
-    before = (list(sm.event_vertex), list(sm.event_time),
-              [list(e) for e in sm.elements], len(sm.patches))
-    with pytest.raises(InvalidArgument, match="vertex 0 is not its current"):
-        sm.add_patch(0, 0.0, 2.0, 2.0, mesh.stars[0], np.zeros(3))
-    with pytest.raises(InvalidArgument, match="vertex 1 is not its current"):
-        sm.add_patch(2, 0.0, 1.0, 1.0, mesh.stars[2],
-                     np.array([1.0, 0.5, 0.0]))
-    assert (sm.event_vertex, sm.event_time, sm.elements, len(sm.patches)) \
-        == before
-    # The same calls on the front itself go through.
-    sm.add_patch(2, 0.0, 1.0, 1.0, mesh.stars[2], np.array([1.0, 0.0, 0.0]))
-    sm.add_patch(0, 1.0, 2.0, 1.0, mesh.stars[0], np.array([1.0, 0.0, 1.0]))
+    sm = SpacetimeMesh(mesh, np.zeros(3))
+    sm.add_patch(0, 1.0)
+    sm.add_patch(2, 1.0)
+    patch = sm.add_patch(0, 1.0)
+    assert (patch.base_time, patch.top_time) == (1.0, 2.0)
     assert sm.event_vertex == [0, 0, 1, 2, 2, 0]
+    assert sm.elements == [[0, 1, 2], [3, 4, 2], [1, 5, 2]]
 
 
-@pytest.mark.parametrize("top", [0.0, -1.0, math.nan])
-def test_container_rejects_a_top_not_above_its_base(top):
-    mesh = interval_mesh([0.0, 1.0])
-    sm = SpacetimeMesh(mesh)
-    with pytest.raises(InvalidArgument, match="must lie above its base"):
-        sm.add_patch(1, 0.0, top, 0.0, mesh.stars[1], np.zeros(2))
+def _assert_empty(sm):
     assert sm.n_events == sm.n_elements == len(sm.patches) == 0
+
+
+@pytest.mark.parametrize("height", [0.0, -1.0, math.nan, math.inf])
+def test_container_rejects_a_top_not_above_its_base(height):
+    mesh = interval_mesh([0.0, 1.0])
+    sm = SpacetimeMesh(mesh, np.zeros(2))
+    with pytest.raises(InvalidArgument, match="finite and lie above its base"):
+        sm.add_patch(1, height)
+    _assert_empty(sm)
+
+
+def test_container_rejects_an_unknown_vertex_and_a_top_that_does_not_move():
+    mesh = interval_mesh([0.0, 1.0])
+    sm = SpacetimeMesh(mesh, [0.0, 1e300])
+    for p in (-1, 2):
+        with pytest.raises(NotFound, match=f"vertex {p} does not exist"):
+            sm.add_patch(p, 1.0)
+    # At 1e300 a height of 1 rounds back to the base.
+    with pytest.raises(InvalidArgument, match="above its base 1e\\+300"):
+        sm.add_patch(1, 1.0)
+    # The star, base and corner times are not arguments any more.
+    with pytest.raises(TypeError):
+        sm.add_patch(0, 0.0, 1.0, 1.0, [2], np.zeros(2))
+    _assert_empty(sm)
 
 
 def _patch_fields(patch):
@@ -163,14 +183,15 @@ def test_event_table_matches_dict_reference(data):
         # A floor-bounded front can already lie above 0.6 everywhere; the
         # target sits above its highest vertex so the run adds patches.
         target = float(front.times.max()) + 0.6
+    start = np.zeros(mesh.n_vertices) if front is None else front.times
     real = SpacetimeMesh.add_patch
     refs = {}
     calls = [0]
 
-    def add_patch(sm, p, t_base, t_top, height, sids, base_times, *rest):
-        ref = refs.setdefault(id(sm), ReferenceSpacetimeMesh(sm.space))
-        want = ref.add_patch(p, t_base, t_top, height, sids, base_times)
-        got = real(sm, p, t_base, t_top, height, sids, base_times, *rest)
+    def add_patch(sm, p, height):
+        ref = refs.setdefault(id(sm), ReferenceSpacetimeMesh(sm.space, start))
+        want = ref.add_patch(p, height)
+        got = real(sm, p, height)
         assert _patch_fields(got) == want
         assert sm.event_vertex == ref.event_vertex
         assert [t.hex() for t in sm.event_time] == \
@@ -191,6 +212,13 @@ def test_event_table_matches_dict_reference(data):
             return  # a scripted drop can wedge a run after checked patches
     assert calls[0] == run.stats["patches"] > 0
     assert run.stats["events"] == len(refs[id(run.stmesh)].event_vertex)
+    # Each vertex's current event (its latest) or, without one, its start
+    # time is the run's front, bit for bit.
+    current = dict(zip(run.stmesh.event_vertex, run.stmesh.event_time))
+    on_front = [current.get(v, float(t)).hex()
+                for v, t in enumerate(start)]
+    assert on_front == [float(t).hex() for t in run.front.times]
+    assert run.initial_times.tolist() == start.tolist()
 
 
 # -- closed-form caps --------------------------------------------------------
@@ -874,9 +902,10 @@ def test_run_under_an_infinite_target_emits_no_patch_that_does_not_move(heuristi
     emitted = []
     real = SpacetimeMesh.add_patch
 
-    def add_patch(sm, p, t_base, t_top, *rest):
-        emitted.append(t_top > t_base)
-        return real(sm, p, t_base, t_top, *rest)
+    def add_patch(sm, p, height):
+        patch = real(sm, p, height)
+        emitted.append(patch.top_time > patch.base_time)
+        return patch
 
     times = np.full(5, 1e300)
     times[0] = 0.0
