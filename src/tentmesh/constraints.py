@@ -30,9 +30,10 @@ check calls it: :func:`facet_causality` (1D stars, 1D fronts and
 :func:`front_causality_report`) and the progressive check below.
 :func:`facet_verdicts` picks the check for the mesh's dimension, for star
 verification and :func:`is_progressive_front` alike.  Both take a
-:class:`Facets` record, the one gather of facets' rows, points and
+:class:`Facets` record, the one gather of facets' rows, sample sites and
 geometry: the pitcher gathers p's star once per patch and checks every
-probe of it against that record.
+probe of it against that record, so the field's sample points are
+computed once per patch.
 
 One numpy kernel, :func:`progressive_verdicts`, makes the progressive check
 for F triangles at once; 2D star verification, :func:`is_progressive_front`
@@ -53,6 +54,15 @@ and :func:`is_progressive_triangle` (F = 1) all call it.  Per triangle it
   or above that ceiling lowers no row's slope.  Progress of row k, with
   its vertices re-ordered by (time, id), is checked against the slope of
   row n + k.
+* returns, beside the verdicts, those without the cap, which
+  :func:`is_progressive_front` makes; the run's invariant check reads
+  them from the probe that accepted a height instead of judging p's star
+  again.
+
+Sample times are one matrix product over all rows (see
+:func:`~tentmesh.fields.sampled_min_simplices`), so a facet's verdict has
+the same bits in a star probe and in a whole-front check at the same
+times.
 
 The per-(triangle, apex) geometry comes from
 :class:`~tentmesh.geometry.ApexGeometry`, the
@@ -86,8 +96,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgument, ValidationError
-from .fields import SlopeField, sampled_min_simplices
+from .errors import InvalidArgument, ValidationError, check_count
+from .fields import SampleSites, SlopeField, sampled_min_simplices
 from .geometry import APEX_OTHERS, ApexGeometry, apex_geometry, frame
 from .mesh import SpaceMesh
 
@@ -311,22 +321,27 @@ def _lift_samples(tmin: float) -> np.ndarray:
     return dts
 
 
-def progressive_verdicts(points: np.ndarray, times: np.ndarray,
+def progressive_verdicts(points, times: np.ndarray,
                          ids: np.ndarray, geometry: ApexGeometry,
                          field: SlopeField, config: ConstraintConfig,
                          elements=None, remote=None,
-                         ) -> tuple[FacetVerdicts, np.ndarray]:
+                         ) -> tuple[FacetVerdicts, np.ndarray, FacetVerdicts]:
     """Batched progressive-triangle check; see the module docstring.
 
-    ``points`` is (F, 3, 2), ``times`` and ``ids`` are (F, 3), ``geometry``
-    is the triangles' :class:`ApexGeometry` and ``elements`` their (F,) mesh
-    ids (required by table-backed fields).  ``remote``, when given, is
-    called once with the largest slope the causality rows sampled (the
-    ceiling) and returns the slope that further limits the causality half,
-    such as ``min(ceiling, remote cone slope)``; a cap at or above the
-    ceiling changes no verdict.  Progress always uses the field's own
-    sampled slope.  Returns the verdicts and row 0's (F,) slopes (dt = 0,
-    each triangle at its own times), before the remote cap.
+    ``points`` is (F, 3, 2), or the triangles'
+    :class:`~tentmesh.fields.SampleSites`; ``times`` and ``ids`` are
+    (F, 3), ``geometry`` is the triangles' :class:`ApexGeometry` and
+    ``elements`` their (F,) mesh ids (required by table-backed fields unless
+    the sites carry them).  ``remote``, when given, is called once with the
+    largest slope the causality rows sampled (the ceiling) and returns the
+    slope that further limits the causality half, such as ``min(ceiling,
+    remote cone slope)``; a cap at or above the ceiling changes no verdict.
+    Progress always uses the field's own sampled slope.  Returns the
+    verdicts, row 0's (F,) slopes (dt = 0, each triangle at its own times)
+    and the verdicts without the remote cap, which a call without
+    ``remote`` makes for the same rows.  Only a cap below the ceiling judges
+    the causality half a second time; otherwise the two verdicts are one
+    object.
     """
     F = times.shape[0]
     tmin = config.tmin_2d
@@ -346,18 +361,8 @@ def progressive_verdicts(points: np.ndarray, times: np.ndarray,
     block[f, n:, lo] = t_lift
     block[f, n:, mid] = t_mid + tmin
     sig = sampled_min_simplices(field, points, block, elements=elements)
-
-    # Causality of each lifted triangle, in the altitude form at apex lo.
-    t_qr = times[f[:, None], _OTHERS[lo]]
-    alt, u_along, qr_len, phi_lo = (a[f, lo][:, None] for a in geometry)
-    sig_c = sig[:, :n]
-    if remote is not None:
-        sig_c = np.minimum(sig_c, remote(float(sig_c.max())))
     slack = np.empty((F, n, 2))
     scale = np.empty((F, n, 2))
-    slack[..., 0], scale[..., 0] = causality_slack(
-        sig_c, t_qr[:, :1], t_qr[:, 1:], qr_len, t_lift, alt, u_along,
-    )
 
     # Progress of each lifted triangle, re-ordered by (time, id).  Only lo
     # moved, so the order is lo, mid, hi until the lift passes mid, then
@@ -365,6 +370,7 @@ def progressive_verdicts(points: np.ndarray, times: np.ndarray,
     # joins the later two: t_hi - t_mid, t_hi - t_lift, then t_lift - t_hi,
     # which is |t_hi - max(t_lift, t_mid)| in each case, bit for bit (a
     # time tie makes the two candidates equal).
+    alt, u_along, qr_len, phi_lo = (a[f, lo][:, None] for a in geometry)
     past_mid = (t_lift > t_mid) | ((t_lift == t_mid) & (id_lo > id_mid))
     phi = np.where(past_mid, geometry.phi[f, mid][:, None], phi_lo)
     length = np.where(past_mid, geometry.qr_len[f, mid][:, None], qr_len)
@@ -373,12 +379,29 @@ def progressive_verdicts(points: np.ndarray, times: np.ndarray,
     slack[..., 1] = bound - diff
     scale[..., 1] = np.maximum(bound, diff)
 
-    # First minimum in the order causal 0, progress 0, causal 1, ...
-    slack = slack.reshape(F, 2 * n)
-    k = slack.argmin(axis=1)
-    return FacetVerdicts.judge(
-        slack[f, k], scale.reshape(F, 2 * n)[f, k], _BINDINGS[k & 1],
-    ), sig[:, 0]
+    t_qr = times[f[:, None], _OTHERS[lo]]
+
+    def judge(sigma: np.ndarray) -> FacetVerdicts:
+        # Causality of each lifted triangle, in the altitude form at apex
+        # lo, against ``sigma``; then the first minimum in the order
+        # causal 0, progress 0, causal 1, ...
+        slack[..., 0], scale[..., 0] = causality_slack(
+            sigma, t_qr[:, :1], t_qr[:, 1:], qr_len, t_lift, alt, u_along,
+        )
+        flat = slack.reshape(F, 2 * n)
+        k = flat.argmin(axis=1)
+        return FacetVerdicts.judge(
+            flat[f, k], scale.reshape(F, 2 * n)[f, k], _BINDINGS[k & 1],
+        )
+
+    sig_c = sig[:, :n]
+    verdicts = uncapped = judge(sig_c)
+    if remote is not None:
+        ceiling = float(sig_c.max())
+        cap = remote(ceiling)
+        if not cap >= ceiling:
+            verdicts = judge(np.minimum(sig_c, cap))
+    return verdicts, sig[:, 0], uncapped
 
 
 def is_progressive_triangle(points, times, field: SlopeField,
@@ -404,17 +427,20 @@ def is_progressive_triangle(points, times, field: SlopeField,
 def is_progressive_front(front, field: SlopeField,
                          config: ConstraintConfig,
                          limit: int = 5) -> tuple[bool, list]:
-    """Check every facet of a front; returns (ok, first few violations).
+    """Check every facet of a front; returns (ok, first ``limit`` violations).
 
-    In 1D "progressive" coincides with "causal", so segments are checked for
-    causality only.
+    ``ok`` covers every facet, whatever ``limit`` (an integer >= 0, or
+    :class:`InvalidArgument`) keeps of the violations.  In 1D "progressive"
+    coincides with "causal", so segments are checked for causality only.
     """
+    check_count("limit", limit)
     mesh: SpaceMesh = front.mesh
     facets = Facets.of(mesh, np.arange(mesh.n_simplices))
-    verdicts, _ = facet_verdicts(facets, front.times[facets.rows], field, config)
+    verdicts = facet_verdicts(facets, front.times[facets.rows], field,
+                              config)[0]
     violations = [(int(sid), verdicts.verdict(sid))
                   for sid in np.flatnonzero(~verdicts.satisfied)[:limit]]
-    return len(violations) == 0, violations
+    return bool(verdicts.satisfied.all()), violations
 
 
 # ---------------------------------------------------------------------------
@@ -425,17 +451,18 @@ def is_progressive_front(front, field: SlopeField,
 class Facets(NamedTuple):
     """Facets ``sids`` of a mesh, gathered once for every check of them.
 
-    ``rows`` is ``mesh.simplices[sids]``, ``pts`` is ``mesh.vertices[rows]``
-    and ``geo`` the geometry the checks read: the segment lengths
-    (``mesh.measures[sids]``) in 1D, the triangles'
-    :class:`~tentmesh.geometry.ApexGeometry` rows in 2D.  Every array is
-    gathered from the mesh, which no run writes, so a record stays valid
-    while the front moves.
+    ``rows`` is ``mesh.simplices[sids]``, ``sites`` the
+    :class:`~tentmesh.fields.SampleSites` of the facets' points and ids,
+    where every check samples the field, and ``geo`` the geometry the
+    checks read: the segment lengths (``mesh.measures[sids]``) in 1D, the
+    triangles' :class:`~tentmesh.geometry.ApexGeometry` rows in 2D.  Every
+    array is gathered from the mesh, which no run writes, so a record stays
+    valid while the front moves.
     """
 
     sids: np.ndarray
     rows: np.ndarray
-    pts: np.ndarray
+    sites: SampleSites
     geo: np.ndarray | ApexGeometry
 
     @classmethod
@@ -443,7 +470,7 @@ class Facets(NamedTuple):
         rows = mesh.simplices[sids]
         geo = (mesh.measures[sids] if mesh.dim == 1
                else mesh.apex_geometry.take(sids))
-        return cls(sids, rows, mesh.vertices[rows], geo)
+        return cls(sids, rows, SampleSites.of(mesh.vertices[rows], sids), geo)
 
 
 def facet_causality(facets: Facets, T: np.ndarray,
@@ -455,7 +482,7 @@ def facet_causality(facets: Facets, T: np.ndarray,
     :func:`~tentmesh.solver.solve_patch`.  Triangles are checked at their
     latest vertex (ties to the larger id).
     """
-    sigma = sampled_min_simplices(field, facets.pts, T, elements=facets.sids)
+    sigma = sampled_min_simplices(field, facets.sites, T)
     geo = facets.geo
     if facets.rows.shape[1] == 2:
         slack, scale = causality_slack(sigma, T[:, 0], T[:, 1], geo)
@@ -473,21 +500,23 @@ def facet_causality(facets: Facets, T: np.ndarray,
 
 
 def facet_verdicts(facets: Facets, T: np.ndarray, field: SlopeField,
-                   config: ConstraintConfig,
-                   remote=None) -> tuple[FacetVerdicts, np.ndarray]:
+                   config: ConstraintConfig, remote=None,
+                   ) -> tuple[FacetVerdicts, np.ndarray, FacetVerdicts]:
     """The acceptance check of ``facets`` at times ``T``, per dimension.
 
     Row i of ``T`` holds the times of facet i's vertices in id order;
-    returns the verdicts and each facet's slope sampled at ``T``.
+    returns the verdicts, each facet's slope sampled at ``T`` and the
+    verdicts without the ``remote`` cap (the whole-front check's).
     1D: :func:`facet_causality`.  2D: :func:`progressive_verdicts`, whose
     ``remote`` hook (the remote cone slope below a ceiling) caps the
     causality half; 1D ignores it, as tentpoles there stay below remote
-    cones outright.
+    cones outright, and its two verdicts are one object.
     """
     if facets.rows.shape[1] == 2:
-        return facet_causality(facets, T, field)
-    return progressive_verdicts(facets.pts, T, facets.rows, facets.geo, field,
-                                config, elements=facets.sids, remote=remote)
+        verdicts, sigma = facet_causality(facets, T, field)
+        return verdicts, sigma, verdicts
+    return progressive_verdicts(facets.sites, T, facets.rows, facets.geo,
+                                field, config, remote=remote)
 
 
 def front_causality_report(mesh: SpaceMesh, times: np.ndarray,

@@ -3,10 +3,13 @@
 Every error raised by tentmesh derives from :class:`TentMeshError`, so callers
 can catch one type at the boundary.  The CLI maps these onto exit codes:
 input and validation problems exit with 2, runtime invariant violations
-(:class:`ContractViolation`) exit with 3.
+(:class:`ContractViolation`) exit with 3.  :func:`check_count` and
+:func:`check_vertex` are the integer-argument checks the entry points share.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 class TentMeshError(Exception):
@@ -46,4 +49,28 @@ class InvalidArgument(TentMeshError):
 
 class ContractViolation(TentMeshError):
     """A run broke an invariant: any run raises it for a wedged vertex or an
-    overrun patch guard, and assertion mode for a failed whole-front check."""
+    overrun patch guard, and assertion mode for a failed invariant check."""
+
+
+def check_count(name: str, count) -> None:
+    """Raise :class:`InvalidArgument` unless ``count`` is an integer >= 0."""
+    try:
+        if operator.index(count) >= 0:
+            return
+    except TypeError:
+        pass
+    raise InvalidArgument(f"{name} must be an integer >= 0, got {count!r}")
+
+
+def check_vertex(p, n_vertices: int) -> int:
+    """``p`` as an int: :class:`InvalidArgument` unless it is an integer
+    (a bool is not a vertex id), :class:`NotFound` outside ``[0, n)``."""
+    try:
+        v = operator.index(p)
+    except TypeError:
+        v = None
+    if v is None or isinstance(p, bool):
+        raise InvalidArgument(f"vertex id must be an integer, got {p!r}")
+    if not 0 <= v < n_vertices:
+        raise NotFound(f"vertex {v} does not exist")
+    return v

@@ -16,8 +16,9 @@ of ``SLOPE_SAMPLES`` extra barycentric points, and the smallest sample
 variation is resolved by those samples this is conservative;
 discontinuities thinner than the sampling are the caller's responsibility.
 It takes R rows of vertex times per simplex at once: the sample points are
-computed once per simplex, and ``_values`` then gets ``ts`` of shape
-(R, N) against ``xs`` of shape (N, dim), one row per time row.  Every
+computed once per simplex (or once per star, as :class:`SampleSites` a
+caller keeps), and ``_values`` then gets ``ts`` of shape (R, N) against
+``xs`` of shape (N, dim), one row per time row.  Every
 ``_values`` must return an array that broadcasts to the shape of ``ts``:
 elementwise in ``ts`` and per point in ``xs`` (a field that reads only
 ``xs[:, 0]`` or ``elems`` may return shape (N,)).
@@ -67,6 +68,7 @@ from __future__ import annotations
 import io
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -366,45 +368,70 @@ def sampled_min_values(field: SlopeField, positions: np.ndarray,
     return np.maximum(field.sigma_min, mins)
 
 
-def sampled_min_simplices(field: SlopeField, positions: np.ndarray,
-                          times: np.ndarray, elements=None) -> np.ndarray:
+class SampleSites(NamedTuple):
+    """Where :func:`sampled_min_simplices` evaluates a field over m simplices.
+
+    ``pts`` holds each simplex's ``S`` sample points, simplex by simplex, as
+    an (m * S, dim) array, and ``elems`` the simplex's element id repeated
+    once per point (None without ids).  The sites depend on the positions
+    only, so a caller that samples the same simplices at many times, such
+    as every probe of one star, computes them once with :meth:`of`.
+    """
+
+    pts: np.ndarray
+    elems: np.ndarray | None
+
+    @classmethod
+    def of(cls, positions: np.ndarray, elements=None) -> "SampleSites":
+        """The sites of ``positions`` (m, k, dim) and their (m,) ``elements``."""
+        positions = np.asarray(positions, dtype=np.float64)
+        m, k = positions.shape[:2]
+        weights = _barycentric_weights(k, SLOPE_SAMPLES)  # (S, k)
+        S = weights.shape[0]
+        # The stacked matmul repeats sampled_min_values' per-simplex product
+        # exactly; einsum sums the products in another order, and a sample
+        # point one ulp off can land on the other side of a cone boundary.
+        pts = np.matmul(weights, positions).reshape(m * S, -1)
+        elems = None
+        if elements is not None:
+            elems = np.repeat(np.asarray(elements, dtype=np.int64), S)
+        return cls(pts, elems)
+
+
+def sampled_min_simplices(field: SlopeField, positions, times: np.ndarray,
+                          elements=None) -> np.ndarray:
     """Conservative slope for many simplices at once.
 
-    ``positions`` is (m, k, dim), ``times`` is (m, k), or (m, R, k) for R
-    rows of vertex times per simplex, and ``elements`` an optional (m,) id
-    array.  Returns (m,) or (m, R) values with the sample points and clamp
-    of :func:`sampled_min_values` at ``SLOPE_SAMPLES``.  Each simplex's
-    sample points are computed once: with rows, the field sees ``ts`` of
-    shape (R, N) against ``xs`` of shape (N, dim), and its values broadcast
-    to (R, N).  The rows' sample times are one product over all m * R rows,
-    so they carry the bits of a call with the rows flattened into simplices.
-    A one-row call can round a row's sample times differently in the last
-    bit from a call of two or more rows (numpy takes its matrix-vector path
-    for one row), so two checks that must agree on a slope should keep the
-    slope one of them sampled.
+    ``positions`` is (m, k, dim), or their :class:`SampleSites` (which carry
+    the ids, so ``elements`` is then not given); ``times`` is (m, k), or
+    (m, R, k) for R rows of vertex times per simplex, and ``elements`` an
+    optional (m,) id array.  Returns (m,) or (m, R) values with the sample
+    points and clamp of :func:`sampled_min_values` at ``SLOPE_SAMPLES``.
+    With rows, the field sees ``ts`` of shape (R, N) against ``xs`` of shape
+    (N, dim), and its values broadcast to (R, N).  The sample times are one
+    matrix product over all m * R time rows, so a row's sample times carry
+    the same bits in every call: numpy's matrix-vector path, which rounds
+    differently in the last bit, is never taken, as a single row is
+    sampled twice over.
     """
-    positions = np.asarray(positions, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
-    m, k = times.shape[0], times.shape[-1]
     if field.is_constant:
         return np.full(times.shape[:-1], field.sigma_min)
+    sites = positions if isinstance(positions, SampleSites) \
+        else SampleSites.of(positions, elements)
+    m, k = times.shape[0], times.shape[-1]
     weights = _barycentric_weights(k, SLOPE_SAMPLES)  # (S, k)
     S = weights.shape[0]
-    # The stacked matmul repeats sampled_min_values' per-simplex product
-    # exactly; einsum sums the products in another order, and a sample
-    # point one ulp off can land on the other side of a cone boundary.
-    pts = np.matmul(weights, positions).reshape(m * S, -1)
-    elems = None
-    if elements is not None:
-        elems = np.repeat(np.asarray(elements, dtype=np.int64), S)
+    R = times.shape[1] if times.ndim == 3 else 1
+    rows = times.reshape(m * R, k)
+    if m * R == 1:
+        rows = rows.repeat(2, axis=0)
+    ts = (rows @ weights.T)[:m * R].reshape(m, R, S)
     if times.ndim == 2:
-        ts = (times @ weights.T).reshape(m * S)
-        vals = field.values(pts, ts, elems=elems).reshape(m, S).min(axis=1)
-        return np.maximum(field.sigma_min, vals)
-    R = times.shape[1]
-    ts = (times.reshape(m * R, k) @ weights.T).reshape(m, R, S)
+        vals = field.values(sites.pts, ts.reshape(m * S), elems=sites.elems)
+        return np.maximum(field.sigma_min, vals.reshape(m, S).min(axis=1))
     ts = ts.transpose(1, 0, 2).reshape(R, m * S)
-    vals = field.values(pts, ts, elems=elems)
+    vals = field.values(sites.pts, ts, elems=sites.elems)
     if vals.shape != ts.shape:
         vals = np.broadcast_to(vals, ts.shape)
     return np.maximum(field.sigma_min, vals.reshape(R, m, S).min(axis=2).T)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import front_causality_report
-from .errors import InvalidArgument, NotFound, ValidationError
+from .errors import InvalidArgument, ValidationError, check_vertex
 from .fields import SlopeField
 from .mesh import SpaceMesh
 from .solver import check_fit
@@ -95,13 +95,20 @@ def local_minima(front: Front) -> np.ndarray:
 
 
 def advance(front: Front, p: int, dt: float) -> Front:
-    """New front with vertex ``p`` lifted by a finite ``dt >= 0``."""
-    if not 0 <= p < front.mesh.n_vertices:
-        raise NotFound(f"vertex {p} does not exist")
+    """New front with vertex ``p`` lifted by a finite ``dt >= 0``.
+
+    ``p`` is an integer vertex id (see :func:`~tentmesh.errors.check_vertex`)
+    and the lifted time must be finite, or :class:`InvalidArgument` is
+    raised.
+    """
+    p = check_vertex(p, front.mesh.n_vertices)
     if not (dt >= 0.0 and math.isfinite(dt)):
         raise InvalidArgument(f"lift must be finite and nonnegative, got {dt}")
+    top = float(front.times[p]) + float(dt)
+    if not math.isfinite(top):
+        raise InvalidArgument(f"lifting vertex {p} by {dt!r} overflows its time")
     t = front.times.copy()
-    t[p] += dt
+    t[p] = top
     t.setflags(write=False)
     return Front(mesh=front.mesh, times=t)
 

@@ -627,13 +627,9 @@ def build(mesh: SpaceMesh, front, field: SlopeField,
     """
     m = mesh.n_simplices
     slopes = np.empty(m)
-    # Blocks of SLOPE_BLOCK rows bound the sampling transients.  A one-row
-    # call rounds differently (see sampled_min_simplices), so a one-row
-    # tail joins the block before it.
-    starts = list(range(0, m, SLOPE_BLOCK))
-    if len(starts) > 1 and m - starts[-1] == 1:
-        starts.pop()
-    for lo, hi in zip(starts, starts[1:] + [m]):
+    # Blocks of SLOPE_BLOCK rows bound the sampling transients.
+    for lo in range(0, m, SLOPE_BLOCK):
+        hi = min(lo + SLOPE_BLOCK, m)
         rows = mesh.simplices[lo:hi]
         slopes[lo:hi] = sampled_min_simplices(
             field, mesh.vertices[rows], front.times[rows],

@@ -37,13 +37,18 @@ themselves when called without one.  The spacetime mesh is told only p and
 the height: it keeps the start front and one current event per vertex, the
 one on the front, so it works out p's star, base and top itself, and a base
 corner is its vertex's current event with no lookup by (vertex, time).
+
+With ``assert_invariants`` the whole front is checked after the first
+patch, and after each later patch only the facets it changed (see
+:func:`_assert_patch_ok`): the star's verdicts are handed on from the
+probe that accepted the height, with its slopes, so only a patch that
+fired script rows costs a kernel call of its own.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -51,7 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintConfig, Facets, facet_verdicts, is_progressive_front
-from .errors import ContractViolation, InvalidArgument, NotFound, ValidationError
+from .errors import ContractViolation, InvalidArgument, ValidationError, \
+    check_count, check_vertex
 from .fields import SlopeField
 from .front import BlockedTimes, Front, check_times, initial_front, local_minima
 from .geometry import APEX_OTHERS
@@ -122,13 +128,13 @@ class SpacetimeMesh:
         """Lift p by ``height`` over its whole star; return the new patch.
 
         The base is p's current event time (its start time before its first
-        patch) and the top is base + height.  An unknown vertex raises
-        :class:`NotFound`, and a top that is not finite or not above its
-        base :class:`InvalidArgument`; either way nothing is added.
+        patch) and the top is base + height.  A vertex id that is not an
+        integer raises :class:`InvalidArgument` and an unknown one
+        :class:`NotFound` (see :func:`~tentmesh.errors.check_vertex`); a top
+        that is not finite or not above its base raises
+        :class:`InvalidArgument`.  Either way nothing is added.
         """
-        p, height = int(p), float(height)
-        if not 0 <= p < self.space.n_vertices:
-            raise NotFound(f"vertex {p} does not exist")
+        p, height = check_vertex(p, self.space.n_vertices), float(height)
         cur, start = self._current, self.initial_times
         ev_vertex, ev_time = self.event_vertex, self.event_time
         eb = cur[p]
@@ -267,6 +273,7 @@ def star_feasible(mesh: SpaceMesh, times: np.ndarray, p: int, c: float,
                   field: SlopeField, config: ConstraintConfig,
                   cones=None, *, margin: list | None = None,
                   sampled: list | None = None,
+                  verdicts: list | None = None,
                   star: Facets | None = None) -> bool:
     """Whether topping p at time c leaves its star acceptable.
 
@@ -280,7 +287,11 @@ def star_feasible(mesh: SpaceMesh, times: np.ndarray, p: int, c: float,
     :meth:`~tentmesh.constraints.FacetVerdicts.margin` from the same
     evaluation is appended to it.  The answer is that margin ``>= 0``, which
     is exactly when every facet is satisfied (a NaN margin is infeasible).
-    ``star`` is p's star record, gathered here when not given.
+    When ``verdicts`` is a list, the star's
+    :class:`~tentmesh.constraints.FacetVerdicts` without the remote cap are
+    appended to it: the verdicts the whole-front check makes of these
+    facets at these times.  ``star`` is p's star record, gathered here when
+    not given.
     """
     if star is None:
         star = Facets.of(mesh, mesh.stars[p])
@@ -291,10 +302,13 @@ def star_feasible(mesh: SpaceMesh, times: np.ndarray, p: int, c: float,
         # Only a remote slope below the star's own largest sampled slope
         # can tighten the check, so the walk stops at that ceiling.
         remote = functools.partial(cones.min_slope_intersecting, p, c)
-    verdicts, sigma = facet_verdicts(star, lifted, field, config, remote)
+    capped, sigma, uncapped = facet_verdicts(star, lifted, field, config,
+                                             remote)
     if sampled is not None:
         sampled.append(sigma)
-    m = verdicts.margin()
+    if verdicts is not None:
+        verdicts.append(uncapped)
+    m = capped.margin()
     if margin is not None:
         margin.append(m)
     return m >= 0.0
@@ -397,6 +411,7 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
                   config: ConstraintConfig, cones, p: int,
                   stats: dict | None = None, *,
                   slopes: list | None = None,
+                  judged: list | None = None,
                   star: Facets | None = None) -> float:
     """Height for pitching p: floor-bounded, verified against the field.
 
@@ -412,9 +427,11 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
     ``t_p + h``, and none is below the floor.  ``stats["bisection_steps"]``
     counts the search's probes.  When ``slopes`` is a list, the field
     slopes the accepted probe sampled over the star lifted to ``t_p + h``
-    are appended to it: the slopes its verdict was judged against.  ``star``
-    is p's star record, which the bracket and every probe read; it is
-    gathered here when not given.
+    are appended to it: the slopes its verdict was judged against.  When
+    ``judged`` is a list, the same probe's top and its star verdicts without
+    the remote cap (see :func:`star_feasible`) are appended to it as one
+    pair.  ``star`` is p's star record, which the bracket and every probe
+    read; it is gathered here when not given.
     """
     if star is None:
         star = Facets.of(mesh, mesh.stars[p])
@@ -426,7 +443,10 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
     tol = config.eta / 8.0
     if slopes is None:
         slopes = []
-    at = len(slopes)  # where the latest feasible probe's slopes go
+    if judged is None:
+        judged = []
+    # Where the latest feasible probe's slopes and verdicts go.
+    at, at_judged = len(slopes), len(judged)
 
     # The search runs over heights, so every returned height h is exactly
     # the height of a probed top t_p + h, and the latest feasible one (the
@@ -434,10 +454,13 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
     def probe(h: float) -> tuple[bool, float]:
         out: list[float] = []
         got: list[np.ndarray] = []
-        ok = star_feasible(mesh, times, p, t_p + h, field, config, cones,
-                           margin=out, sampled=got, star=star)
+        seen: list = []
+        top = t_p + h
+        ok = star_feasible(mesh, times, p, top, field, config, cones,
+                           margin=out, sampled=got, verdicts=seen, star=star)
         if ok:
             slopes[at:] = got
+            judged[at_judged:] = [(top, seen[0])]
         return ok, out[0]
 
     def count(key: str, n: int = 1) -> None:
@@ -580,34 +603,68 @@ def _patch_guard(mesh: SpaceMesh, config: ConstraintConfig,
     return mesh.n_vertices * (math.ceil(sweeps) + 1) + 256
 
 
+def _check_floor(config: ConstraintConfig, dim: int, patch: Patch,
+                 height: float) -> None:
+    tmin = config.tmin(dim)
+    if not height >= tmin:
+        raise ContractViolation(
+            f"patch {patch.index} height {height!r} fell below floor {tmin!r}"
+        )
+
+
+def _not_progressive(patch: Patch, sid: int, verdict) -> ContractViolation:
+    return ContractViolation(
+        f"front facet {sid} not progressive after patch {patch.index} "
+        f"({verdict.binding} slack {verdict.slack!r})"
+    )
+
+
 def _assert_front_ok(mesh, front, field, config, patch, height) -> None:
     """Raise unless the height met the floor and the whole front is progressive.
 
     In 2D the progressive check's unlifted rows re-check causality of every
     facet; in 1D it is the causality check itself.
     """
-    tmin = config.tmin(mesh.dim)
-    if not height >= tmin:
-        raise ContractViolation(
-            f"patch {patch.index} height {height!r} fell below floor {tmin!r}"
-        )
+    _check_floor(config, mesh.dim, patch, height)
     ok, violations = is_progressive_front(front, field, config, limit=1)
     if not ok:
-        sid, verdict = violations[0]
+        raise _not_progressive(patch, *violations[0])
+
+
+def _assert_patch_ok(mesh: SpaceMesh, times: np.ndarray, field: SlopeField,
+                     config: ConstraintConfig, patch: Patch, height: float,
+                     star: Facets, accepted: tuple, fired: list) -> None:
+    """:func:`_assert_front_ok` after a patch, once the front before it passed.
+
+    A facet's verdict depends only on its own vertex times and the field,
+    so only the facets the patch changed are judged: p's star, with the
+    verdicts of the probe that accepted the height (``accepted`` is its top
+    and its verdicts without the remote cap), and the facets whose table
+    entry a row in ``fired`` rewrote, in one call.  Every other facet is as
+    it was when it last passed, so the lowest violating facet is the one
+    the whole-front check reports.  A top that is not the accepted one bit
+    for bit raises too: its verdicts would belong to other times.
+    """
+    _check_floor(config, mesh.dim, patch, height)
+    top, verdicts = accepted
+    if times.item(patch.vertex) != top:
         raise ContractViolation(
-            f"front facet {sid} not progressive after patch {patch.index} "
-            f"({verdict.binding} slack {verdict.slack!r})"
+            f"patch {patch.index} top {times.item(patch.vertex)!r} is not the "
+            f"top {top!r} its star check accepted"
         )
-
-
-def _check_count(name: str, count) -> None:
-    """Raise :class:`InvalidArgument` unless ``count`` is an integer >= 0."""
-    try:
-        if operator.index(count) >= 0:
-            return
-    except TypeError:
-        pass
-    raise InvalidArgument(f"{name} must be an integer >= 0, got {count!r}")
+    rewritten = sorted({row.element for row in fired})
+    bad = []
+    if not verdicts.satisfied.all():
+        bad = [(sid, verdicts.verdict(i))
+               for i, sid in enumerate(star.sids.tolist())
+               if not verdicts.satisfied[i] and sid not in rewritten]
+    if rewritten:
+        facets = Facets.of(mesh, np.array(rewritten, dtype=np.int64))
+        again = facet_verdicts(facets, times[facets.rows], field, config)[0]
+        bad += [(sid, again.verdict(i)) for i, sid in enumerate(rewritten)
+                if not again.satisfied[i]]
+    if bad:
+        raise _not_progressive(patch, *min(bad, key=lambda b: b[0]))
 
 
 def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
@@ -646,8 +703,8 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
             f"unknown heuristic {heuristic!r}; choose from {', '.join(HEURISTICS)}"
         )
     if max_patches is not None:
-        _check_count("max_patches", max_patches)
-    _check_count("snapshot_every", snapshot_every)
+        check_count("max_patches", max_patches)
+    check_count("snapshot_every", snapshot_every)
     if math.isnan(target_time):
         raise ValidationError("target time must be a number, got nan")
     if front is not None:
@@ -700,6 +757,7 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
 
     last_rr = -1
     kept: list[np.ndarray] = []  # the star slopes of the accepted top
+    judged: list[tuple] = []     # that top and its star verdicts
     while t_low < target_time:
         if len(stmesh.patches) >= guard:
             if max_patches is not None:
@@ -716,7 +774,7 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
         t_p = float(times[p])
         star = Facets.of(mesh, mesh.stars[p])
         height = greedy_height(mesh, front, field, config, cones, p, stats,
-                               slopes=kept, star=star)
+                               slopes=kept, judged=judged, star=star)
         top = t_p + height
         if top == t_p:
             # A run under max_patches skips the target's floor check, and
@@ -729,10 +787,16 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
         # The accepted probe sampled the star at exactly these times
         # (times[p] is now t_p + height), and no row has fired since.
         cones.update_star(star.sids, kept.pop())
-        stats["script_rows_fired"] += len(fire_rows(field, top, pending))
+        fired = fire_rows(field, top, pending)
+        stats["script_rows_fired"] += len(fired)
         heights.append(height)
+        accepted = judged.pop()
         if assert_invariants:
-            _assert_front_ok(mesh, front, field, config, patch, height)
+            if patch.index == 0:
+                _assert_front_ok(mesh, front, field, config, patch, height)
+            else:
+                _assert_patch_ok(mesh, times, field, config, patch, height,
+                                 star, accepted, fired)
         if snapshot_cb is not None and snapshot_every > 0 \
                 and len(stmesh.patches) % snapshot_every == 0:
             snapshot_cb(len(stmesh.patches), _frozen(mesh, times))

@@ -42,7 +42,7 @@ from tentmesh.constraints import (
     progressive_verdicts,
     _lift_samples,
 )
-from tentmesh.errors import ValidationError
+from tentmesh.errors import InvalidArgument, ValidationError
 from tentmesh.fields import (
     CompositeMinField,
     ConstantField,
@@ -381,9 +381,9 @@ def test_kernel_matches_scalar_reference_bit_for_bit(data):
                     for _ in range(F)])
     field = _field(data, F)
     cap = data.draw(st.just(math.inf) | st.floats(0.2, 3.0))
-    got, _ = progressive_verdicts(points, times, ids, apex_geometry(points),
-                                  field, cfg, elements=np.arange(F),
-                                  remote=lambda ceiling: min(ceiling, cap))
+    got, _, _ = progressive_verdicts(points, times, ids, apex_geometry(points),
+                                     field, cfg, elements=np.arange(F),
+                                     remote=lambda ceiling: min(ceiling, cap))
     for i in range(F):
         want = _reference_verdict(points[i], times[i], field, cfg,
                                   tuple(ids[i]), element=i, sigma_cap=cap)
@@ -468,6 +468,67 @@ def test_progressive_front_violations_match_scalar_loop(kind):
         ok, got = is_progressive_front(planted, field, cfg, limit=limit)
         assert not ok
         assert [(sid, _bits(v)) for sid, v in got] == want[:limit]
+
+
+@pytest.mark.parametrize("limit", [0, 1, 5])
+def test_progressive_front_ok_covers_every_facet_whatever_the_limit(limit):
+    # limit=0 used to return ok=True for this front: ok was read from the
+    # truncated violation list.
+    mesh = grid_mesh(2, 2)
+    times = np.zeros(mesh.n_vertices)
+    times[2] = 0.45
+    cfg = ConstraintConfig.for_problem(mesh, ConstantField(1.0))
+    ok, got = is_progressive_front(Front(mesh, times), ConstantField(1.0), cfg,
+                                   limit=limit)
+    assert ok is False and len(got) == min(limit, 1)
+    ok, got = is_progressive_front(Front(mesh, np.zeros(mesh.n_vertices)),
+                                   ConstantField(1.0), cfg, limit=limit)
+    assert ok is True and got == []
+
+
+@pytest.mark.parametrize("limit", [-1, 1.5, "2", None])
+def test_progressive_front_rejects_a_limit_that_is_not_a_count(limit):
+    mesh = grid_mesh(2, 2)
+    cfg = ConstraintConfig.for_problem(mesh, ConstantField(1.0))
+    with pytest.raises(InvalidArgument,
+                       match=f"^limit must be an integer >= 0, got {limit!r}"):
+        is_progressive_front(initial_front(mesh), ConstantField(1.0), cfg,
+                             limit=limit)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_uncapped_verdicts_are_the_call_without_a_cap(data):
+    # The third value is what a call without ``remote`` returns, bit for
+    # bit; it is the capped verdicts themselves unless the cap lies below
+    # the largest sampled causality slope.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mesh = grid_mesh(3, 3, skew=0.2)
+    field = (SpatialConeField([0.5, 0.5], 0.0, 2.0, 1.0, 0.5)
+             if data.draw(st.booleans())
+             else TableField(rng.uniform(0.5, 2.0, mesh.n_simplices)))
+    cfg = ConstraintConfig.for_problem(mesh, field)
+    fr = random_front(mesh, cfg, rng, pitches=int(rng.integers(0, 20)))
+    facets = Facets.of(mesh, np.flatnonzero(rng.integers(2, size=mesh.n_simplices))
+                       if rng.integers(2) else np.arange(mesh.n_simplices))
+    assume(len(facets.sids))
+    T = fr.times[facets.rows] + rng.uniform(0.0, 3.0 * cfg.tmin_2d,
+                                             facets.rows.shape)
+    cap = data.draw(st.sampled_from([math.inf, 0.1]) | st.floats(0.2, 3.0))
+    ceilings = []
+
+    def remote(ceiling):
+        ceilings.append(ceiling)
+        return min(ceiling, cap)
+
+    capped, sigma, uncapped = facet_verdicts(facets, T, field, cfg, remote)
+    plain, sigma_plain, same = facet_verdicts(facets, T, field, cfg)
+    assert same is plain
+    assert sigma.tobytes() == sigma_plain.tobytes()
+    assert uncapped.slack.tobytes() == plain.slack.tobytes()
+    assert uncapped.scale.tobytes() == plain.scale.tobytes()
+    assert uncapped.binding.tolist() == plain.binding.tolist()
+    assert (capped is uncapped) == (cap >= ceilings[0])
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +638,8 @@ def test_whole_front_checks_keep_their_bits(dim, kind):
     h = hashlib.sha256()
     for times in (run.front.times, 3.0 * run.front.times):
         rep = front_causality_report(mesh, times, field, cfg)
-        verdicts, _ = facet_verdicts(Facets.of(mesh, np.arange(mesh.n_simplices)),
-                                     times[mesh.simplices], field, cfg)
+        verdicts = facet_verdicts(Facets.of(mesh, np.arange(mesh.n_simplices)),
+                                  times[mesh.simplices], field, cfg)[0]
         for a in (rep["slack"], rep["scale"], rep["sigma"], rep["satisfied"],
                   verdicts.slack, verdicts.scale):
             h.update(np.ascontiguousarray(a).tobytes())

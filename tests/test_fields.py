@@ -455,6 +455,38 @@ def test_rows_axis_sampler_matches_the_flattened_call(data):
         == xs_flat.tobytes()
 
 
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_sites_and_single_rows_sample_the_bits_of_one_call(data):
+    # Sites computed once give every later call the bits of a call from
+    # positions, and a call of one simplex samples at the times the same
+    # simplex gets inside a call of many: numpy's matrix-vector path for a
+    # single row would round some of them differently in the last bit.
+    dim = data.draw(st.sampled_from([1, 2]))
+    m = data.draw(st.integers(2, 6))
+    k = dim + 1
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    positions = rng.uniform(-1.0, 1.0, (m, k, dim))
+    times = rng.uniform(0.0, 1.0, (m, k))
+    field = _any_field(data, dim, m)
+    elements = np.arange(m)
+    sites = fields.SampleSites.of(positions, elements)
+    want = sampled_min_simplices(field, positions, times, elements=elements)
+    assert sampled_min_simplices(field, sites, times).tobytes() == want.tobytes()
+    rows = times[:, None, :].repeat(2, axis=1)
+    assert sampled_min_simplices(field, sites, rows).tobytes() \
+        == want.repeat(2).tobytes()
+    seen = _Seen(LinearInX())
+    sampled_min_simplices(seen, positions, times)
+    for i in range(m):
+        one = sampled_min_simplices(field, positions[i:i + 1], times[i:i + 1],
+                                    elements=elements[i:i + 1])
+        assert one.tobytes() == want[i:i + 1].tobytes()
+        sampled_min_simplices(seen, positions[i:i + 1], times[i:i + 1])
+    (_, ts), *singles = seen.seen
+    assert ts.tobytes() == np.concatenate([t for _, t in singles]).tobytes()
+
+
 @given(st.integers(min_value=0, max_value=12))
 @settings(max_examples=30, deadline=None)
 def test_sampled_min_never_below_sigma_min(samples):

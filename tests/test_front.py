@@ -144,6 +144,26 @@ class TestAdvance:
         with pytest.raises(NotFound):
             advance(initial_front(SQUARE), 17, 0.1)
 
+    @pytest.mark.parametrize("p", [True, False, 1.5, "1", None])
+    def test_vertex_id_that_is_not_an_integer_rejected(self, p):
+        # True used to index every vertex and lift them all; 1.5 raised
+        # IndexError.
+        with pytest.raises(InvalidArgument, match="vertex id must be an integer"):
+            advance(initial_front(SQUARE), p, 0.5)
+
+    def test_numpy_integer_vertex_accepted(self):
+        assert advance(initial_front(SQUARE), np.int32(3), 0.5).times.tolist() \
+            == [0.0, 0.0, 0.0, 0.5]
+
+    def test_lift_that_overflows_rejected(self):
+        # A finite lift whose sum is not finite used to store inf with a
+        # RuntimeWarning.
+        fr = advance(initial_front(SQUARE), 1, 1e308)
+        with pytest.raises(InvalidArgument, match="overflows"):
+            advance(fr, 1, 1e308)
+        with pytest.raises(InvalidArgument, match="overflows"):
+            advance(fr, 1, np.float64(1e308))
+
     def test_argmin_breaks_ties_to_smallest_id(self):
         mesh = interval_mesh(np.arange(4.0))
         fr = initial_front(mesh, times=[0.4, 0.1, 0.1, 0.4],

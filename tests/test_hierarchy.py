@@ -434,7 +434,8 @@ def _table_grid(m):
     (_table_grid, 28), (_table_grid, 36), (_table_grid, 30),
 ])
 def test_blocked_initial_slopes_match_one_call(monkeypatch, make, m):
-    # With blocks of 7 the facet counts leave a tail of 0, 1 and 2 rows.
+    # With blocks of 7 the facet counts leave a tail of 0, 1 and 2 rows;
+    # a one-row block samples with the bits of the one call too.
     mesh, field = make(m)
     assert mesh.n_simplices == m
     rng = np.random.default_rng(m)
@@ -453,7 +454,7 @@ def test_blocked_initial_slopes_match_one_call(monkeypatch, make, m):
     for use_hierarchy in (True, False):
         cones = build(mesh, front, field, use_hierarchy=use_hierarchy)
         assert cones.slopes.tobytes() == want.tobytes()
-    assert sum(calls) == 2 * m and min(calls) >= 2 and max(calls) <= 8
+    assert sum(calls) == 2 * m and max(calls) <= 7
 
 
 # -- hierarchy vs scan agreement ---------------------------------------------

@@ -159,6 +159,17 @@ def test_container_rejects_an_unknown_vertex_and_a_top_that_does_not_move():
     _assert_empty(sm)
 
 
+@pytest.mark.parametrize("p", [1.7, True, "1"])
+def test_container_rejects_a_vertex_id_that_is_not_an_integer(p):
+    # 1.7 used to pitch vertex 1.
+    mesh = interval_mesh([0.0, 1.0, 2.0])
+    sm = SpacetimeMesh(mesh, np.zeros(3))
+    with pytest.raises(InvalidArgument, match="vertex id must be an integer"):
+        sm.add_patch(p, 1.0)
+    _assert_empty(sm)
+    assert sm.add_patch(np.int64(1), 1.0).vertex == 1
+
+
 def _patch_fields(patch):
     return (patch.index, patch.vertex, patch.base_time, patch.top_time,
             patch.height, patch.facets.tolist(), patch.elements.tolist(),
@@ -445,9 +456,9 @@ def test_star_check_2d_keeps_the_slope_it_verified():
     # The speed-up cone's apex time sits on the triangle's centre sample,
     # so the last bit of that sample's time decides inside (0.5) or outside
     # (1.0).  The star check samples 10 rows per triangle and rounds it
-    # inside; solve_patch's one-row call rounds it outside.  That is why the
-    # driver stores the check's own row-0 sample, not solve_patch's: storing
-    # 1.0 would keep a cone slope above the one the triangle was verified at.
+    # inside.  numpy's matrix-vector path for one row rounds it outside, so
+    # the sampler takes the matrix path for one row too: solve_patch's
+    # one-row call must read the slope the triangle was verified at.
     mesh = build_mesh(
         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         np.array([[0, 1, 2]]),
@@ -466,7 +477,7 @@ def test_star_check_2d_keeps_the_slope_it_verified():
         assert got[0].tolist() == [0.5]
         stored, _ = solve_patch(field, mesh.vertices[rows], times[rows],
                                 mesh.stars[p], float(times[p]))
-        assert stored.tolist() == [1.0]
+        assert stored.tolist() == [0.5]
 
 
 def test_run_2d_stores_the_slopes_its_accepted_probe_sampled(monkeypatch):
@@ -493,7 +504,7 @@ def test_run_2d_stores_the_slopes_its_accepted_probe_sampled(monkeypatch):
         probed = field.take()[1]
         (p,) = {v for v, _ in accepted}
         times = cones.front.times
-        _, fresh = facet_verdicts(Facets.of(mesh, sids),
+        _, fresh, _ = facet_verdicts(Facets.of(mesh, sids),
                                   times[mesh.simplices[sids]], field, cfg)
         assert field.take()[1] in probed
         stored = [float(s).hex() for s in slopes]
@@ -768,7 +779,7 @@ def test_star_record_gives_the_answers_of_a_fresh_gather(data):
             remote = None
             if dim == 2:
                 remote = functools.partial(cones.min_slope_intersecting, p, c)
-            verdicts, _ = facet_verdicts(Facets.of(mesh, sids),
+            verdicts, _, _ = facet_verdicts(Facets.of(mesh, sids),
                                          lifted[mesh.simplices[sids]],
                                          field, cfg, remote)
             assert answers[0][0] == bool(verdicts.satisfied.all())
