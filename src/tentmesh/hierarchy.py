@@ -246,25 +246,29 @@ class _ConesBase:
         if not 0 <= p < self.mesh.n_vertices:
             raise NotFound(f"vertex {p} does not exist")
 
-    def _store(self, sids, slopes) -> list[int]:
-        """Check every (facet, slope) pair, then write them; return the ids."""
+    def _checked(self, sids, slopes) -> list[tuple[int, float]]:
+        """The (facet, slope) pairs as Python numbers, every one checked.
+
+        A facet id outside the mesh wins over a bad slope; among defects of
+        one kind, the first pair's wins.
+        """
         ids = np.asarray(sids, dtype=np.int64)
         vals = np.asarray(slopes, dtype=np.float64)
         if ids.ndim != 1 or vals.shape != ids.shape:
             raise InvalidArgument(f"expected one slope per facet, got shapes "
                                   f"{ids.shape} and {vals.shape}")
-        ids, vals = ids.tolist(), vals.tolist()
+        pairs = list(zip(ids.tolist(), vals.tolist()))
         m = self.mesh.n_simplices
-        for fid in ids:
+        bad_slope = None
+        for fid, s in pairs:
             if not 0 <= fid < m:
                 raise NotFound(f"facet {fid} does not exist")
-        for fid, s in zip(ids, vals):
-            if not 0.0 < s < math.inf:
-                raise InvalidArgument(f"slope must be positive and finite, "
-                                      f"got {s} at facet {fid}")
-        for fid, s in zip(ids, vals):
-            self.slopes[fid] = s
-        return ids
+            if bad_slope is None and not 0.0 < s < math.inf:
+                bad_slope = InvalidArgument(f"slope must be positive and finite, "
+                                            f"got {s} at facet {fid}")
+        if bad_slope is not None:
+            raise bad_slope
+        return pairs
 
     def update_star(self, sids, slopes) -> None:
         """Store the cone slopes of facets ``sids``, each positive and finite.
@@ -272,7 +276,9 @@ class _ConesBase:
         All pairs are checked before any is written, so a rejected call
         leaves the index as it was.
         """
-        self._store(sids, slopes)
+        store = self.slopes
+        for fid, s in self._checked(sids, slopes):
+            store[fid] = s
 
     def update_leaf(self, fid: int, slope: float) -> None:
         """:meth:`update_star` of the one facet ``fid``."""
@@ -466,20 +472,20 @@ class ConeHierarchy(_ConesBase):
         (tmin, smin) did not move: the tree was consistent before that
         leaf changed, so nothing above such a node can move either.
         """
-        ids = self._store(sids, slopes)
+        pairs = self._checked(sids, slopes)
         tmin, smin, rank = self.node_tmin, self.node_smin, self.rank
         times, simplices, store = self.front.times, self.mesh.simplices, self.slopes
-        for fid in ids:
+        k = self.mesh.dim + 1
+        for fid, s in pairs:
+            store[fid] = s
             path = self._leaf_path(rank.item(fid))
             # The corner times' minimum, ties to the later corner as in the
-            # build's np.minimum.
-            corners = simplices[fid].tolist()
-            t = times.item(corners[0])
-            for v in corners[1:]:
-                u = times.item(v)
+            # build's np.minimum; flat index k*fid + j is corner j of row fid.
+            t = times.item(simplices.item(k * fid))
+            for j in range(k * fid + 1, k * fid + k):
+                u = times.item(simplices.item(j))
                 if u <= t:
                     t = u
-            s = store.item(fid)
             for node, lo, hi in reversed(path):
                 if hi - lo > 1:  # an ancestor: recompute it from its children
                     a, b = node + 1, node + 2 * ((lo + hi) // 2 - lo)

@@ -18,10 +18,23 @@ The text format is line based::
 
 ``v`` lines assign vertex ids in file order starting at 0.  ``save_mesh``
 writes the canonical form of this format (floats via ``repr``, so coordinates
-round-trip bit-exactly).  ``load_mesh`` checks each line's tag and token
-count in one pass and converts the collected tokens in bulk with Python's
-own ``float`` and ``int``; vertex ids are range-checked as Python ints, so an
-id too large for int64 still reports the missing vertex and its line.
+round-trip bit-exactly): ``dim 1`` or ``dim 2``, every ``v`` line, then every
+``s`` line, tokens split by single spaces, ``\\n`` line ends, ASCII, with no
+comment, blank line, tab or other whitespace that ``str.split`` breaks on.
+
+``load_mesh`` reads the file once and has two readers for its text.  A
+document in the canonical layout is converted by two ``np.loadtxt`` calls,
+one per block, whose ``usecols`` skip the tag.  Whole-text string counts
+check the layout first: each block's tagged lines must number its lines, and
+its spaces its lines times its tokens per line, because ``usecols`` would
+drop a surplus column unseen.  Every other document goes to the line reader,
+and so does a canonical one that numpy does not convert (Python's ``float``
+and ``int`` also take underscores; numpy rejects an id beyond int64) or
+whose ids leave ``[0, n)``; where numpy converts a token, it gives Python's
+value.  The line reader checks each line's tag and token count in one pass
+and converts the collected tokens with Python's own ``float`` and ``int``;
+ids are range-checked as Python ints, so an id too large for int64 still
+reports the missing vertex and its line.  It alone makes every error.
 
 Validation is strict: every vertex must be used, simplices must be
 nondegenerate and pairwise distinct, and the mesh must be manifold (a vertex
@@ -50,12 +63,14 @@ neighbours ascending, padded with -1 to the largest vertex degree.
 from __future__ import annotations
 
 import functools
+import io
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
+from .fields import numbered_lines
 from .geometry import DEGENERACY_RATIO, ApexGeometry
 from .geometry import apex_geometry as _apex_geometry
 
@@ -403,8 +418,50 @@ def _convert(coords: list[str], vlines: list[int], ids: list[str],
     raise min(bad, key=lambda e: e[0])[1]
 
 
-def _parse_mesh(path) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices (n, dim) and simplex rows (m, dim+1) int64 of a mesh document.
+# Characters ``str.split`` breaks on besides the space and the newline, and
+# the comment mark: a document without them splits on single spaces.
+_NOT_IN_LAYOUT = ("#", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _read_in_layout(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """Vertices and simplex rows of a document in ``save_mesh``'s layout.
+
+    Returns None for any other document, and for one that numpy does not
+    convert or whose ids leave ``[0, n)``, for the line reader to read.
+    """
+    if not (text.startswith(("dim 1\n", "dim 2\n")) and text.endswith("\n")
+            and text.isascii()) or any(c in text for c in _NOT_IN_LAYOUT):
+        return None
+    dim = int(text[4])
+    split = text.find("\ns ", 5) + 1           # where the first s line starts
+    if split <= 6:                               # no v line or no s line
+        return None
+    arrays = []
+    for block, tag, width, dtype in ((text[6:split], "v ", dim, np.float64),
+                                     (text[split:], "s ", dim + 1, np.int64)):
+        # Every line starts with the tag and holds ``width`` spaces: a line
+        # with fewer lacks a column ``usecols`` asks for and fails, so with
+        # the total right none has a surplus, which ``usecols`` would drop.
+        lines = block.count("\n")
+        if not (block.startswith(tag) and block.count("\n" + tag) == lines - 1
+                and block.count(" ") == lines * width):
+            return None
+        try:
+            rows = np.loadtxt(io.StringIO(block), dtype=dtype, comments=None,
+                              delimiter=" ", usecols=range(1, width + 1), ndmin=2)
+        except (ValueError, OverflowError):
+            return None
+        if rows.shape != (lines, width):
+            return None
+        arrays.append(rows)
+    verts, simps = arrays
+    if simps.min() < 0 or simps.max() >= len(verts):
+        return None
+    return verts, simps
+
+
+def _read_lines(text: str, path) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices and simplex rows of any mesh document, line by line.
 
     Raises :class:`ValidationError` naming the first bad line.
     """
@@ -415,29 +472,27 @@ def _parse_mesh(path) -> tuple[np.ndarray, np.ndarray]:
     ids: list[str] = []
     slines: list[int] = []
 
-    # Undecodable bytes read as U+FFFD and fail like any other bad token.
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for lineno, rawline in enumerate(fh, start=1):
-            tokens = rawline.split("#", 1)[0].split()
-            if not tokens:
-                continue
-            tag = tokens[0]
-            if tag == "v" and len(tokens) == v_width:
-                coords += tokens[1:]
-                vlines.append(lineno)
-            elif tag == "s" and len(tokens) == s_width:
-                ids += tokens[1:]
-                slines.append(lineno)
-            else:
-                exc = _line_error(tag, tokens[1:], dim, f"{path}:{lineno}")
-                if exc is not None:
-                    # A token that does not parse on an earlier line is
-                    # the first error; converting raises it.
-                    if dim is not None:
-                        _convert(coords, vlines, ids, slines, dim, path)
-                    raise exc
-                dim = int(tokens[1])
-                v_width, s_width = dim + 1, dim + 2
+    for lineno, rawline in numbered_lines(text):
+        tokens = rawline.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        tag = tokens[0]
+        if tag == "v" and len(tokens) == v_width:
+            coords += tokens[1:]
+            vlines.append(lineno)
+        elif tag == "s" and len(tokens) == s_width:
+            ids += tokens[1:]
+            slines.append(lineno)
+        else:
+            exc = _line_error(tag, tokens[1:], dim, f"{path}:{lineno}")
+            if exc is not None:
+                # A token that does not parse on an earlier line is
+                # the first error; converting raises it.
+                if dim is not None:
+                    _convert(coords, vlines, ids, slines, dim, path)
+                raise exc
+            dim = int(tokens[1])
+            v_width, s_width = dim + 1, dim + 2
 
     if dim is None:
         raise ValidationError("missing dim line", str(path))
@@ -452,8 +507,30 @@ def _parse_mesh(path) -> tuple[np.ndarray, np.ndarray]:
     return xs.reshape(nv, dim), np.array(vids, dtype=np.int64).reshape(-1, dim + 1)
 
 
+def _parse_mesh(path) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices (n, dim) and simplex rows (m, dim+1) int64 of a mesh document.
+
+    Raises :class:`ValidationError` naming the first bad line.
+    """
+    # Undecodable bytes read as U+FFFD and fail like any other bad token.
+    # Line ends stay as written, so a \r keeps a document out of the layout.
+    try:
+        with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read mesh document: {exc}", str(path)) from None
+    parsed = _read_in_layout(text)
+    return parsed if parsed is not None else _read_lines(text, path)
+
+
 def load_mesh(path) -> SpaceMesh:
-    """Parse a mesh document; raise :class:`ValidationError` with the offending line."""
+    """Parse a mesh document; raise :class:`ValidationError` with the offending line.
+
+    A document in ``save_mesh``'s layout is converted in bulk, every other
+    one line by line, to the same arrays; the line reader makes every error
+    message (see the module docstring).  A path that cannot be read raises
+    :class:`ValidationError` too.
+    """
     verts, simps = _parse_mesh(path)
     try:
         return _build_owned(verts, simps)

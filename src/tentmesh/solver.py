@@ -94,8 +94,13 @@ def parse_script(text: str, source: str = "<script>") -> SlopeScript:
 
 
 def load_script(path) -> SlopeScript:
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return parse_script(fh.read(), source=str(path))
+    """Parse a script file; see :func:`parse_script`."""
+    try:
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read script document: {exc}", str(path)) from None
+    return parse_script(text, source=str(path))
 
 
 def _leaves(field: SlopeField):

@@ -255,6 +255,18 @@ def test_cli_missing_mesh_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, what", [("--mesh", "mesh"), ("--field", "field"),
+                                        ("--script", "script")])
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_cli_unreadable_input_exit_2(case_1d, capsys, flag, what, where):
+    path = case_1d / "nope.txt" if where == "missing" else case_1d
+    argv = _argv(case_1d, "--script", str(case_1d / "script.txt"))
+    (case_1d / "script.txt").write_text("0 0.5 2.0\n")
+    argv[argv.index(flag) + 1] = str(path)
+    assert main(argv) == 2
+    assert f"error: cannot read {what} document: " in capsys.readouterr().err
+
+
 def test_cli_bad_field_exit_2(case_1d, capsys):
     (case_1d / "field.txt").write_text("wavespeed fast\n")
     code = main(_argv(case_1d))
