@@ -61,13 +61,18 @@ def export_spacetime_mesh(stmesh: SpacetimeMesh, path) -> None:
 def load_spacetime_mesh(path):
     """Read the text format back; returns a dict of arrays.
 
-    Raises :class:`ValidationError` on malformed input, on a file cut short
-    (the counts must match the records, and the last record must end with
-    the newline the writer puts there), on records after the last element
-    and on an event id with no event.
+    Raises :class:`ValidationError` on a path that cannot be read, on
+    malformed input, on a file cut short (the counts must match the
+    records, and the last record must end with the newline the writer puts
+    there), on records after the last element and on an event id with no
+    event.
     """
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read spacetime mesh document: {exc}",
+                              str(path)) from None
     lines = [ln.split() for ln in text.splitlines() if ln.strip()]
     at = 0
 

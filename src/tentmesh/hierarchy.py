@@ -75,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintConfig
-from .errors import InvalidArgument, NotFound
+from .errors import InvalidArgument, NotFound, check_vertex
 from .fields import SlopeField, sampled_min_simplices
 from .mesh import SpaceMesh
 
@@ -242,21 +242,20 @@ class _ConesBase:
         """Rebind the front; then :meth:`update_star` the facets that moved."""
         self.front = front
 
-    def _check_vertex(self, p: int) -> None:
-        if not 0 <= p < self.mesh.n_vertices:
-            raise NotFound(f"vertex {p} does not exist")
-
     def _checked(self, sids, slopes) -> list[tuple[int, float]]:
         """The (facet, slope) pairs as Python numbers, every one checked.
 
-        A facet id outside the mesh wins over a bad slope; among defects of
-        one kind, the first pair's wins.
+        Facet ids must be integers (not bools); a facet id outside the mesh
+        wins over a bad slope; among defects of one kind, the first pair's
+        wins.
         """
-        ids = np.asarray(sids, dtype=np.int64)
+        ids = np.asarray(sids)
         vals = np.asarray(slopes, dtype=np.float64)
         if ids.ndim != 1 or vals.shape != ids.shape:
             raise InvalidArgument(f"expected one slope per facet, got shapes "
                                   f"{ids.shape} and {vals.shape}")
+        if ids.size and ids.dtype.kind not in "iu":
+            raise InvalidArgument(f"facet ids must be integers, got {ids.dtype}")
         pairs = list(zip(ids.tolist(), vals.tolist()))
         m = self.mesh.n_simplices
         bad_slope = None
@@ -284,12 +283,14 @@ class _ConesBase:
         """:meth:`update_star` of the one facet ``fid``."""
         self.update_star([fid], [slope])
 
-    def _check_slope_query(self, p: int, t_top: float, ceiling: float) -> None:
-        self._check_vertex(p)
+    def _check_slope_query(self, p: int, t_top: float, ceiling: float) -> int:
+        """``p`` as an int (see :func:`~tentmesh.errors.check_vertex`)."""
+        p = check_vertex(p, self.mesh.n_vertices)
         if math.isnan(t_top):
             raise InvalidArgument("tentpole top time is NaN")
         if math.isnan(ceiling):
             raise InvalidArgument("slope ceiling is NaN")
+        return p
 
 
 class ExhaustiveCones(_ConesBase):
@@ -311,7 +312,7 @@ class ExhaustiveCones(_ConesBase):
         Ties resolve to the smallest facet id; (inf, None) when p's star
         covers the whole mesh.
         """
-        self._check_vertex(p)
+        p = check_vertex(p, self.mesh.n_vertices)
         self.stats.entry_queries += 1
         remote, vals = self._remote_entry_times(p)
         if remote.size == 0:
@@ -329,7 +330,7 @@ class ExhaustiveCones(_ConesBase):
         caller that only needs slopes below some value passes it as the
         ceiling, and the tree skips every subtree whose slopes reach it.
         """
-        self._check_slope_query(p, t_top, ceiling)
+        p = self._check_slope_query(p, t_top, ceiling)
         self.stats.slope_queries += 1
         remote, vals = self._remote_entry_times(p)
         hit = vals <= t_top
@@ -504,7 +505,7 @@ class ConeHierarchy(_ConesBase):
         The walk starts at the leaf of p's first star facet and climbs its
         root path; see the module docstring.
         """
-        self._check_vertex(p)
+        p = check_vertex(p, self.mesh.n_vertices)
         self.stats.entry_queries += 1
         mesh, times, slopes = self.mesh, self.front.times, self.slopes
         xl = mesh.vertices[p].tolist()
@@ -574,7 +575,7 @@ class ConeHierarchy(_ConesBase):
     def min_slope_intersecting(self, p: int, t_top: float,
                                ceiling: float = math.inf) -> float:
         """Same contract as :meth:`ExhaustiveCones.min_slope_intersecting`."""
-        self._check_slope_query(p, t_top, ceiling)
+        p = self._check_slope_query(p, t_top, ceiling)
         self.stats.slope_queries += 1
         mesh, times, slopes = self.mesh, self.front.times, self.slopes
         xl = mesh.vertices[p].tolist()

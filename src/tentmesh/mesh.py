@@ -3,9 +3,9 @@
 A mesh is a set of vertices plus segments (1D) or triangles (2D).  Simplices
 are stored with their vertex ids sorted ascending, whatever their orientation
 in the input, so identical inputs always produce identical in-memory
-structures and output files.  The mesh owns its arrays: ``build_mesh`` copies
-the caller's vertices and freezes its copies (``load_mesh`` hands over the
-array its parser made, uncopied).
+structures and output files.  The mesh owns its arrays: ``build_mesh``, the
+one way a mesh is made (``load_mesh`` calls it on the arrays it parsed),
+copies the caller's vertices and freezes its copies.
 
 The text format is line based::
 
@@ -218,15 +218,7 @@ def build_mesh(vertices, simplices) -> SpaceMesh:
     Raises :class:`ValidationError` describing the first problem found, in
     the order given in the module docstring.
     """
-    return _build_owned(np.array(vertices, dtype=np.float64), simplices)
-
-
-def _build_owned(verts: np.ndarray, simplices) -> SpaceMesh:
-    """:func:`build_mesh` of a float64 vertex array nobody else holds.
-
-    The mesh takes ``verts`` as it is and freezes it; only :func:`load_mesh`,
-    whose parser made the array, calls this.
-    """
+    verts = np.array(vertices, dtype=np.float64)
     if verts.ndim == 1:
         verts = verts[:, None]
     if verts.ndim != 2 or verts.shape[1] not in (1, 2):
@@ -533,7 +525,7 @@ def load_mesh(path) -> SpaceMesh:
     """
     verts, simps = _parse_mesh(path)
     try:
-        return _build_owned(verts, simps)
+        return build_mesh(verts, simps)
     except ValidationError as exc:
         # Structural errors name a simplex, vertex or edge, not a line.
         where = str(path) if exc.location is None else f"{exc.location} of {path}"

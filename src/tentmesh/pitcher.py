@@ -38,10 +38,12 @@ the height: it keeps the start front and one current event per vertex, the
 one on the front, so it works out p's star, base and top itself, and a base
 corner is its vertex's current event with no lookup by (vertex, time).
 
-With ``assert_invariants`` the whole front is checked after the first
-patch, and after each later patch only the facets it changed (see
-:func:`_assert_patch_ok`): the star's verdicts are handed on from the
-probe that accepted the height, with its slopes, so only a patch that
+Each star check is summed up in one :class:`StarProbe`: its top, margin,
+sampled slopes and verdicts without the remote cap.  The height search
+hands back the probe that accepted the height with the height; the cone
+store takes that probe's slopes, and with ``assert_invariants`` its
+verdicts stand for p's star (see :func:`_assert_patch_ok`).  The whole
+front is checked after the first patch only, so only a later patch that
 fired script rows costs a kernel call of its own.
 """
 
@@ -52,10 +54,12 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .constraints import ConstraintConfig, Facets, facet_verdicts, is_progressive_front
+from .constraints import ConstraintConfig, Facets, FacetVerdicts, facet_verdicts, \
+    is_progressive_front
 from .errors import ContractViolation, InvalidArgument, ValidationError, \
     check_count, check_vertex
 from .fields import SlopeField
@@ -269,29 +273,37 @@ def local_cap(mesh: SpaceMesh, times: np.ndarray, p: int,
     return cap
 
 
+class StarProbe(NamedTuple):
+    """One star check of :func:`star_feasible`: the top c and what it found.
+
+    ``margin`` is the star's :meth:`~tentmesh.constraints.FacetVerdicts.margin`,
+    ``>= 0`` exactly when the top is acceptable; ``slopes`` are the field
+    slopes sampled over the lifted star before the remote cap, which a run
+    stores for an accepted top; ``uncapped`` are the star's verdicts without
+    the remote cap, the ones the whole-front check makes of these facets at
+    these times.
+    """
+
+    top: float
+    margin: float
+    slopes: np.ndarray
+    uncapped: FacetVerdicts
+
+
 def star_feasible(mesh: SpaceMesh, times: np.ndarray, p: int, c: float,
                   field: SlopeField, config: ConstraintConfig,
-                  cones=None, *, margin: list | None = None,
-                  sampled: list | None = None,
-                  verdicts: list | None = None,
+                  cones=None, *, probes: list | None = None,
                   star: Facets | None = None) -> bool:
     """Whether topping p at time c leaves its star acceptable.
 
     1D: each lifted segment causal against the field sampled over it.  2D:
     each lifted triangle progressive, with the smallest intersecting remote
     cone slope capping the causality half; the cone query runs with the
-    largest slope the star's causality rows sampled as its ceiling.  When
-    ``sampled`` is a list, the field slopes sampled over the lifted star
-    (before that cap), which a run stores for an accepted top, are appended
-    to it; when ``margin`` is a list, the star's
-    :meth:`~tentmesh.constraints.FacetVerdicts.margin` from the same
-    evaluation is appended to it.  The answer is that margin ``>= 0``, which
-    is exactly when every facet is satisfied (a NaN margin is infeasible).
-    When ``verdicts`` is a list, the star's
-    :class:`~tentmesh.constraints.FacetVerdicts` without the remote cap are
-    appended to it: the verdicts the whole-front check makes of these
-    facets at these times.  ``star`` is p's star record, gathered here when
-    not given.
+    largest slope the star's causality rows sampled as its ceiling.  The
+    answer is that the star's margin is ``>= 0``, which is exactly when
+    every facet is satisfied (a NaN margin is infeasible).  When ``probes``
+    is a list, this check's :class:`StarProbe` is appended to it.  ``star``
+    is p's star record, gathered here when not given.
     """
     if star is None:
         star = Facets.of(mesh, mesh.stars[p])
@@ -304,13 +316,9 @@ def star_feasible(mesh: SpaceMesh, times: np.ndarray, p: int, c: float,
         remote = functools.partial(cones.min_slope_intersecting, p, c)
     capped, sigma, uncapped = facet_verdicts(star, lifted, field, config,
                                              remote)
-    if sampled is not None:
-        sampled.append(sigma)
-    if verdicts is not None:
-        verdicts.append(uncapped)
     m = capped.margin()
-    if margin is not None:
-        margin.append(m)
+    if probes is not None:
+        probes.append(StarProbe(c, m, sigma, uncapped))
     return m >= 0.0
 
 
@@ -410,8 +418,6 @@ def _rescue_foothold(probe, lo: float, hi: float,
 def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
                   config: ConstraintConfig, cones, p: int,
                   stats: dict | None = None, *,
-                  slopes: list | None = None,
-                  judged: list | None = None,
                   star: Facets | None = None) -> float:
     """Height for pitching p: floor-bounded, verified against the field.
 
@@ -425,14 +431,16 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
     and the same search narrows from there, before declaring the run
     wedged.  Every returned height h was probed and accepted as the top
     ``t_p + h``, and none is below the floor.  ``stats["bisection_steps"]``
-    counts the search's probes.  When ``slopes`` is a list, the field
-    slopes the accepted probe sampled over the star lifted to ``t_p + h``
-    are appended to it: the slopes its verdict was judged against.  When
-    ``judged`` is a list, the same probe's top and its star verdicts without
-    the remote cap (see :func:`star_feasible`) are appended to it as one
-    pair.  ``star`` is p's star record, which the bracket and every probe
-    read; it is gathered here when not given.
+    counts the search's probes.  ``star`` is p's star record, which the
+    bracket and every probe read; it is gathered here when not given.
     """
+    return _pitch(mesh, front, field, config, cones, p, stats, star=star)[0]
+
+
+def _pitch(mesh: SpaceMesh, front: Front, field: SlopeField,
+           config: ConstraintConfig, cones, p: int, stats: dict | None = None,
+           star: Facets | None = None) -> tuple[float, StarProbe]:
+    """(:func:`greedy_height`'s height, the :class:`StarProbe` that accepted it)."""
     if star is None:
         star = Facets.of(mesh, mesh.stars[p])
     times = front.times
@@ -441,27 +449,19 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
                                    star=star)
     tmin = config.tmin(mesh.dim)
     tol = config.eta / 8.0
-    if slopes is None:
-        slopes = []
-    if judged is None:
-        judged = []
-    # Where the latest feasible probe's slopes and verdicts go.
-    at, at_judged = len(slopes), len(judged)
+    accepted = None
 
     # The search runs over heights, so every returned height h is exactly
     # the height of a probed top t_p + h, and the latest feasible one (the
-    # search's lower end moves only on feasible probes).
+    # search's lower end moves only on feasible probes): ``accepted``.
     def probe(h: float) -> tuple[bool, float]:
-        out: list[float] = []
-        got: list[np.ndarray] = []
-        seen: list = []
-        top = t_p + h
-        ok = star_feasible(mesh, times, p, top, field, config, cones,
-                           margin=out, sampled=got, verdicts=seen, star=star)
+        nonlocal accepted
+        got: list[StarProbe] = []
+        ok = star_feasible(mesh, times, p, t_p + h, field, config, cones,
+                           probes=got, star=star)
         if ok:
-            slopes[at:] = got
-            judged[at_judged:] = [(top, seen[0])]
-        return ok, out[0]
+            accepted = got[0]
+        return ok, got[0].margin
 
     def count(key: str, n: int = 1) -> None:
         if stats is not None:
@@ -485,15 +485,15 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
         cap_ok, m_cap = probe(h_cap)
         if cap_ok:
             count("cap_hits")
-            return h_cap
+            return h_cap, accepted
     floor_ok, m_floor = probe(tmin)
     if floor_ok:
         if cap <= floor_top:
             count("floor_hits")
-            return tmin
+            return tmin, accepted
         h, _, steps = search_top(probe, tmin, m_floor, h_cap, m_cap, tol)
         count("bisection_steps", steps)
-        return h
+        return h, accepted
     # The floor itself failed: a slope drop outpaced the front, shrinking a
     # progress budget that was filled under the older, larger slope.  The
     # closed-form cap shares that collapsed slope, so the catch-up height
@@ -507,14 +507,14 @@ def greedy_height(mesh: SpaceMesh, front: Front, field: SlopeField,
     ok_r, m_r = probe(h_r)
     if ok_r:
         count("floor_rescues")
-        return h_r
+        return h_r, accepted
     foothold = _rescue_foothold(probe, tmin, h_r)
     if foothold is None:
         raise wedge()
     count("floor_rescues")
     h, _, steps = search_top(probe, *foothold, h_r, m_r, tol)
     count("bisection_steps", steps)
-    return h
+    return h, accepted
 
 
 # ---------------------------------------------------------------------------
@@ -633,25 +633,25 @@ def _assert_front_ok(mesh, front, field, config, patch, height) -> None:
 
 def _assert_patch_ok(mesh: SpaceMesh, times: np.ndarray, field: SlopeField,
                      config: ConstraintConfig, patch: Patch, height: float,
-                     star: Facets, accepted: tuple, fired: list) -> None:
+                     star: Facets, accepted: StarProbe, fired: list) -> None:
     """:func:`_assert_front_ok` after a patch, once the front before it passed.
 
     A facet's verdict depends only on its own vertex times and the field,
     so only the facets the patch changed are judged: p's star, with the
-    verdicts of the probe that accepted the height (``accepted`` is its top
-    and its verdicts without the remote cap), and the facets whose table
-    entry a row in ``fired`` rewrote, in one call.  Every other facet is as
-    it was when it last passed, so the lowest violating facet is the one
-    the whole-front check reports.  A top that is not the accepted one bit
-    for bit raises too: its verdicts would belong to other times.
+    uncapped verdicts of the probe that accepted the height, and the facets
+    whose table entry a row in ``fired`` rewrote, in one call.  Every other
+    facet is as it was when it last passed, so the lowest violating facet
+    is the one the whole-front check reports.  A top that is not the
+    accepted one bit for bit raises too: its verdicts would belong to
+    other times.
     """
     _check_floor(config, mesh.dim, patch, height)
-    top, verdicts = accepted
-    if times.item(patch.vertex) != top:
+    if times.item(patch.vertex) != accepted.top:
         raise ContractViolation(
             f"patch {patch.index} top {times.item(patch.vertex)!r} is not the "
-            f"top {top!r} its star check accepted"
+            f"top {accepted.top!r} its star check accepted"
         )
+    verdicts = accepted.uncapped
     rewritten = sorted({row.element for row in fired})
     bad = []
     if not verdicts.satisfied.all():
@@ -756,8 +756,6 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
         guard = _patch_guard(mesh, config, target_time, span)
 
     last_rr = -1
-    kept: list[np.ndarray] = []  # the star slopes of the accepted top
-    judged: list[tuple] = []     # that top and its star verdicts
     while t_low < target_time:
         if len(stmesh.patches) >= guard:
             if max_patches is not None:
@@ -773,8 +771,8 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
         last_rr = p
         t_p = float(times[p])
         star = Facets.of(mesh, mesh.stars[p])
-        height = greedy_height(mesh, front, field, config, cones, p, stats,
-                               slopes=kept, judged=judged, star=star)
+        height, accepted = _pitch(mesh, front, field, config, cones, p, stats,
+                                  star=star)
         top = t_p + height
         if top == t_p:
             # A run under max_patches skips the target's floor check, and
@@ -786,11 +784,10 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
         index.lift(p, height)
         # The accepted probe sampled the star at exactly these times
         # (times[p] is now t_p + height), and no row has fired since.
-        cones.update_star(star.sids, kept.pop())
+        cones.update_star(star.sids, accepted.slopes)
         fired = fire_rows(field, top, pending)
         stats["script_rows_fired"] += len(fired)
         heights.append(height)
-        accepted = judged.pop()
         if assert_invariants:
             if patch.index == 0:
                 _assert_front_ok(mesh, front, field, config, patch, height)

@@ -376,6 +376,12 @@ def test_queries_reject_bad_vertices_and_nan_top(use_hierarchy):
             ray_shoot(cones, p)
         with pytest.raises(NotFound):
             min_slope_intersecting(cones, p, 1.0)
+    # A vertex id must be an integer, and a bool is not one.
+    for p in (1.5, 1.0, True, np.float64(0.0), "0", None):
+        with pytest.raises(InvalidArgument, match="vertex id"):
+            ray_shoot(cones, p)
+        with pytest.raises(InvalidArgument, match="vertex id"):
+            min_slope_intersecting(cones, p, 1.0)
     with pytest.raises(InvalidArgument):
         min_slope_intersecting(cones, 0, math.nan)
     with pytest.raises(InvalidArgument, match="ceiling"):
@@ -704,10 +710,16 @@ def test_update_star_matches_update_leaf_and_rebuild(dim):
     (None, math.inf, InvalidArgument),
     (99, 1.0, NotFound),
     (-1, 1.0, NotFound),
+    # Facet ids must be integers: a float id array, even an integral one,
+    # or a bool one is refused rather than cast.
+    (1.5, 1.0, InvalidArgument),
+    (2.0, 1.0, InvalidArgument),
+    (True, 1.0, InvalidArgument),
 ])
 def test_update_star_is_atomic(use_hierarchy, bad_fid, bad_slope, error):
     # A bad pair in the middle of a star leaves the store and the node
-    # bounds as they were, even after the front moved.
+    # bounds as they were, even after the front moved.  An empty star is
+    # no error and writes nothing.
     rng = np.random.default_rng(5)
     mesh = grid_mesh(3, 3, skew=0.1)
     times = rng.uniform(0.0, 1.0, mesh.n_vertices)
@@ -718,6 +730,8 @@ def test_update_star_is_atomic(use_hierarchy, bad_fid, bad_slope, error):
     sids = mesh.stars[4].copy()
     slopes = np.full(len(sids), 0.5)
     if bad_fid is not None:
+        if isinstance(bad_fid, (bool, float)):
+            sids = sids.astype(type(bad_fid))
         sids[len(sids) // 2] = bad_fid
     slopes[len(sids) // 2] = bad_slope
     lifted = times.copy()
@@ -725,6 +739,13 @@ def test_update_star_is_atomic(use_hierarchy, bad_fid, bad_slope, error):
     cones.set_front(Front(mesh, lifted))
     with pytest.raises(error):
         cones.update_star(sids, slopes)
+    if isinstance(bad_fid, (bool, float)):
+        with pytest.raises(InvalidArgument, match="facet ids"):
+            cones.update_star([bad_fid], [2.0])
+        with pytest.raises(InvalidArgument, match="facet ids"):
+            cones.update_leaf(bad_fid, 3.0)
+    cones.update_star([], [])
+    cones.update_star(np.array([], dtype=np.int64), [])
     assert cones.slopes.tobytes() == before.tobytes()
     assert (list(getattr(cones, "node_tmin", [])),
             list(getattr(cones, "node_smin", []))) == bounds

@@ -177,10 +177,10 @@ def _accept_where_only_the_cap_fails(mp) -> list[int]:
     real = pitcher.star_feasible
     forced = [0]
 
-    def probe(*args, verdicts=None, **kw):
-        seen = [] if verdicts is None else verdicts
-        ok = real(*args, verdicts=seen, **kw)
-        if not ok and seen[-1].satisfied.all():
+    def probe(*args, probes=None, **kw):
+        seen = [] if probes is None else probes
+        ok = real(*args, probes=seen, **kw)
+        if not ok and seen[-1].uncapped.satisfied.all():
             forced[0] += 1
             return True
         return ok
@@ -212,16 +212,16 @@ def test_incremental_check_reads_the_verdicts_without_the_remote_cap():
 def test_a_top_other_than_the_accepted_one_is_refused():
     # The star verdicts belong to the accepted top; a height that was never
     # probed leaves times[p] elsewhere, and the check says so.
-    real = pitcher.greedy_height
+    real = pitcher._pitch
     calls = [0]
 
     def height(*args, **kw):
-        h = real(*args, **kw)
+        h, accepted = real(*args, **kw)
         calls[0] += 1
-        return h * 1.25 if calls[0] == 3 else h
+        return (h * 1.25 if calls[0] == 3 else h), accepted
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pitcher, "greedy_height", height)
+        mp.setattr(pitcher, "_pitch", height)
         with pytest.raises(ContractViolation,
                            match="patch 2 top .* is not the top .* accepted"):
             advance_until(strip_mesh(4), TableField(np.ones(7)), 1.0,

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tentmesh.mesh as mesh_mod
+from tentmesh.cli import load_spacetime_mesh
 from tentmesh.errors import ValidationError
 from tentmesh.fields import load_field
 from tentmesh.mesh import build_mesh, grid_mesh, interval_mesh, load_mesh, save_mesh
@@ -218,7 +219,8 @@ def test_saved_documents_never_enter_the_line_reader(tmp_path, monkeypatch, make
     (load_mesh, "mesh document"),
     (lambda p: load_field(p, 4), "field document"),
     (load_script, "script document"),
-], ids=["mesh", "field", "script"])
+    (load_spacetime_mesh, "spacetime mesh document"),
+], ids=["mesh", "field", "script", "spacetime-mesh"])
 @pytest.mark.parametrize("where", ["missing", "directory"])
 def test_unreadable_paths_raise_validation_errors(tmp_path, load, what, where):
     path = tmp_path / "nope.txt" if where == "missing" else tmp_path

@@ -473,8 +473,8 @@ def test_star_check_2d_keeps_the_slope_it_verified():
     rows = mesh.simplices
     for p in range(3):
         got = []
-        star_feasible(mesh, times, p, float(times[p]), field, cfg, sampled=got)
-        assert got[0].tolist() == [0.5]
+        star_feasible(mesh, times, p, float(times[p]), field, cfg, probes=got)
+        assert got[0].slopes.tolist() == [0.5]
         stored, _ = solve_patch(field, mesh.vertices[rows], times[rows],
                                 mesh.stars[p], float(times[p]))
         assert stored.tolist() == [0.5]
@@ -494,10 +494,10 @@ def test_run_2d_stores_the_slopes_its_accepted_probe_sampled(monkeypatch):
     accepted = {}   # (vertex, top) -> slopes of a feasible probe, as hex
     patches = [0]
 
-    def star_feasible(mesh_, times, p, c, *args, sampled, **kw):
-        ok = real_check(mesh_, times, p, c, *args, sampled=sampled, **kw)
+    def star_feasible(mesh_, times, p, c, *args, probes, **kw):
+        ok = real_check(mesh_, times, p, c, *args, probes=probes, **kw)
         if ok:
-            accepted[p, c] = [s.hex() for s in sampled[-1].tolist()]
+            accepted[p, c] = [s.hex() for s in probes[-1].slopes.tolist()]
         return ok
 
     def update_star(cones, sids, slopes):
@@ -657,10 +657,11 @@ def _check_heights(mp) -> list[int]:
     """Make every greedy height assert that it is a probed, feasible top.
 
     Wraps ``pitcher.star_feasible`` (to record accepted probes) and
-    ``pitcher.greedy_height`` through the monkeypatch ``mp``; returns a
+    ``pitcher._pitch``, the height search behind ``greedy_height`` and
+    ``advance_until``, through the monkeypatch ``mp``; returns a
     one-element list counting the checked heights.
     """
-    real_probe, real_height = pitcher.star_feasible, pitcher.greedy_height
+    real_probe, real_height = pitcher.star_feasible, pitcher._pitch
     accepted = []
     checked = [0]
 
@@ -672,16 +673,17 @@ def _check_heights(mp) -> list[int]:
 
     def height(mesh, front, field, config, cones, p, stats=None, **kw):
         accepted.clear()
-        h = real_height(mesh, front, field, config, cones, p, stats, **kw)
+        h, probe_ = real_height(mesh, front, field, config, cones, p, stats, **kw)
         top = float(front.times[p]) + h
         assert h >= config.tmin(mesh.dim)
         assert top in accepted
+        assert probe_.top == top and probe_.margin >= 0.0
         assert real_probe(mesh, front.times, p, top, field, config, cones) is True
         checked[0] += 1
-        return h
+        return h, probe_
 
     mp.setattr(pitcher, "star_feasible", probe)
-    mp.setattr(pitcher, "greedy_height", height)
+    mp.setattr(pitcher, "_pitch", height)
     return checked
 
 
@@ -766,11 +768,12 @@ def test_star_record_gives_the_answers_of_a_fresh_gather(data):
             c = float(times[p]) + h
             answers = []
             for kw in ({}, {"star": star}):
-                margin, sampled = [], []
+                probes = []
                 ok = star_feasible(mesh, times, p, c, field, cfg, cones,
-                                   margin=margin, sampled=sampled, **kw)
-                answers.append((ok, margin[0].hex(),
-                                [x.hex() for x in sampled[0].tolist()]))
+                                   probes=probes, **kw)
+                assert len(probes) == 1 and probes[0].top == c
+                answers.append((ok, probes[0].margin.hex(),
+                                [x.hex() for x in probes[0].slopes.tolist()]))
             assert answers[0] == answers[1]
             assert type(answers[0][0]) is bool
             lifted = times.copy()
@@ -788,20 +791,21 @@ def test_star_record_gives_the_answers_of_a_fresh_gather(data):
         for kw in ({}, {"star": _star(mesh, p)}):
             stats = dict.fromkeys(("floor_hits", "cap_hits", "bisection_steps",
                                    "floor_rescues"), 0)
-            slopes = []
             try:
-                h = greedy_height(mesh, front, field, cfg, cones, p, stats,
-                                  slopes=slopes, **kw)
+                h, accepted = pitcher._pitch(mesh, front, field, cfg, cones,
+                                             p, stats, **kw)
             except ContractViolation as exc:
                 heights.append(str(exc))
                 continue
-            # The one entry is what a fresh probe of the returned top samples.
-            sampled = []
+            assert greedy_height(mesh, front, field, cfg, cones, p,
+                                 **kw).hex() == h.hex()
+            # The accepted probe is what a fresh probe of the returned top finds.
+            probes = []
             assert star_feasible(mesh, times, p, float(times[p]) + h, field,
-                                 cfg, cones, sampled=sampled)
-            assert len(slopes) == 1
-            assert sampled[0].tobytes() == slopes[0].tobytes()
-            heights.append((h.hex(), stats, [x.hex() for x in slopes[0].tolist()]))
+                                 cfg, cones, probes=probes)
+            assert accepted.top == probes[0].top
+            assert accepted.slopes.tobytes() == probes[0].slopes.tobytes()
+            heights.append((h.hex(), stats, [x.hex() for x in accepted.slopes.tolist()]))
         assert heights[0] == heights[1]
 
 

@@ -56,5 +56,7 @@ def test_a_traced_worker_round_counts_every_patch(tmp_path):
                        stats.read_text().splitlines())["patches"])
     assert patches > 0
     assert got["calls"]["pitcher.SpacetimeMesh.add_patch"] == patches
+    # load_mesh builds the mesh through the one public entry point.
+    assert got["calls"]["mesh.build_mesh"] == 1
     assert got["calls"]["pitcher.star_feasible"] >= patches
     assert got["truthy"]["pitcher.star_feasible"] >= patches
