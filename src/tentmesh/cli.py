@@ -64,8 +64,9 @@ def load_spacetime_mesh(path):
     Raises :class:`ValidationError` on a path that cannot be read, on
     malformed input, on a file cut short (the counts must match the
     records, and the last record must end with the newline the writer puts
-    there), on records after the last element and on an event id with no
-    event.
+    there), on records after the last element, on an event coordinate or
+    time that is not finite, on an event id with no event and on a
+    negative space-simplex or patch id.
     """
     try:
         with open(path, "r", encoding="utf-8", errors="replace") as fh:
@@ -100,9 +101,15 @@ def load_spacetime_mesh(path):
     if at < len(lines):
         raise ValidationError(f"{len(lines) - at} record(s) after the last "
                               "element", location=str(path))
+    if not np.isfinite(events).all():
+        raise ValidationError("event coordinates and times must be finite",
+                              location=str(path))
     ids = elems[:, :-2]
     if ((ids < 0) | (ids >= len(events))).any():
         raise ValidationError(f"element event ids must lie in [0, {len(events)})",
+                              location=str(path))
+    if (elems[:, -2:] < 0).any():
+        raise ValidationError("space-simplex and patch ids must be >= 0",
                               location=str(path))
     return {
         "stdim": stdim,

@@ -59,10 +59,10 @@ and :func:`is_progressive_triangle` (F = 1) all call it.  Per triangle it
   them from the probe that accepted a height instead of judging p's star
   again.
 
-Sample times are one matrix product over all rows (see
-:func:`~tentmesh.fields.sampled_min_simplices`), so a facet's verdict has
-the same bits in a star probe and in a whole-front check at the same
-times.
+Sample times and points are ordered sums
+(:func:`~tentmesh.geometry.ordered_dot`), elementwise per row, so a
+facet's verdict has the same bits in a star probe and in a whole-front
+check at the same times, on any CPU.
 
 The per-(triangle, apex) geometry comes from
 :class:`~tentmesh.geometry.ApexGeometry`, the

@@ -53,9 +53,10 @@ class ContractViolation(TentMeshError):
 
 
 def check_count(name: str, count) -> None:
-    """Raise :class:`InvalidArgument` unless ``count`` is an integer >= 0."""
+    """Raise :class:`InvalidArgument` unless ``count`` is an integer >= 0
+    (a bool is not a count)."""
     try:
-        if operator.index(count) >= 0:
+        if operator.index(count) >= 0 and not isinstance(count, bool):
             return
     except TypeError:
         pass

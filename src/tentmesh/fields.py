@@ -21,7 +21,9 @@ caller keeps), and ``_values`` then gets ``ts`` of shape (R, N) against
 ``xs`` of shape (N, dim), one row per time row.  Every
 ``_values`` must return an array that broadcasts to the shape of ``ts``:
 elementwise in ``ts`` and per point in ``xs`` (a field that reads only
-``xs[:, 0]`` or ``elems`` may return shape (N,)).
+``xs[:, 0]`` or ``elems`` may return shape (N,)).  Sample points and times
+are sums by :func:`~tentmesh.geometry.ordered_dot`, the rule for every small
+product, so they keep their bits in every call and on every CPU.
 
 Field documents are line based, ``#`` starts a comment::
 
@@ -67,12 +69,14 @@ from __future__ import annotations
 
 import io
 import math
+from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidArgument, OutOfDomain, ValidationError
+from .geometry import ordered_dot
 
 _TIME_TOL = 0.0  # fields are defined for t >= 0 exactly
 
@@ -225,12 +229,9 @@ class SpatialConeField(SlopeField):
         # a zero cone_slope puts every point inside once t >= t_apex, even
         # where the distance overflows (0 * inf would be NaN).
         with np.errstate(over="ignore"):
-            # |x - center| by columns: the sqrt of d0 * d0 + d1 * d1.
-            d = xs[:, 0] - self.center[0]
-            sq = d * d
-            for i in range(1, len(self.center)):
-                d = xs[:, i] - self.center[i]
-                sq = sq + d * d
+            # |x - center| by coordinates: the sqrt of d0 * d0 + d1 * d1.
+            d = xs.T[:len(self.center)] - self.center[:, None]
+            sq = ordered_dot(d, d)
             reach = self.cone_slope * np.sqrt(sq) if self.cone_slope else 0.0
             inside = (ts - self.t_apex) >= reach
         return np.where(inside, self.sigma_inside, self.sigma_outside)
@@ -289,8 +290,8 @@ class CompositeMinField(SlopeField):
 # Extra interior points per simplex beyond vertices, midpoints and centroid.
 SLOPE_SAMPLES = 4
 _EXTRA_BARY_SEED = 20240711
-_extra_bary_cache: dict[tuple[int, int], np.ndarray] = {}
-# The extra rows a run samples, as _barycentric_weights draws them, kept
+_columns_cache: dict[tuple[int, int], np.ndarray] = {}
+# The extra rows a run samples, as _barycentric_columns draws them, kept
 # as literals: the draw imports numpy.random, about 15 ms of a process.
 # tests/test_fields.py draws them again and compares the bits.
 _RUN_EXTRA_BARY = {
@@ -309,34 +310,27 @@ _RUN_EXTRA_BARY = {
 }
 
 
-def _barycentric_weights(k: int, samples: int) -> np.ndarray:
-    """Rows of barycentric weights: vertices, midpoints, centroid, extras.
+def _barycentric_columns(k: int, samples: int) -> np.ndarray:
+    """Barycentric weights as a (k, S) array: row j weighs vertex j.
 
-    The extra rows are quasi-random interior points drawn once from a fixed
+    The S samples are the vertices, the edge midpoints, the centroid and
+    ``samples`` extra quasi-random interior points drawn once from a fixed
     seed, so every call (and every run) samples the same locations.
     """
     key = (k, samples)
-    got = _extra_bary_cache.get(key)
-    if got is not None:
-        return got
-    rows = [np.eye(k)]
-    mids = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            w = np.zeros(k)
-            w[i] = w[j] = 0.5
-            mids.append(w)
-    rows.append(np.array(mids))
-    rows.append(np.full((1, k), 1.0 / k))
-    if samples > 0:
-        extra = _RUN_EXTRA_BARY.get(key)
-        if extra is None:
-            rng = np.random.default_rng(_EXTRA_BARY_SEED + 1000 * k + samples)
-            extra = rng.dirichlet(np.ones(k), size=samples)
-        rows.append(np.array(extra))
-    weights = np.vstack(rows)
-    _extra_bary_cache[key] = weights
-    return weights
+    got = _columns_cache.get(key)
+    if got is None:
+        eye = np.eye(k)
+        rows = [eye, [(eye[i] + eye[j]) / 2 for i, j in combinations(range(k), 2)],
+                np.full((1, k), 1.0 / k)]
+        if samples > 0:
+            extra = _RUN_EXTRA_BARY.get(key)
+            if extra is None:
+                rng = np.random.default_rng(_EXTRA_BARY_SEED + 1000 * k + samples)
+                extra = rng.dirichlet(np.ones(k), size=samples)
+            rows.append(np.array(extra))
+        got = _columns_cache[key] = np.ascontiguousarray(np.vstack(rows).T)
+    return got
 
 
 def sampled_min_values(field: SlopeField, positions: np.ndarray,
@@ -355,10 +349,9 @@ def sampled_min_values(field: SlopeField, positions: np.ndarray,
     if field.is_constant:
         # Sampling a constant always returns the constant, its sigma_min.
         return np.full(times_batch.shape[0], field.sigma_min)
-    k = positions.shape[0]
-    weights = _barycentric_weights(k, samples)  # (S, k)
-    pts = weights @ positions                   # (S, dim)
-    ts = times_batch @ weights.T                # (B, S)
+    cols = _barycentric_columns(positions.shape[0], samples)  # (k, S)
+    pts = ordered_dot(cols[:, :, None], positions[:, None, :])  # (S, dim)
+    ts = ordered_dot(times_batch.T[:, :, None], cols[:, None, :])  # (B, S)
     B, S = ts.shape
     elems = None
     if element is not None:
@@ -386,12 +379,11 @@ class SampleSites(NamedTuple):
         """The sites of ``positions`` (m, k, dim) and their (m,) ``elements``."""
         positions = np.asarray(positions, dtype=np.float64)
         m, k = positions.shape[:2]
-        weights = _barycentric_weights(k, SLOPE_SAMPLES)  # (S, k)
-        S = weights.shape[0]
-        # The stacked matmul repeats sampled_min_values' per-simplex product
-        # exactly; einsum sums the products in another order, and a sample
-        # point one ulp off can land on the other side of a cone boundary.
-        pts = np.matmul(weights, positions).reshape(m * S, -1)
+        cols = _barycentric_columns(k, SLOPE_SAMPLES)  # (k, S)
+        S = cols.shape[1]
+        # Made coordinate by coordinate: pts[:, d] is one contiguous run.
+        pts = ordered_dot(positions.transpose(1, 2, 0)[..., None],
+                          cols[:, None, None, :]).reshape(-1, m * S).T
         elems = None
         if elements is not None:
             elems = np.repeat(np.asarray(elements, dtype=np.int64), S)
@@ -408,11 +400,8 @@ def sampled_min_simplices(field: SlopeField, positions, times: np.ndarray,
     optional (m,) id array.  Returns (m,) or (m, R) values with the sample
     points and clamp of :func:`sampled_min_values` at ``SLOPE_SAMPLES``.
     With rows, the field sees ``ts`` of shape (R, N) against ``xs`` of shape
-    (N, dim), and its values broadcast to (R, N).  The sample times are one
-    matrix product over all m * R time rows, so a row's sample times carry
-    the same bits in every call: numpy's matrix-vector path, which rounds
-    differently in the last bit, is never taken, as a single row is
-    sampled twice over.
+    (N, dim), and its values broadcast to (R, N); a (m, k) call is the
+    call with R = 1.
     """
     times = np.asarray(times, dtype=np.float64)
     if field.is_constant:
@@ -420,21 +409,17 @@ def sampled_min_simplices(field: SlopeField, positions, times: np.ndarray,
     sites = positions if isinstance(positions, SampleSites) \
         else SampleSites.of(positions, elements)
     m, k = times.shape[0], times.shape[-1]
-    weights = _barycentric_weights(k, SLOPE_SAMPLES)  # (S, k)
-    S = weights.shape[0]
     R = times.shape[1] if times.ndim == 3 else 1
-    rows = times.reshape(m * R, k)
-    if m * R == 1:
-        rows = rows.repeat(2, axis=0)
-    ts = (rows @ weights.T)[:m * R].reshape(m, R, S)
-    if times.ndim == 2:
-        vals = field.values(sites.pts, ts.reshape(m * S), elems=sites.elems)
-        return np.maximum(field.sigma_min, vals.reshape(m, S).min(axis=1))
-    ts = ts.transpose(1, 0, 2).reshape(R, m * S)
+    cols = _barycentric_columns(k, SLOPE_SAMPLES)  # (k, S)
+    S = cols.shape[1]
+    # ts[r, i, s]: row r of simplex i at sample s, contiguous as (R, m * S).
+    rows = times.reshape(m, R, k).transpose(2, 1, 0)[..., None]  # (k, R, m, 1)
+    ts = ordered_dot(rows, cols[:, None, None, :]).reshape(R, m * S)
     vals = field.values(sites.pts, ts, elems=sites.elems)
     if vals.shape != ts.shape:
         vals = np.broadcast_to(vals, ts.shape)
-    return np.maximum(field.sigma_min, vals.reshape(R, m, S).min(axis=2).T)
+    mins = vals.reshape(R, m, S).min(axis=2).T
+    return np.maximum(field.sigma_min, mins).reshape(times.shape[:-1])
 
 
 # ---------------------------------------------------------------------------

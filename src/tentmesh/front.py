@@ -66,7 +66,10 @@ def initial_front(mesh: SpaceMesh, times=None,
     if times is None:
         t = np.zeros(mesh.n_vertices)
     else:
-        t = np.asarray(times, dtype=np.float64).copy()
+        try:
+            t = np.array(times, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"vertex times must be numbers: {exc}") from None
         check_times(mesh, t)
         if field is None:
             raise InvalidArgument("validating explicit start times requires a field")

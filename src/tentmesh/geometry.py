@@ -15,6 +15,10 @@ degeneracy test, then the altitude, the foot ``u``, the base edge |qr| and
 the shape factor of the apex.  :func:`apex_geometry` computes the same
 fields for every (triangle, apex) of a mesh in array form, bit for bit.
 
+:func:`ordered_dot` is the rule for every small product in the package,
+never ``@``, ``dot``, ``vecdot``, ``einsum`` or ``linalg.norm``: those go
+to BLAS, whose kernel, picked per CPU at run time, sets their last bits.
+
 A simplex counts as degenerate when its minimum altitude is smaller than
 ``DEGENERACY_RATIO`` times its diameter (longest edge).  All functions here
 raise :class:`DegenerateSimplex` rather than return garbage for such inputs.
@@ -44,6 +48,16 @@ def as_point(coords, dim: int | None = None) -> np.ndarray:
     if dim is not None and p.shape[0] != dim:
         raise ValueError(f"expected a {dim}-dimensional point, got shape {p.shape}")
     return p
+
+
+def ordered_dot(x, w):
+    """``x[0] * w[0] + x[1] * w[1] + ...`` over the first axis of ``x`` and
+    ``w`` (broadcast together), added in that order by unfused ufuncs: the
+    bits of the same loop over Python floats, on any CPU."""
+    out, *rest = np.multiply(x, w, order="C")
+    for term in rest:
+        out += term  # in place, in the first term's row of the products
+    return out
 
 
 def _area2(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> float:
@@ -113,7 +127,7 @@ def frame(p, q, r) -> TriangleFrame:
     sin_r = area2 / (rp_len * qr_len)  # angle at r, between edges rp and rq
     return TriangleFrame(
         altitude=area2 / qr_len,
-        u_along=float((p - q) @ ((r - q) / qr_len)),
+        u_along=float(ordered_dot(p - q, (r - q) / qr_len)),
         qr_len=qr_len,
         phi=min(1.0, max(sin_q, sin_r)),
     )
@@ -143,11 +157,10 @@ def apex_geometry(corners) -> ApexGeometry:
 
     Every column carries the bits of :func:`frame`: each edge length is one
     ``math.hypot`` (symmetric in the edge's direction, so each edge serves
-    all three apexes), the areas, shape factors and altitudes are the same
-    elementwise float operations in array form, and ``u_along`` goes
-    through numpy's matmul dot product for each apex, as ``frame``'s 1D
-    product does.  Raises :class:`DegenerateSimplex` for a degenerate
-    triangle, with ``frame``'s message for its first degenerate apex.
+    all three apexes), and the areas, shape factors, altitudes and
+    ``u_along`` are the same elementwise float operations in array form.
+    Raises :class:`DegenerateSimplex` for a degenerate triangle, with
+    ``frame``'s message for its first degenerate apex.
     """
     corners = np.asarray(corners, dtype=np.float64)
     hypot = math.hypot
@@ -168,7 +181,7 @@ def apex_geometry(corners) -> ApexGeometry:
         f, a = np.argwhere(bad)[0]
         frame(p[f, a], q[f, a], r[f, a])  # raises DegenerateSimplex
     rq = (r - q) / qr_len[..., None]
-    u_along = np.matmul((p - q)[..., None, :], rq[..., :, None])[..., 0, 0]
+    u_along = ordered_dot(np.moveaxis(p - q, -1, 0), np.moveaxis(rq, -1, 0))
     sin_q = area2 / (qr_len[:, _R] * qr_len)
     sin_r = area2 / (qr_len[:, _Q] * qr_len)
     return ApexGeometry(area2 / qr_len, u_along, qr_len,
@@ -183,7 +196,7 @@ def triangle_width(p, q, r=None) -> float:
     """
     if r is None:
         p, q = as_point(p), as_point(q)
-        length = float(np.linalg.norm(q - p))
+        length = math.sqrt(ordered_dot(q - p, q - p))
         if length == 0.0:
             raise DegenerateSimplex("zero-length segment")
         return length

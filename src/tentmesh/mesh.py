@@ -71,7 +71,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fields import numbered_lines
-from .geometry import DEGENERACY_RATIO, ApexGeometry
+from .geometry import DEGENERACY_RATIO, ApexGeometry, ordered_dot
 from .geometry import apex_geometry as _apex_geometry
 
 
@@ -235,20 +235,19 @@ def build_mesh(vertices, simplices) -> SpaceMesh:
     m = len(srt)
     pts = verts[srt]                                   # (m, k, dim)
 
-    # Edge lengths by vecdot + sqrt round exactly as np.linalg.norm of one
-    # edge does; an axis-wise norm or sqrt(sum) differs in the last bit.
     # Squares of finite coordinates can overflow; such simplices are
     # rejected below, so the overflow warnings are not raised.
     with np.errstate(over="ignore", invalid="ignore"):
         if dim == 1:
             edge = pts[:, 1] - pts[:, 0]
-            widths = np.sqrt(np.vecdot(edge, edge))
+            widths = np.sqrt(ordered_dot(edge.T, edge.T))
             measures = widths.copy()
             diam = widths
         else:
             a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
             edges = np.stack([b - a, c - b, a - c], axis=1)       # (m, 3, 2)
-            diam = np.sqrt(np.vecdot(edges, edges)).max(axis=1)
+            xy = np.moveaxis(edges, -1, 0)
+            diam = np.sqrt(ordered_dot(xy, xy)).max(axis=1)
             e0, e2 = edges[:, 0], edges[:, 2]
             area2 = np.abs(e0[:, 0] * (-e2[:, 1]) - e0[:, 1] * (-e2[:, 0]))
             widths = np.zeros(m)

@@ -1,9 +1,10 @@
 """Scalar reference for :func:`tentmesh.mesh.build_mesh`.
 
 One simplex, one vertex and one edge at a time, with tuple keys, a ``seen``
-dict and one ``np.linalg.norm`` per edge.  ``tests/test_mesh.py`` holds the
-array build to it: every field must match in bytes and dtype, and every
-invalid input must raise the same message at the same location.
+dict and one square root of a Python-float sum of squares per edge.
+``tests/test_mesh.py`` holds the array build to it: every field must match
+in bytes and dtype, and every invalid input must raise the same message at
+the same location.
 """
 
 from __future__ import annotations
@@ -18,13 +19,21 @@ from tentmesh.geometry import DEGENERACY_RATIO
 from tentmesh.mesh import SpaceMesh
 
 
+def _length(v: np.ndarray) -> float:
+    """|v|, its squares added in coordinate order."""
+    sq = 0.0
+    for c in v.tolist():
+        sq = sq + c * c
+    return math.sqrt(sq)
+
+
 def _simplex_width_and_measure(pts: np.ndarray) -> tuple[float, float, float]:
     """Width, measure (length/area), and diameter of one simplex."""
     if pts.shape[0] == 2:
-        length = float(np.linalg.norm(pts[1] - pts[0]))
+        length = _length(pts[1] - pts[0])
         return length, length, length
     e = [pts[1] - pts[0], pts[2] - pts[1], pts[0] - pts[2]]
-    lengths = [float(np.linalg.norm(v)) for v in e]
+    lengths = [_length(v) for v in e]
     area2 = abs(float(e[0][0] * (-e[2][1]) - e[0][1] * (-e[2][0])))
     longest = max(lengths)
     width = area2 / longest if longest > 0.0 else 0.0

@@ -134,6 +134,24 @@ def test_load_spacetime_rejects_event_id_out_of_range(tmp_path, event):
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize("event, element, match", [
+    ("v 0.0 nan", "e 0 1 2 0 0", "finite"),
+    ("v 1.0 inf", "e 0 1 2 0 0", "finite"),
+    ("v -inf 0.0", "e 0 1 2 0 0", "finite"),
+    ("v 1.0 0.0", "e 0 1 2 -5 -7", "patch ids must be >= 0"),
+    ("v 1.0 0.0", "e 0 1 2 0 -1", "patch ids must be >= 0"),
+], ids=["nan-time", "inf-time", "inf-coordinate", "negative-ids",
+        "negative-patch"])
+def test_load_spacetime_rejects_bad_numbers(tmp_path, event, element, match):
+    # Each of these used to come back as is.
+    path = tmp_path / "st.txt"
+    path.write_text(f"stdim 2\nevents 3\nv 0.0 0.0\nv 0.0 1.0\n{event}\n"
+                    f"elements 1\n{element}\n")
+    with pytest.raises(ValidationError, match=match) as info:
+        load_spacetime_mesh(path)
+    assert str(path) in str(info.value)
+
+
 # -- the command ------------------------------------------------------------
 
 

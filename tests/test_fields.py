@@ -375,8 +375,8 @@ def test_run_extra_points_are_the_seeded_draws(k):
     drawn = rng.dirichlet(np.ones(k), size=SLOPE_SAMPLES)
     kept = np.array(fields._RUN_EXTRA_BARY[k, SLOPE_SAMPLES])
     assert kept.tobytes() == drawn.tobytes()
-    assert fields._barycentric_weights(k, SLOPE_SAMPLES)[-SLOPE_SAMPLES:] \
-        .tobytes() == drawn.tobytes()
+    assert fields._barycentric_columns(k, SLOPE_SAMPLES)[:, -SLOPE_SAMPLES:] \
+        .T.tobytes() == drawn.tobytes()
 
 
 def _any_field(data, dim, m):
@@ -460,8 +460,7 @@ def test_rows_axis_sampler_matches_the_flattened_call(data):
 def test_sites_and_single_rows_sample_the_bits_of_one_call(data):
     # Sites computed once give every later call the bits of a call from
     # positions, and a call of one simplex samples at the times the same
-    # simplex gets inside a call of many: numpy's matrix-vector path for a
-    # single row would round some of them differently in the last bit.
+    # simplex gets inside a call of many, to the last bit.
     dim = data.draw(st.sampled_from([1, 2]))
     m = data.draw(st.integers(2, 6))
     k = dim + 1

@@ -66,6 +66,14 @@ class TestInitialFront:
                 initial_front(mesh, times=[bad, 0.0, 0.0],
                               field=ConstantField(1.0))
 
+    @pytest.mark.parametrize("times", [["a", "b", "c"], [[0.0], 0.0, 0.0],
+                                       [{}, 0.0, 0.0]])
+    def test_times_that_are_not_numbers_rejected(self, times):
+        # These used to escape as numpy's ValueError or TypeError.
+        with pytest.raises(ValidationError, match="vertex times must be numbers"):
+            initial_front(interval_mesh(np.arange(3.0)), times=times,
+                          field=ConstantField(1.0))
+
     @pytest.mark.parametrize("mesh, field, match", [
         (interval_mesh(np.arange(3.0)), TableField([1.0]),
          "table field has 1 slopes"),

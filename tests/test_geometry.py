@@ -28,6 +28,7 @@ from tentmesh.geometry import (
     APEX_OTHERS,
     apex_geometry,
     frame,
+    ordered_dot,
     triangle_width,
 )
 
@@ -263,3 +264,35 @@ def test_width_is_smallest_altitude(pts):
     k = int(np.argmin(alts))
     bound = 4.0 * np.finfo(float).eps * (ratio[0] + ratio[k] + 2.0)
     assert w <= min(alts) * (1.0 + bound)
+
+
+# Finite doubles of every magnitude, with zeros and the extremes drawn often.
+any_double = st.floats(allow_nan=False, allow_infinity=False, width=64) \
+    | st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e-160, 1e154, 1.7e308])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_ordered_dot_adds_like_a_python_float_loop(data):
+    # CPython rounds every product and every sum of floats and never fuses
+    # them, so the loop below has the same bits on any CPU; so must the
+    # helper, whatever BLAS kernel numpy would pick for a matrix product.
+    k = data.draw(st.integers(1, 6))
+    m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    x = np.array(data.draw(st.lists(any_double, min_size=k * m,
+                                    max_size=k * m))).reshape(k, m, 1)
+    w = np.array(data.draw(st.lists(any_double, min_size=k * n,
+                                    max_size=k * n))).reshape(k, 1, n)
+    if data.draw(st.booleans()):  # one vector pair, a scalar result
+        x, w = x[:, 0, 0], w[:, 0, 0]
+    with np.errstate(all="ignore"):  # overflow, and inf - inf
+        got = np.asarray(ordered_dot(x, w))
+    xs, ws = x.reshape(k, -1, 1).tolist(), w.reshape(k, 1, -1).tolist()
+    want = []
+    for i in range(len(xs[0])):
+        for c in range(len(ws[0][0])):
+            s = xs[0][i][0] * ws[0][0][c]
+            for j in range(1, k):
+                s = s + xs[j][i][0] * ws[j][0][c]
+            want.append(s.hex())
+    assert [v.hex() for v in got.ravel().tolist()] == want

@@ -456,9 +456,8 @@ def test_star_check_2d_keeps_the_slope_it_verified():
     # The speed-up cone's apex time sits on the triangle's centre sample,
     # so the last bit of that sample's time decides inside (0.5) or outside
     # (1.0).  The star check samples 10 rows per triangle and rounds it
-    # inside.  numpy's matrix-vector path for one row rounds it outside, so
-    # the sampler takes the matrix path for one row too: solve_patch's
-    # one-row call must read the slope the triangle was verified at.
+    # inside; solve_patch's one-row call must round it the same way and
+    # read the slope the triangle was verified at.
     mesh = build_mesh(
         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         np.array([[0, 1, 2]]),
@@ -1120,8 +1119,9 @@ def test_run_rejects_field_that_does_not_fit_mesh(mesh, field):
 
 
 @pytest.mark.parametrize("kw", [{"max_patches": -3}, {"max_patches": 2.5},
-                                {"max_patches": "2"}, {"snapshot_every": -1},
-                                {"snapshot_every": 1.5}])
+                                {"max_patches": "2"}, {"max_patches": True},
+                                {"snapshot_every": -1}, {"snapshot_every": 1.5},
+                                {"snapshot_every": True}])
 def test_run_rejects_a_count_that_is_not_an_integer_at_least_zero(kw):
     (name, value), = kw.items()
     with pytest.raises(InvalidArgument,
