@@ -4,11 +4,14 @@ Every error raised by tentmesh derives from :class:`TentMeshError`, so callers
 can catch one type at the boundary.  The CLI maps these onto exit codes:
 input and validation problems exit with 2, runtime invariant violations
 (:class:`ContractViolation`) exit with 3.  :func:`check_count` and
-:func:`check_vertex` are the integer-argument checks the entry points share.
+:func:`check_vertex` are the integer-argument checks the entry points share,
+and :func:`is_number_type` and :func:`is_integer_type` the type rules of
+the ones that take numbers and ids.
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 
@@ -75,3 +78,16 @@ def check_vertex(p, n_vertices: int) -> int:
     if not 0 <= v < n_vertices:
         raise NotFound(f"vertex {v} does not exist")
     return v
+
+
+def is_number_type(t: type) -> bool:
+    """Whether values of type ``t`` are numbers: Python's and numpy's ints
+    and floats are, a bool is not (numpy reads it as 0 or 1), nor is a str
+    (numpy parses it)."""
+    return issubclass(t, numbers.Real) and not issubclass(t, bool)
+
+
+def is_integer_type(t: type) -> bool:
+    """Whether values of type ``t`` are integers, by the rule of
+    :func:`is_number_type`; a float is not, even one with an integral value."""
+    return issubclass(t, numbers.Integral) and not issubclass(t, bool)

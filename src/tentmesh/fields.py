@@ -75,30 +75,56 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgument, OutOfDomain, ValidationError
+from .errors import InvalidArgument, OutOfDomain, ValidationError, is_number_type
 from .geometry import ordered_dot
 
 _TIME_TOL = 0.0  # fields are defined for t >= 0 exactly
 
 
-def _frozen(values) -> np.ndarray:
-    """A read-only float64 copy of ``values``."""
+def frozen_floats(name: str, values) -> np.ndarray:
+    """A read-only float64 copy of ``values``, a number or an array of them.
+
+    The number check of every field parameter and of start times: raises
+    :class:`ValidationError` naming ``name`` (and, for an array, the index)
+    at the first entry that is not a number by
+    :func:`~tentmesh.errors.is_number_type`, where numpy would parse a str
+    and read a bool as 0 or 1.
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        items = np.array(values, dtype=object)
+        if not all(map(is_number_type, set(map(type, items.flat)))):
+            i, v = next((i, v) for i, v in enumerate(items.flat)
+                        if not is_number_type(type(v)))
+            if items.ndim == 0:
+                raise ValidationError(f"{name} must be a number, got {v!r}")
+            raise ValidationError(f"{name} must be numbers, got {v!r} at index {i}")
     arr = np.array(values, dtype=np.float64)
     arr.flags.writeable = False
     return arr
 
 
-def require_finite(name: str, value) -> None:
-    """Raise :class:`ValidationError` naming ``name`` unless ``value`` is finite.
+def require_finite(name: str, value) -> np.ndarray:
+    """:func:`frozen_floats` of ``value``, which must be a finite number or
+    an array of them, or :class:`ValidationError` naming ``name``.
 
-    ``value`` may be a number or an array; for an array the message names
-    the index of the first entry that is NaN or infinite.
+    For an array the message names the index of the first bad entry.
     """
-    arr = np.asarray(value, dtype=np.float64)
+    arr = frozen_floats(name, value)
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
         label = name if arr.ndim == 0 else f"{name}[{bad[0]}]"
         raise ValidationError(f"{label} must be finite, got {arr.flat[bad[0]]}")
+    return arr
+
+
+def finite_number(name: str, value) -> float:
+    """``value`` as a float; :class:`ValidationError` naming ``name`` unless
+    it is one finite number (an array, even of one entry, is not)."""
+    arr = frozen_floats(name, value)
+    if arr.ndim:
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    require_finite(name, arr)
+    return float(arr)
 
 
 class SlopeField:
@@ -148,9 +174,9 @@ class SlopeField:
 
 class ConstantField(SlopeField):
     def __init__(self, sigma: float):
-        require_finite("sigma", sigma)
+        sigma = finite_number("sigma", sigma)
         super().__init__(sigma, sigma)
-        self.sigma = float(sigma)
+        self.sigma = sigma
 
     def _values(self, xs, ts, elems):
         return np.full(ts.shape, self.sigma)
@@ -164,10 +190,8 @@ class TimeStepField(SlopeField):
     """Piecewise-constant in time: slope values per band between boundaries."""
 
     def __init__(self, boundaries, sigmas):
-        boundaries = _frozen(boundaries)
-        sigmas = _frozen(sigmas)
-        require_finite("boundaries", boundaries)
-        require_finite("sigmas", sigmas)
+        boundaries = require_finite("boundaries", boundaries)
+        sigmas = require_finite("sigmas", sigmas)
         if len(sigmas) != len(boundaries) + 1:
             raise ValidationError(
                 f"timestep field needs one more slope than boundaries, "
@@ -207,22 +231,22 @@ class SpatialConeField(SlopeField):
 
     def __init__(self, center, t_apex: float, sigma_inside: float,
                  sigma_outside: float, cone_slope: float):
-        for name, value in (("center", center), ("t_apex", t_apex),
-                            ("sigma_inside", sigma_inside),
-                            ("sigma_outside", sigma_outside),
-                            ("cone_slope", cone_slope)):
-            require_finite(name, value)
+        center = require_finite("center", center)
+        t_apex, sigma_inside, sigma_outside, cone_slope = (
+            finite_number(name, value) for name, value in (
+                ("t_apex", t_apex), ("sigma_inside", sigma_inside),
+                ("sigma_outside", sigma_outside), ("cone_slope", cone_slope)))
         if sigma_inside <= 0.0 or sigma_outside <= 0.0:
             raise ValidationError("slopes must be positive")
         if cone_slope < 0.0:
             raise ValidationError("cone_slope must be nonnegative")
         super().__init__(min(sigma_inside, sigma_outside),
                          max(sigma_inside, sigma_outside))
-        self.center = _frozen(center)
-        self.t_apex = float(t_apex)
-        self.sigma_inside = float(sigma_inside)
-        self.sigma_outside = float(sigma_outside)
-        self.cone_slope = float(cone_slope)
+        self.center = center
+        self.t_apex = t_apex
+        self.sigma_inside = sigma_inside
+        self.sigma_outside = sigma_outside
+        self.cone_slope = cone_slope
 
     def _values(self, xs, ts, elems):
         # An overflow saturates to inf, which still compares the right way;
@@ -247,8 +271,8 @@ class TableField(SlopeField):
     """
 
     def __init__(self, values, future=()):
-        values = _frozen(values)
-        future = _frozen(future).reshape(-1)
+        values = frozen_floats("values", values)
+        future = frozen_floats("future", future).reshape(-1)
         if values.ndim != 1 or len(values) == 0:
             raise ValidationError("table field needs one slope per element")
         require_finite("values", values)
@@ -464,16 +488,22 @@ def _parse_field_line(args: list[str], base_dir: Path,
     raise ValidationError(f"unknown field kind {kind!r}")
 
 
-def numbered_lines(text: str):
-    """(line number, line) pairs of ``text``, numbered from 1.
+def records(text: str):
+    """(line number, tokens) of each line of ``text`` that holds a token.
 
-    Lines end where a file read with universal newlines ends them, as
+    The one rule for the line-based documents (mesh, field, table and
+    script): ``#`` starts a comment that runs to the end of its line, and
+    tokens are what ``str.split`` makes of the rest.  Lines are numbered
+    from 1 and end where a file read with universal newlines ends them, as
     :func:`~tentmesh.mesh.load_mesh` reads: at ``\\n``, ``\\r\\n`` and
     ``\\r``.  ``str.splitlines`` also ends them at form feeds, vertical
     tabs, ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028`` and ``\\u2029``,
     which would number every later line past its place in the file.
     """
-    return enumerate(io.StringIO(text, newline=None), start=1)
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        tokens = line.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
 
 
 def _load_table(path: Path, n_elements: int | None) -> TableField:
@@ -485,12 +515,8 @@ def _load_table(path: Path, n_elements: int | None) -> TableField:
         text = path.read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
         raise ValidationError(f"cannot read table: {exc}", str(path)) from None
-    for lineno, rawline in numbered_lines(text):
-        line = rawline.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, tokens in records(text):
         where = f"{path}:{lineno}"
-        tokens = line.split()
         if len(tokens) != 2:
             raise ValidationError("table rows are '<element id> <sigma>'", where)
         try:
@@ -518,11 +544,7 @@ def parse_field(text: str, base_dir=".", n_elements: int | None = None,
     """Parse a field document given as text; see the module docstring grammar."""
     base_dir = Path(base_dir)
     fields: list[SlopeField] = []
-    for lineno, rawline in numbered_lines(text):
-        line = rawline.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in records(text):
         if tokens[0] == "field":
             tokens = tokens[1:]
         try:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .constraints import front_causality_report
 from .errors import InvalidArgument, ValidationError, check_vertex
-from .fields import SlopeField
+from .fields import SlopeField, frozen_floats
 from .mesh import SpaceMesh
 from .solver import check_fit
 
@@ -66,10 +66,7 @@ def initial_front(mesh: SpaceMesh, times=None,
     if times is None:
         t = np.zeros(mesh.n_vertices)
     else:
-        try:
-            t = np.array(times, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"vertex times must be numbers: {exc}") from None
+        t = frozen_floats("vertex times", times)
         check_times(mesh, t)
         if field is None:
             raise InvalidArgument("validating explicit start times requires a field")

@@ -31,10 +31,12 @@ drop a surplus column unseen.  Every other document goes to the line reader,
 and so does a canonical one that numpy does not convert (Python's ``float``
 and ``int`` also take underscores; numpy rejects an id beyond int64) or
 whose ids leave ``[0, n)``; where numpy converts a token, it gives Python's
-value.  The line reader checks each line's tag and token count in one pass
-and converts the collected tokens with Python's own ``float`` and ``int``;
-ids are range-checked as Python ints, so an id too large for int64 still
-reports the missing vertex and its line.  It alone makes every error.
+value.  The line reader takes the lines :func:`~tentmesh.fields.records`
+makes, checks each one's tag and token count and converts its tokens with
+Python's own ``float`` and ``int`` as it reads it, so the first bad line
+raises; once every vertex is known, ids are range-checked as Python ints,
+so an id too large for int64 still reports the missing vertex and its
+line.  It alone makes every error.
 
 Validation is strict: every vertex must be used, simplices must be
 nondegenerate and pairwise distinct, and the mesh must be manifold (a vertex
@@ -43,8 +45,9 @@ Boundary vertices are ordinary vertices; nothing here treats them specially.
 When an input has several defects, ``build_mesh`` reports the first of:
 
 1. a non-finite vertex coordinate (lowest vertex id);
-2. per simplex, in input order: wrong arity, a vertex id out of range, a
-   repeated vertex, the same vertices as an earlier simplex;
+2. per simplex, in input order: wrong arity, a vertex id that is not an
+   integer (a float or a bool is not), a vertex id out of range, a repeated
+   vertex, the same vertices as an earlier simplex;
 3. a degenerate simplex, or one too large for its width, measure or
    diameter to be finite (lowest simplex id);
 4. an unused vertex (lowest vertex id);
@@ -64,13 +67,14 @@ from __future__ import annotations
 
 import functools
 import io
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .fields import numbered_lines
+from .errors import ValidationError, is_integer_type
+from .fields import records
 from .geometry import DEGENERACY_RATIO, ApexGeometry, ordered_dot
 from .geometry import apex_geometry as _apex_geometry
 
@@ -153,7 +157,8 @@ def _sorted_rows(simplices, n: int, k: int) -> np.ndarray:
     """The simplex rows as (m, k) int64 in input order, each sorted ascending.
 
     Raises the error of the first simplex with a defect; for that simplex the
-    checks run in the order arity, range, repeated vertex, duplicate.
+    checks run in the order arity, an id that is not an integer, range,
+    repeated vertex, duplicate.
     """
     if isinstance(simplices, np.ndarray) and simplices.ndim == 2:
         arity = np.full(len(simplices), simplices.shape[1])
@@ -163,10 +168,18 @@ def _sorted_rows(simplices, n: int, k: int) -> np.ndarray:
     m = len(simplices)
     if not m:
         raise ValidationError("mesh has no simplices")
-    # Rows before the first one of the wrong arity form a proper array.
+    # Rows before the first one of the wrong arity or with an id that is not
+    # an integer form a proper array: numpy would truncate a float id, read
+    # a bool as 0 or 1 and parse a str.  Each distinct id type is checked once.
     bad_arity = np.flatnonzero(arity != k)
     stop = int(bad_arity[0]) if bad_arity.size else m
     head = simplices[:stop]
+    if not (isinstance(head, np.ndarray) and head.dtype.kind in "iu"):
+        types = set(map(type, itertools.chain.from_iterable(head)))
+        if not all(map(is_integer_type, types)):
+            stop = next(s for s, row in enumerate(head)
+                        if not all(is_integer_type(type(v)) for v in row))
+            head = simplices[:stop]
     try:
         rows = np.array(head, dtype=np.int64).reshape(stop, k)
     except OverflowError:
@@ -194,9 +207,12 @@ def _sorted_rows(simplices, n: int, k: int) -> np.ndarray:
     s = int(bad[0]) if bad.size else stop
     where = f"simplex {s}"
     if s == stop:
-        raise ValidationError(
-            f"simplex has {int(arity[s])} vertices, expected {k}", where
-        )
+        if arity[s] != k:
+            raise ValidationError(
+                f"simplex has {int(arity[s])} vertices, expected {k}", where
+            )
+        v = next(v for v in simplices[s] if not is_integer_type(type(v)))
+        raise ValidationError(f"vertex id {v!r} is not an integer", where)
     row = tuple(int(v) for v in simplices[s])
     if out_of_range[s]:
         v = next(v for v in row if not 0 <= v < n)
@@ -354,61 +370,6 @@ def build_mesh(vertices, simplices) -> SpaceMesh:
 # ---------------------------------------------------------------------------
 
 
-def _line_error(tag: str, args: list[str], dim: int | None,
-                where: str) -> ValidationError | None:
-    """The problem with a line that is not a well-formed ``v`` or ``s`` line.
-
-    Returns None for a valid ``dim`` line.
-    """
-    if tag == "dim":
-        if dim is not None:
-            return ValidationError("duplicate dim line", where)
-        if len(args) != 1 or args[0] not in ("1", "2"):
-            return ValidationError(f"dim must be 1 or 2, got {args!r}", where)
-        return None
-    if tag == "v":
-        if dim is None:
-            return ValidationError("dim line must come before vertices", where)
-        return ValidationError(f"vertex needs {dim} coordinates, got {len(args)}", where)
-    if tag == "s":
-        if dim is None:
-            return ValidationError("dim line must come before simplices", where)
-        return ValidationError(
-            f"simplex needs {dim + 1} vertex ids, got {len(args)}", where
-        )
-    return ValidationError(f"unknown directive {tag!r}", where)
-
-
-def _bad_token(tokens: list[str], linenos: list[int], per_line: int, conv,
-               what: str, path) -> tuple[int, ValidationError] | None:
-    """(line number, error) of the first token ``conv`` rejects, or None."""
-    for i, token in enumerate(tokens):
-        try:
-            conv(token)
-        except ValueError as exc:
-            lineno = linenos[i // per_line]
-            return lineno, ValidationError(f"{what}: {exc}", f"{path}:{lineno}")
-    return None
-
-
-def _convert(coords: list[str], vlines: list[int], ids: list[str],
-             slines: list[int], dim: int, path) -> tuple[np.ndarray, list[int]]:
-    """Coordinates as float64 and vertex ids as Python ints, in file order.
-
-    Both use Python's own ``float`` and ``int`` parse rules.  When a token
-    does not parse, raises the error of the earliest such line.
-    """
-    try:
-        xs = np.fromiter(map(float, coords), np.float64, len(coords))
-        return xs, list(map(int, ids))
-    except ValueError:
-        pass
-    bad = [e for e in (_bad_token(coords, vlines, dim, float, "bad coordinate", path),
-                       _bad_token(ids, slines, dim + 1, int, "bad vertex id", path))
-           if e is not None]
-    raise min(bad, key=lambda e: e[0])[1]
-
-
 # Characters ``str.split`` breaks on besides the space and the newline, and
 # the comment mark: a document without them splits on single spaces.
 _NOT_IN_LAYOUT = ("#", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
@@ -457,45 +418,51 @@ def _read_lines(text: str, path) -> tuple[np.ndarray, np.ndarray]:
     Raises :class:`ValidationError` naming the first bad line.
     """
     dim: int | None = None
-    v_width = s_width = -1             # tokens on a v / s line, once dim is known
-    coords: list[str] = []
-    vlines: list[int] = []
-    ids: list[str] = []
+    coords: list[float] = []
+    ids: list[int] = []
     slines: list[int] = []
-
-    for lineno, rawline in numbered_lines(text):
-        tokens = rawline.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        tag = tokens[0]
-        if tag == "v" and len(tokens) == v_width:
-            coords += tokens[1:]
-            vlines.append(lineno)
-        elif tag == "s" and len(tokens) == s_width:
-            ids += tokens[1:]
+    for lineno, tokens in records(text):
+        where = f"{path}:{lineno}"
+        tag, args = tokens[0], tokens[1:]
+        if tag == "dim":
+            if dim is not None:
+                raise ValidationError("duplicate dim line", where)
+            if len(args) != 1 or args[0] not in ("1", "2"):
+                raise ValidationError(f"dim must be 1 or 2, got {args!r}", where)
+            dim = int(args[0])
+        elif tag == "v":
+            if dim is None:
+                raise ValidationError("dim line must come before vertices", where)
+            if len(args) != dim:
+                raise ValidationError(
+                    f"vertex needs {dim} coordinates, got {len(args)}", where)
+            try:
+                coords += map(float, args)
+            except ValueError as exc:
+                raise ValidationError(f"bad coordinate: {exc}", where) from None
+        elif tag == "s":
+            if dim is None:
+                raise ValidationError("dim line must come before simplices", where)
+            if len(args) != dim + 1:
+                raise ValidationError(
+                    f"simplex needs {dim + 1} vertex ids, got {len(args)}", where)
+            try:
+                ids += map(int, args)
+            except ValueError as exc:
+                raise ValidationError(f"bad vertex id: {exc}", where) from None
             slines.append(lineno)
         else:
-            exc = _line_error(tag, tokens[1:], dim, f"{path}:{lineno}")
-            if exc is not None:
-                # A token that does not parse on an earlier line is
-                # the first error; converting raises it.
-                if dim is not None:
-                    _convert(coords, vlines, ids, slines, dim, path)
-                raise exc
-            dim = int(tokens[1])
-            v_width, s_width = dim + 1, dim + 2
+            raise ValidationError(f"unknown directive {tag!r}", where)
 
     if dim is None:
         raise ValidationError("missing dim line", str(path))
-    xs, vids = _convert(coords, vlines, ids, slines, dim, path)
-    nv = len(vlines)
-    if vids and (min(vids) < 0 or max(vids) >= nv):
-        i = next(i for i, v in enumerate(vids) if not 0 <= v < nv)
-        raise ValidationError(
-            f"simplex references missing vertex {vids[i]}",
-            f"{path}:{slines[i // (dim + 1)]}",
-        )
-    return xs.reshape(nv, dim), np.array(vids, dtype=np.int64).reshape(-1, dim + 1)
+    nv = len(coords) // dim
+    if ids and (min(ids) < 0 or max(ids) >= nv):
+        i = next(i for i, v in enumerate(ids) if not 0 <= v < nv)
+        raise ValidationError(f"simplex references missing vertex {ids[i]}",
+                              f"{path}:{slines[i // (dim + 1)]}")
+    return (np.array(coords, dtype=np.float64).reshape(nv, dim),
+            np.array(ids, dtype=np.int64).reshape(-1, dim + 1))
 
 
 def _parse_mesh(path) -> tuple[np.ndarray, np.ndarray]:

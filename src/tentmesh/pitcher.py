@@ -61,7 +61,7 @@ import numpy as np
 from .constraints import ConstraintConfig, Facets, FacetVerdicts, facet_verdicts, \
     is_progressive_front
 from .errors import ContractViolation, InvalidArgument, ValidationError, \
-    check_count, check_vertex
+    check_count, check_vertex, is_number_type
 from .fields import SlopeField
 from .front import BlockedTimes, Front, check_times, initial_front, local_minima
 from .geometry import APEX_OTHERS
@@ -683,7 +683,9 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
     given; otherwise a generous multiple of the worst-case element count acts
     as a runaway guard and overrunning it raises :class:`ContractViolation`.
     ``max_patches`` (unless None) and ``snapshot_every`` must be integers
-    >= 0, or :class:`InvalidArgument` is raised.
+    >= 0, or :class:`InvalidArgument` is raised; ``target_time`` must be a
+    number that is not NaN (a bool or a str is not one), or
+    :class:`ValidationError` is.
     The run evaluates the field :func:`~tentmesh.solver.bind_run` makes of
     ``field`` and ``script``, and nothing the caller passed in is written:
     the returned :class:`TentRun` carries the run's own field, with any
@@ -705,8 +707,8 @@ def advance_until(mesh: SpaceMesh, field: SlopeField, target_time: float,
     if max_patches is not None:
         check_count("max_patches", max_patches)
     check_count("snapshot_every", snapshot_every)
-    if math.isnan(target_time):
-        raise ValidationError("target time must be a number, got nan")
+    if not is_number_type(type(target_time)) or math.isnan(target_time):
+        raise ValidationError(f"target time must be a number, got {target_time!r}")
     if front is not None:
         if front.mesh is not mesh and not (
                 np.array_equal(front.mesh.vertices, mesh.vertices)

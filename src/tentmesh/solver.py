@@ -22,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgument, ValidationError
+from .errors import InvalidArgument, ValidationError, is_integer_type
 from .fields import CompositeMinField, SlopeField, SpatialConeField, TableField, \
-    numbered_lines, require_finite, sampled_min_simplices
+    finite_number, records, sampled_min_simplices
 from .mesh import SpaceMesh
 
 
@@ -42,10 +42,14 @@ class SlopeScript:
 
     def __post_init__(self):
         for row in self.rows:
-            require_finite(f"trigger of script row for element {row.element}",
-                           row.trigger)
-            require_finite(f"sigma of script row for element {row.element}",
-                           row.sigma)
+            # numpy would take a bool element as a mask over the whole table.
+            if not is_integer_type(type(row.element)):
+                raise ValidationError(
+                    f"script row element must be an integer, got {row.element!r}")
+            finite_number(f"trigger of script row for element {row.element}",
+                          row.trigger)
+            finite_number(f"sigma of script row for element {row.element}",
+                          row.sigma)
         rows = tuple(sorted(self.rows, key=lambda r: (r.trigger, r.element)))
         seen = set()
         for row in rows:
@@ -70,11 +74,7 @@ def parse_script(text: str, source: str = "<script>") -> SlopeScript:
     is wrong as a whole (duplicate rows, bad values).
     """
     rows = []
-    for lineno, raw in numbered_lines(text):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in records(text):
         if len(parts) != 3:
             raise ValidationError(
                 "expected '<element> <trigger> <sigma>'",

@@ -54,7 +54,7 @@ def reference_build_mesh(vertices, simplices) -> SpaceMesh:
         raise ValidationError(f"non-finite coordinates {verts[bad[0]].tolist()}",
                               f"vertex {bad[0]}")
 
-    raw = [tuple(int(v) for v in s) for s in simplices]
+    raw = [tuple(s) for s in simplices]
     if not raw:
         raise ValidationError("mesh has no simplices")
     m = len(raw)
@@ -67,6 +67,10 @@ def reference_build_mesh(vertices, simplices) -> SpaceMesh:
             raise ValidationError(
                 f"simplex has {len(row)} vertices, expected {dim + 1}", where
             )
+        for v in row:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValidationError(f"vertex id {v!r} is not an integer", where)
+        row = tuple(int(v) for v in row)
         for v in row:
             if not 0 <= v < n:
                 raise ValidationError(f"vertex id {v} out of range 0..{n - 1}", where)

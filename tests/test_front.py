@@ -67,9 +67,11 @@ class TestInitialFront:
                               field=ConstantField(1.0))
 
     @pytest.mark.parametrize("times", [["a", "b", "c"], [[0.0], 0.0, 0.0],
-                                       [{}, 0.0, 0.0]])
+                                       [{}, 0.0, 0.0], ["0", "0.5", "0"],
+                                       [0.0, True, 0.0]])
     def test_times_that_are_not_numbers_rejected(self, times):
-        # These used to escape as numpy's ValueError or TypeError.
+        # These used to escape as numpy's ValueError or TypeError, or, as
+        # numeric strs and bools, to be read as numbers.
         with pytest.raises(ValidationError, match="vertex times must be numbers"):
             initial_front(interval_mesh(np.arange(3.0)), times=times,
                           field=ConstantField(1.0))

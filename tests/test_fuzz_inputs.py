@@ -2,7 +2,9 @@
 
 Whatever the bytes of a mesh, field, table, script or spacetime-mesh file,
 the library may raise only :class:`TentMeshError` (the CLI's exit 2), and
-``main`` returns 0, 2 or 3.  Documents are drawn line by line from each
+``main`` returns 0, 2 or 3.  A value of the wrong type handed to a library
+entry point (a str, a bool or None for a number, a float for an id) raises
+a :class:`TentMeshError` too.  Documents are drawn line by line from each
 format's own tags and from number-like tokens (negative, huge, NaN,
 infinite, malformed, a byte that is not UTF-8), with a share of well-formed
 inputs so that runs happen too.
@@ -15,15 +17,19 @@ import io
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tentmesh.cli import load_spacetime_mesh, main
 from tentmesh.errors import TentMeshError, ValidationError
-from tentmesh.fields import load_field, parse_field
-from tentmesh.mesh import load_mesh
-from tentmesh.solver import parse_script
+from tentmesh.fields import ConstantField, SpatialConeField, TableField, \
+    TimeStepField, load_field, parse_field
+from tentmesh.front import initial_front
+from tentmesh.mesh import build_mesh, interval_mesh, load_mesh
+from tentmesh.pitcher import advance_until
+from tentmesh.solver import ScriptRow, SlopeScript, parse_script
 
 SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -178,3 +184,65 @@ def test_bytes_that_are_not_utf8_exit_2(tmp_path, capsys, name):
     assert "\ufffd" in err
     if name == "script":
         assert f"(at {tmp_path / 'script'}:1)" in err
+
+
+NOT_NUMBERS = st.sampled_from(["1", "0.5", "nan", "x", "", True, False,
+                               np.True_, None])
+NOT_SCALARS = st.one_of(NOT_NUMBERS, st.just([1.0]))
+NOT_IDS = st.one_of(NOT_NUMBERS, st.sampled_from([0.0, 1.0, 2.5, np.float64(1.0)]))
+
+
+def _with(draw, values, bad):
+    """``values`` as a list with the entry at a drawn index set to ``bad``."""
+    values = list(values)
+    values[draw(st.integers(0, len(values) - 1))] = bad
+    return values
+
+
+def _wrong_type_call(entry, draw):
+    """A call of ``entry`` with one drawn argument or entry of the wrong type."""
+    if entry == "build_mesh":
+        verts, rows = ([[0.0], [1.0], [2.0]], [0, 1, 1, 2]) if draw(st.booleans()) \
+            else ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0, 1, 3, 0, 3, 2])
+        bad = draw(NOT_IDS)
+        ids, k = _with(draw, rows, bad), len(verts[0]) + 1
+        simps = [tuple(ids[i:i + k]) for i in range(0, len(ids), k)]
+        if not isinstance(bad, (bool, np.bool_)) and draw(st.booleans()):
+            simps = np.array(simps)  # float, str or object rows
+        return lambda: build_mesh(verts, simps)
+    if entry == "SlopeScript":
+        row = [1, 0.01, 2.0]
+        i = draw(st.integers(0, 2))
+        row[i] = draw(NOT_IDS if i == 0 else NOT_SCALARS)
+        return lambda: SlopeScript((ScriptRow(*row),))
+    if entry == "ConstantField":
+        bad = draw(NOT_SCALARS)
+        return lambda: ConstantField(bad)
+    bad = draw(NOT_NUMBERS)
+    if entry == "TimeStepField":
+        args = _with(draw, [0.5, 1.0, 2.0], bad)
+        return lambda: TimeStepField(args[:1], args[1:])
+    if entry == "TableField":
+        args = _with(draw, [1.0, 2.0, 1.5, 0.5], bad)
+        return lambda: TableField(args[:3], future=args[3:])
+    if entry == "SpatialConeField":
+        args = _with(draw, [0.5, 0.5, 0.0, 2.0, 1.0, 0.5], bad)
+        return lambda: SpatialConeField(args[:2], *args[2:])
+    mesh = interval_mesh(np.arange(3.0))
+    if entry == "advance_until":
+        bad = draw(NOT_SCALARS)
+        return lambda: advance_until(mesh, ConstantField(1.0), bad)
+    times = _with(draw, [0.0, 0.25, 0.0], bad)
+    return lambda: initial_front(mesh, times=times, field=ConstantField(1.0))
+
+
+@pytest.mark.parametrize("entry", [
+    "build_mesh", "SlopeScript", "ConstantField", "TimeStepField", "TableField",
+    "SpatialConeField", "advance_until", "initial_front"])
+@given(st.data())
+@settings(max_examples=40, **SETTINGS)
+def test_values_of_the_wrong_type_raise_tentmesh_errors(entry, data):
+    # numpy used to truncate float ids, read bools as 0 or 1 (a bool script
+    # element as a mask over the whole table) and parse numeric strs.
+    with pytest.raises(TentMeshError):
+        _wrong_type_call(entry, data.draw)()

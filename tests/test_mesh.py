@@ -321,6 +321,10 @@ def _assert_same_mesh(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _is_id(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _outcome(build, verts, simps):
     """The mesh ``build`` returns, or the (message, location) it raises."""
     try:
@@ -331,11 +335,13 @@ def _outcome(build, verts, simps):
 
 def _assert_same_outcome(verts, simps):
     """Both builds give the same mesh or raise the same error, for the
-    sequence input and, where the rows form one int64 array, the array."""
+    sequence input and, where its integer ids form one int64 array, the
+    array."""
     want = _outcome(reference_build_mesh, verts, simps)
     inputs = [simps]
     try:
-        inputs.append(np.array(simps, dtype=np.int64))
+        if all(_is_id(v) for row in simps for v in row):
+            inputs.append(np.array(simps, dtype=np.int64))
     except (ValueError, OverflowError):
         pass
     for rows in inputs:
@@ -398,7 +404,7 @@ def valid_meshes(draw):
 
 
 DEFECTS = ("range", "repeated", "duplicate", "degenerate", "unused",
-           "non-manifold", "overlap", "arity", "overflow")
+           "non-manifold", "overlap", "arity", "overflow", "non-integer")
 
 
 def _inject(rng, verts, simps, defect):
@@ -408,8 +414,8 @@ def _inject(rng, verts, simps, defect):
     # Id defects may stack on one row; geometric ones need a row whose ids
     # an earlier defect left intact.
     rows = [s for s, row in enumerate(simps) if len(row) == dim + 1
-            and (defect in ("range", "repeated", "duplicate", "arity")
-                 or all(0 <= v < n for v in row))]
+            and (defect in ("range", "repeated", "duplicate", "arity", "non-integer")
+                 or all(_is_id(v) and 0 <= v < n for v in row))]
     if not rows:
         return
     r = rows[int(rng.integers(len(rows)))]
@@ -444,6 +450,13 @@ def _inject(rng, verts, simps, defect):
         simps.append((n, n + 1))
     elif defect == "arity":
         simps[r] = tuple(row[:-1]) if rng.random() < 0.5 else tuple(row) + (row[0],)
+    elif defect == "non-integer":
+        # A float equal to the id is what numpy truncated back to the id.
+        i = int(rng.integers(len(row)))
+        v = int(row[i]) if _is_id(row[i]) else 0
+        wrong = [float(v), v + 0.5, True, False, np.True_, str(v), None]
+        row[i] = wrong[int(rng.integers(len(wrong)))]
+        simps[r] = tuple(row)
     elif defect == "overflow":
         # Finite, but the squares of the row's edges overflow.
         verts[row[-1]] = [float(rng.choice([-1.0, 1.0])) * 1e308] * dim
@@ -471,7 +484,7 @@ DEFECT_MESSAGES = {"range": "out of range", "repeated": "repeated vertex",
                    "duplicate": "duplicate simplex", "degenerate": "degenerate",
                    "unused": "not part of any simplex", "non-manifold": "non-manifold",
                    "overlap": "overlap", "arity": "vertices, expected",
-                   "overflow": "too large"}
+                   "overflow": "too large", "non-integer": "not an integer"}
 
 
 # Triangles are not checked for overlap.
